@@ -207,12 +207,19 @@ def _report_sort_key(report: VerificationReport):
     return (report.identity, tuple(sorted(report.params.items())))
 
 
+def worker_count(jobs: int, n_tasks: int) -> int:
+    """Worker processes for a sweep: never more than requested, than there
+    are tasks, or than the machine has cores."""
+    return min(jobs, n_tasks, os.cpu_count() or 1)
+
+
 def run_sweep(max_g, max_g_even, max_m, max_a, max_n, jobs=1) -> list[VerificationReport]:
     """Run the full verification sweep; results are sorted by identity and
     parameters, so the output never depends on worker scheduling."""
     tasks = sweep_tasks(max_g, max_g_even, max_m, max_a, max_n)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_sweep_task, tasks, chunksize=4))
     else:
         reports = [run_sweep_task(t) for t in tasks]
@@ -262,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=30, help="gessel suite bound")
     p.add_argument("--max-a", type=int, default=60, help="gessel suite bound (even)")
     p.add_argument("--max-n", type=int, default=40, help="chu-vandermonde suite bound")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel worker processes (capped at the task and core counts)",
+    )
 
     return parser
 
@@ -317,7 +327,16 @@ def _cmd_verify(args):
     return code, report_to_json_obj(report), report_to_text(report)
 
 
+def _check_suite_ranges(args) -> None:
+    for flag in ("max_m", "max_a", "max_n"):
+        if getattr(args, flag) < 0:
+            raise CliUsageError(f"--{flag.replace('_', '-')} must be non-negative")
+    if args.max_a % 2:
+        raise CliUsageError("--max-a must be even")
+
+
 def _cmd_identity(args):
+    _check_suite_ranges(args)
     if args.name == "gessel":
         report = gessel_suite_report(args.max_m, args.max_a)
     else:
@@ -332,6 +351,7 @@ def _cmd_sweep(args):
             raise CliUsageError(f"--{flag.replace('_', '-')} must be at least 2")
     if args.jobs < 1:
         raise CliUsageError("--jobs must be at least 1")
+    _check_suite_ranges(args)
     reports = run_sweep(
         args.max_g, args.max_g_even, args.max_m, args.max_a, args.max_n, jobs=args.jobs
     )

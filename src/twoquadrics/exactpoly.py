@@ -13,7 +13,9 @@ GIL and never changes results.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from typing import Iterable, Mapping
 
 
@@ -362,6 +364,30 @@ def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
 def gauss_binomial(n: int, m: int) -> LaurentPoly:
     """Gaussian binomial coefficient [n, m]_q as a polynomial in q."""
     return LaurentPoly._raw({e: c for e, c in enumerate(gauss_coefficients(n, m)) if c})
+
+
+def mul_one_minus_power(coeffs: list[int], s: int) -> None:
+    """Multiply the dense polynomial `coeffs` (entry e is the coefficient
+    of q^e) by 1 - q^s in place, for s >= 1."""
+    coeffs.extend([0] * s)
+    # the right-hand slices are copies, so every subtrahend is an old value
+    coeffs[s:] = map(operator.sub, coeffs[s:], coeffs[:-s])
+
+
+def div_one_minus_power(coeffs: list[int], s: int) -> None:
+    """Divide the dense polynomial `coeffs` by 1 - q^s in place, for s >= 1.
+
+    The quotient series is the stride-s running sum of the coefficients.
+    It is a polynomial exactly when its top s coefficients (the dropped
+    tail) vanish; otherwise InexactDivisionError is raised.
+    """
+    n = len(coeffs)
+    for r in range(min(s, n)):
+        coeffs[r:n:s] = itertools.accumulate(coeffs[r:n:s])
+    top = max(n - s, 0)
+    if any(coeffs[top:]):
+        raise InexactDivisionError(f"polynomial division by 1 - q^{s} is not exact")
+    del coeffs[top:]
 
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .exactpoly import LaurentPoly, exact_divide
+from .exactpoly import LaurentPoly, div_one_minus_power, mul_one_minus_power
 from .hodge import ConsistencyError, HodgeDiamond
 
 
@@ -42,21 +42,23 @@ def multiplicity_kernel(a: int, b: int) -> LaurentPoly:
     multiplicity(a, b, c).
 
     Equals q^{-(b-a+1)(2a-1)} (1-q^{4b})
-    prod_{l=b-a+2}^{a+b-2} (1-q^{2l}) / prod_{l=1}^{2a-2} (1-q^{2l}),
-    computed by exact division (a nonzero remainder signals arguments
-    outside the contract a >= 2, b >= a-1).
+    prod_{l=b-a+2}^{a+b-2} (1-q^{2l}) / prod_{l=1}^{2a-2} (1-q^{2l}).
+    Every factor is a polynomial in u = q^2, so the numerator is expanded
+    densely in u and each denominator factor is divided out as a running
+    sum whose dropped tail must vanish (InexactDivisionError otherwise).
     """
     if a < 2:
         raise ValueError(f"a = {a}: need a >= 2")
     if b < a - 1:
         raise ValueError(f"b = {b}: need b >= a-1 = {a - 1}")
-    num = LaurentPoly({0: 1, 4 * b: -1})
+    coeffs = [1]
+    mul_one_minus_power(coeffs, 2 * b)
     for ell in range(b - a + 2, a + b - 1):
-        num = num * LaurentPoly({0: 1, 2 * ell: -1})
-    den = LaurentPoly.one()
+        mul_one_minus_power(coeffs, ell)
     for ell in range(1, 2 * a - 1):
-        den = den * LaurentPoly({0: 1, 2 * ell: -1})
-    return exact_divide(num, den).shift(-(b - a + 1) * (2 * a - 1))
+        div_one_minus_power(coeffs, ell)
+    shift = -(b - a + 1) * (2 * a - 1)
+    return LaurentPoly((2 * e + shift, c) for e, c in enumerate(coeffs) if c)
 
 
 def multiplicity(a: int, b: int, c: int) -> int:
@@ -68,21 +70,23 @@ def multiplicity(a: int, b: int, c: int) -> int:
 def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
     """Hodge diamond of the k-plane Fano scheme in the hyperelliptic case.
 
-    For each degree m = 0..2d and each j = g-k-1..g, the block
-    wedge^{g-j} H^1(C) enters with multiplicity(g-k, j, d-m) copies,
-    Tate-twisted by t = (m-(g-j))/2, contributing
-    C(g, p-t) C(g, q-t) to h^{p,q} for p+q = m.
+    For each j = g-k-1..g and each term mult * q^c of
+    multiplicity_kernel(g-k, j), the block wedge^{g-j} H^1(C) enters
+    degree m = d-c with mult copies, Tate-twisted by t = (m-(g-j))/2,
+    contributing C(g, p-t) C(g, q-t) to h^{p,q} for p+q = m.
     """
     g, k = params.g, params.k
     d = params.dimension
     comb_g = [math.comb(g, r) for r in range(g + 1)]
     h = [[0] * (d + 1) for _ in range(d + 1)]
-    for m in range(2 * d + 1):
-        lo, hi = max(0, m - d), min(d, m)
-        for j in range(g - k - 1, g + 1):
-            mult = multiplicity(g - k, j, d - m)
-            if not mult:
-                continue
+    for j in range(g - k - 1, g + 1):
+        for c, mult in multiplicity_kernel(g - k, j).items():
+            m = d - c
+            if not 0 <= m <= 2 * d:
+                raise ConsistencyError(
+                    f"block (g, k, j) = ({g}, {k}, {j}): kernel term q^{c} lands in "
+                    f"degree {m}, outside 0..{2 * d}"
+                )
             delta = m - (g - j)
             if delta < 0 or delta % 2:
                 raise ConsistencyError(
@@ -90,8 +94,7 @@ def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
                     f"{delta}/2 is not a non-negative integer"
                 )
             t = delta // 2
-            for p in range(lo, hi + 1):
-                pa, qa = p - t, (m - p) - t
-                if 0 <= pa <= g and 0 <= qa <= g:
-                    h[p][m - p] += mult * comb_g[pa] * comb_g[qa]
+            # p - t and m - p - t must both lie in 0..g
+            for p in range(max(0, m - d, t, m - t - g), min(d, m, t + g, m - t) + 1):
+                h[p][m - p] += mult * comb_g[p - t] * comb_g[m - p - t]
     return HodgeDiamond(h)

@@ -9,11 +9,52 @@ characteristic, Hochschild homology dimensions) are read off the table.
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 from .exactpoly import BiPoly, LaurentPoly
 
 
 class ConsistencyError(RuntimeError):
     """Internal bookkeeping produced an impossible Hodge-theoretic value."""
+
+
+def _is_valid_table(rows: tuple[tuple, ...]) -> bool:
+    """Every check of HodgeDiamond at C speed: square shape, non-negative
+    int entries, Hodge symmetry (each row equals its column) and Serre
+    duality (each row equals the mirrored row d - p reversed)."""
+    n = len(rows)
+    return (
+        all(len(row) == n for row in rows)
+        and all(map(isinstance, itertools.chain.from_iterable(rows), itertools.repeat(int)))
+        and min(itertools.chain.from_iterable(rows)) >= 0
+        and all(map(operator.eq, rows, zip(*rows)))
+        and all(map(operator.eq, rows, (row[::-1] for row in reversed(rows))))
+    )
+
+
+def _raise_first_violation(rows: tuple[tuple, ...]) -> None:
+    """Name the first entry, in row order, that _is_valid_table rejected."""
+    d = len(rows) - 1
+    for p, row in enumerate(rows):
+        if len(row) != d + 1:
+            raise ValueError(f"row {p} has length {len(row)}, expected {d + 1}")
+        for q, h in enumerate(row):
+            if not isinstance(h, int) or h < 0:
+                raise ValueError(f"h^{{{p},{q}}} = {h!r} is not a non-negative integer")
+    for p in range(d + 1):
+        for q in range(p, d + 1):
+            if rows[p][q] != rows[q][p]:
+                raise ValueError(
+                    f"Hodge symmetry fails: h^{{{p},{q}}} = {rows[p][q]} "
+                    f"but h^{{{q},{p}}} = {rows[q][p]}"
+                )
+            if rows[p][q] != rows[d - p][d - q]:
+                raise ValueError(
+                    f"Serre duality fails: h^{{{p},{q}}} = {rows[p][q]} "
+                    f"but h^{{{d - p},{d - q}}} = {rows[d - p][d - q]}"
+                )
+    raise ConsistencyError("the fast diamond check rejected a table the entry check accepts")
 
 
 class HodgeDiamond:
@@ -26,24 +67,8 @@ class HodgeDiamond:
         d = len(rows) - 1
         if d < 0:
             raise ValueError("a Hodge diamond needs at least the (0, 0) entry")
-        for p, row in enumerate(rows):
-            if len(row) != d + 1:
-                raise ValueError(f"row {p} has length {len(row)}, expected {d + 1}")
-            for q, h in enumerate(row):
-                if not isinstance(h, int) or h < 0:
-                    raise ValueError(f"h^{{{p},{q}}} = {h!r} is not a non-negative integer")
-        for p in range(d + 1):
-            for q in range(p, d + 1):
-                if rows[p][q] != rows[q][p]:
-                    raise ValueError(
-                        f"Hodge symmetry fails: h^{{{p},{q}}} = {rows[p][q]} "
-                        f"but h^{{{q},{p}}} = {rows[q][p]}"
-                    )
-                if rows[p][q] != rows[d - p][d - q]:
-                    raise ValueError(
-                        f"Serre duality fails: h^{{{p},{q}}} = {rows[p][q]} "
-                        f"but h^{{{d - p},{d - q}}} = {rows[d - p][d - q]}"
-                    )
+        if not _is_valid_table(rows):
+            _raise_first_violation(rows)
         self._dim = d
         self._h = rows
 

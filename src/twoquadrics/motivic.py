@@ -12,6 +12,7 @@ verifier returns a report carrying both sides.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -121,13 +122,38 @@ class MotivicExpression:
 
     def e_polynomial(self) -> BiPoly:
         """Apply the E-polynomial measure: L becomes x*y and [Sym^i C]
-        becomes the E-polynomial of its diamond."""
-        total = BiPoly.zero()
+        becomes the E-polynomial of its diamond.
+
+        sum_i P_i(xy) E(Sym^i C) is accumulated in one dense table.  Every
+        entry lies within w = max i of the diagonal, so the table holds
+        one column per diagonal q - p = -w..w, indexed by p - low, where
+        low is the lowest exponent of any P_i.  Each nonzero h^{p,q} of
+        Sym^i C adds (-1)^{p+q} h^{p,q} times the coefficients of P_i to
+        its diagonal, starting at p + val(P_i).
+        """
+        if not self.terms:
+            return BiPoly.zero()
+        low = min(poly.valuation() for _, poly in self.terms)
+        size = max(poly.degree() + i for i, poly in self.terms) - low + 1
+        w = max(i for i, _ in self.terms)
+        diagonals = [[0] * size for _ in range(2 * w + 1)]
         for i, poly in self.terms:
-            total = total + BiPoly.from_diagonal(poly) * sym_curve_diamond(
-                self.genus, i
-            ).e_polynomial()
-        return total
+            val = poly.valuation()
+            dense = [poly.coefficient(e) for e in range(val, poly.degree() + 1)]
+            for p, row in enumerate(sym_curve_diamond(self.genus, i).rows()):
+                for q, h in enumerate(row):
+                    if not h:
+                        continue
+                    diagonal = diagonals[q - p + w]
+                    span = slice(p + val - low, p + val - low + len(dense))
+                    scale = (-h if (p + q) % 2 else h).__mul__
+                    diagonal[span] = map(operator.add, diagonal[span], map(scale, dense))
+        return BiPoly(
+            ((p + low, p + low + j - w), v)
+            for j, diagonal in enumerate(diagonals)
+            for p, v in enumerate(diagonal)
+            if v
+        )
 
     def effectivity(self) -> tuple[tuple[int, bool], ...]:
         """Per-index check that every multiplicity coefficient is >= 0."""

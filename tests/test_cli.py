@@ -124,6 +124,20 @@ class TestIdentityCommand:
         assert code == 0
         assert out.startswith("PASS")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identity", "gessel", "--max-a", "-6"],
+            ["identity", "gessel", "--max-m", "-1"],
+            ["identity", "gessel", "--max-a", "5"],
+            ["identity", "chu-vandermonde", "--max-n", "-5"],
+        ],
+    )
+    def test_bad_range_is_usage_error(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+
 
 class TestSweepCommand:
     ARGS = [
@@ -144,6 +158,25 @@ class TestSweepCommand:
         lines = out.strip().splitlines()
         assert lines[-1] == "verified 26/26"
         assert lines[:-1] == sorted(lines[:-1])
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--max-m", "-1"), ("--max-a", "-2"), ("--max-a", "3"), ("--max-n", "-5")],
+    )
+    def test_bad_suite_range_is_usage_error(self, capsys, flag, value):
+        argv = ["sweep", "--max-g", "2", "--max-g-even", "2", flag, value]
+        code, out = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert cli.worker_count(10**9, 10**6) == 4
+        assert cli.worker_count(10**9, 3) == 3
+        assert cli.worker_count(2, 10**6) == 2
+        assert cli.worker_count(1, 10**6) == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.worker_count(10**9, 10**6) == 1
 
     def test_parallel_output_identical(self, capsys):
         _, serial = run(capsys, ["sweep", *self.ARGS, "--format", "json"])

@@ -1,13 +1,24 @@
+import math
+
 import pytest
 
+from twoquadrics import fano_odd
 from twoquadrics.curves import curve_diamond, projective_space_diamond
-from twoquadrics.exactpoly import BiPoly
+from twoquadrics.exactpoly import (
+    BiPoly,
+    InexactDivisionError,
+    LaurentPoly,
+    div_one_minus_power,
+    exact_divide,
+    mul_one_minus_power,
+)
 from twoquadrics.fano_odd import (
     OddFanoParams,
     fano_odd_diamond,
     multiplicity,
     multiplicity_kernel,
 )
+from twoquadrics.hodge import ConsistencyError, HodgeDiamond
 
 # the full g=4, k=1 diamond: nonzero entries and their symmetric/dual images
 G4K1_NONZERO = {
@@ -21,6 +32,39 @@ G4K1_NONZERO = {
 
 def in_contract_pairs():
     return [(a, b) for a in range(2, 9) for b in range(a - 1, 11)]
+
+
+def kernel_by_division(a, b):
+    """Oracle: the kernel as a sparse product divided by `exact_divide`."""
+    num = LaurentPoly({0: 1, 4 * b: -1})
+    for ell in range(b - a + 2, a + b - 1):
+        num = num * LaurentPoly({0: 1, 2 * ell: -1})
+    den = LaurentPoly.one()
+    for ell in range(1, 2 * a - 1):
+        den = den * LaurentPoly({0: 1, 2 * ell: -1})
+    return exact_divide(num, den).shift(-(b - a + 1) * (2 * a - 1))
+
+
+def diamond_by_degree_scan(g, k):
+    """Oracle: the diamond assembled by scanning every degree m = 0..2d and
+    every p = 0..d, one multiplicity lookup per (m, j)."""
+    d = OddFanoParams(g, k).dimension
+    comb_g = [math.comb(g, r) for r in range(g + 1)]
+    h = [[0] * (d + 1) for _ in range(d + 1)]
+    for m in range(2 * d + 1):
+        lo, hi = max(0, m - d), min(d, m)
+        for j in range(g - k - 1, g + 1):
+            mult = multiplicity(g - k, j, d - m)
+            if not mult:
+                continue
+            delta = m - (g - j)
+            assert delta >= 0 and delta % 2 == 0, (g, k, j, m)
+            t = delta // 2
+            for p in range(lo, hi + 1):
+                pa, qa = p - t, (m - p) - t
+                if 0 <= pa <= g and 0 <= qa <= g:
+                    h[p][m - p] += mult * comb_g[pa] * comb_g[qa]
+    return HodgeDiamond(h)
 
 
 class TestParams:
@@ -72,6 +116,33 @@ class TestMultiplicity:
             assert multiplicity_kernel(a, b).is_effective(), (a, b)
 
 
+class TestKernelOracle:
+    @pytest.mark.parametrize("a", range(2, 12))
+    def test_matches_division_route(self, a):
+        for b in range(a - 1, 30):
+            assert multiplicity_kernel(a, b) == kernel_by_division(a, b), (a, b)
+
+    @pytest.mark.parametrize("a,b", [(19, 34), (21, 39)])
+    def test_matches_division_route_deep(self, a, b):
+        assert multiplicity_kernel(a, b) == kernel_by_division(a, b)
+
+    def test_dropped_tail_rejects_inexact_division(self):
+        # (1 + q) / (1 - q^2): the running sum leaves 1 + q in the tail
+        with pytest.raises(InexactDivisionError):
+            div_one_minus_power([1, 1], 2)
+        # (1 - q^3 + q^4) / (1 - q^3): the tail q^2..q^4 holds a nonzero
+        with pytest.raises(InexactDivisionError):
+            div_one_minus_power([1, 0, 0, -1, 1], 3)
+
+    def test_divide_undoes_multiply(self):
+        coeffs = [3, -1, 0, 2]
+        for s in (1, 2, 5):
+            mul_one_minus_power(coeffs, s)
+        for s in (5, 1, 2):
+            div_one_minus_power(coeffs, s)
+        assert coeffs == [3, -1, 0, 2]
+
+
 class TestFanoOddDiamond:
     def test_g2_k0(self):
         dia = fano_odd_diamond(OddFanoParams(2, 0))
@@ -94,6 +165,17 @@ class TestFanoOddDiamond:
         odds = sum(dia.betti(m) for m in range(1, 21, 2))
         assert (evens, odds) == (48, 48)
         assert dia.euler() == 0
+
+    @pytest.mark.parametrize("g", range(2, 11))
+    def test_matches_degree_scan_all_k(self, g):
+        for k in range(g - 1):
+            assert fano_odd_diamond(OddFanoParams(g, k)) == diamond_by_degree_scan(g, k), k
+
+    def test_kernel_term_outside_degree_range_is_inconsistent(self, monkeypatch):
+        # (g, k) = (3, 0) has d = 5; q^{-7} would land in degree m = 12 > 2d
+        monkeypatch.setattr(fano_odd, "multiplicity_kernel", lambda a, b: LaurentPoly({-7: 1}))
+        with pytest.raises(ConsistencyError, match="outside 0..10"):
+            fano_odd_diamond.__wrapped__(OddFanoParams(3, 0))
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_valid_structure_all_k(self, g):

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
-from twoquadrics.hodge import HodgeDiamond
+from twoquadrics.hodge import (
+    ConsistencyError,
+    HodgeDiamond,
+    _is_valid_table,
+    _raise_first_violation,
+)
 
 
 def curve(g):
@@ -40,12 +45,29 @@ class TestConstructor:
             HodgeDiamond(((2, 1), (1, 1)))
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"h\^\{0,1\} = -1 is not a non-negative"):
             HodgeDiamond(((1, -1), (-1, 1)))
 
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(ValueError, match=r"h\^\{1,1\} = 1.0 is not a non-negative"):
+            HodgeDiamond(((1, 0), (0, 1.0)))
+
     def test_rejects_ragged_table(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="row 1 has length 1, expected 2"):
             HodgeDiamond(((1, 0), (0,)))
+
+    def test_accepts_bool_entries(self):
+        assert HodgeDiamond(((True, False), (False, True))).betti(0) == 1
+
+    @given(small_diamonds(), st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
+    def test_fast_check_agrees_with_entry_loop(self, dia, p, q, delta):
+        table = [list(row) for row in dia.rows()]
+        p, q = p % len(table), q % len(table)
+        table[p][q] += delta
+        rows = tuple(map(tuple, table))
+        expected = ConsistencyError if _is_valid_table(rows) else ValueError
+        with pytest.raises(expected):
+            _raise_first_violation(rows)
 
     def test_point(self):
         assert POINT.dimension == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from twoquadrics.curves import sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
 from twoquadrics.motivic import (
     MotivicExpression,
@@ -11,6 +12,16 @@ from twoquadrics.motivic import (
     verify_hochschild,
     verify_k0_identity,
 )
+
+
+def e_polynomial_by_products(expr):
+    """Oracle: sum_i P_i(xy) E(Sym^i C) as BiPoly products and sums."""
+    total = BiPoly.zero()
+    for i, poly in expr.terms:
+        total = total + BiPoly.from_diagonal(poly) * sym_curve_diamond(
+            expr.genus, i
+        ).e_polynomial()
+    return total
 
 
 def admissible(max_g):
@@ -103,6 +114,26 @@ class TestMotivicExpression:
     def test_e_polynomial_of_constant_term(self):
         expr = MotivicExpression.from_terms(3, {0: LaurentPoly({0: 1, 2: 1})})
         assert expr.e_polynomial() == BiPoly({(0, 0): 1, (2, 2): 1})
+
+    def test_e_polynomial_matches_products_up_to_g12(self):
+        for g in range(2, 13):
+            for k in range(g - 1):
+                expr = MotivicExpression.decomposition(g, k)
+                assert expr.e_polynomial() == e_polynomial_by_products(expr), (g, k)
+
+    def test_e_polynomial_matches_products_with_negative_exponents(self):
+        expr = MotivicExpression.from_terms(
+            3,
+            {
+                0: LaurentPoly({-2: 1, 1: -3}),
+                1: LaurentPoly({4: -1}),
+                2: LaurentPoly({-5: 2, 0: 7}),
+            },
+        )
+        assert expr.e_polynomial() == e_polynomial_by_products(expr)
+
+    def test_e_polynomial_of_empty_expression(self):
+        assert MotivicExpression.from_terms(3, {}).e_polynomial() == BiPoly.zero()
 
     def test_effectivity_flags(self):
         expr = MotivicExpression.from_terms(
