@@ -17,7 +17,13 @@ from .exactpoly import (
     gauss_binomial,
     gauss_coefficients,
 )
-from .fano_even import EvenFanoParams, euler_closed_form, fano_even_betti, fano_even_diamond
+from .fano_even import (
+    EvenFanoParams,
+    euler_closed_form,
+    fano_even_betti,
+    fano_even_betti_numbers,
+    fano_even_diamond,
+)
 from .fano_odd import OddFanoParams, fano_odd_diamond, multiplicity, multiplicity_kernel
 from .hodge import ConsistencyError, HodgeDiamond
 from .motivic import (
@@ -59,6 +65,7 @@ __all__ = [
     "eval_at_one",
     "exact_divide",
     "fano_even_betti",
+    "fano_even_betti_numbers",
     "fano_even_diamond",
     "fano_odd_diamond",
     "fonarev_rank",

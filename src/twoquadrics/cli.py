@@ -1,6 +1,7 @@
 """Command-line front end: compute diamonds, verify identities, sweep
 parameter ranges, and emit deterministic text or JSON reports with
-CI-friendly exit codes (0 verified, 1 any failure, 2 usage error)."""
+CI-friendly exit codes (0 verified, 1 any failure, 2 usage error,
+3 internal error: the library caught itself in an inconsistency)."""
 
 from __future__ import annotations
 
@@ -13,9 +14,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .curves import jacobian_diamond, sym_curve_diamond
-from .exactpoly import BiPoly, LaurentPoly
-from .fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
+from .exactpoly import BiPoly, InexactDivisionError, LaurentPoly
+from .fano_even import (
+    EvenFanoParams,
+    euler_closed_form,
+    fano_even_betti_numbers,
+    fano_even_diamond,
+)
 from .fano_odd import OddFanoParams, fano_odd_diamond
+from .hodge import ConsistencyError
 from .motivic import (
     FAILED,
     VERIFIED,
@@ -106,10 +113,11 @@ def report_to_text(report: VerificationReport) -> str:
 # report builders for the checks the library does not package itself
 
 def stacky_counts_report(g: int, k: int) -> VerificationReport:
-    """Three-way agreement: Euler characteristic of the diamond, its
+    """Three-way agreement: Euler characteristic of the Hodge-Tate
+    diamond (the sum of its even Betti numbers; the odd ones vanish), its
     closed form, and the exceptional-collection count."""
     t0 = time.perf_counter()
-    diamond_euler = fano_even_diamond(EvenFanoParams(g, k)).euler()
+    diamond_euler = sum(fano_even_betti_numbers(EvenFanoParams(g, k)))
     closed = euler_closed_form(g, k)
     count = stacky_collection_length(g, k)
     ok = diamond_euler == closed == count
@@ -400,6 +408,9 @@ def main(argv=None) -> int:
     except (CliUsageError, ValueError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except (ConsistencyError, InexactDivisionError) as exc:
+        print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
+        return 3
     rendered = canonical_json(json_obj) if args.format == "json" else text + "\n"
     if args.output:
         _write_atomic(args.output, rendered)

@@ -4,16 +4,20 @@ quadrics (the stacky case).
 
 Here the cohomology is concentrated in even degrees and of Hodge-Tate
 type, so the diamond is determined by the even Betti numbers, which have
-a closed expression through Gaussian binomial coefficients.
+a closed expression through Gaussian binomial coefficients.  The Betti
+vector is the stored form; the dense diamond is derived from it on
+request.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .exactpoly import gauss_coefficients
-from .hodge import HodgeDiamond
+from .hodge import ConsistencyError, HodgeDiamond
 
 
 @dataclass(frozen=True)
@@ -35,29 +39,49 @@ class EvenFanoParams:
         return (self.k + 1) * (2 * self.g - 2 * self.k - 2)
 
 
-def fano_even_betti(params: EvenFanoParams, p: int) -> int:
-    """Betti number b_{2p}: sum over j = 0..k+1 of
+@functools.cache
+def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
+    """Even Betti numbers (b_0, b_2, ..., b_{2d}), d = dimension, in one
+    dense pass: b_{2p} is the sum over j = 0..k+1 of
     C(2g+1, j) [q^{p-j(g-k-1)}] [2g-k-j-1, k+1-j]_q.
 
-    Out-of-range coefficient extractions contribute 0, so any integer p
-    is accepted and p outside 0..dimension gives 0.
+    The vector is checked as stored: its entries are non-negative, it is
+    a palindrome (Serre duality), and no block runs past index d.  A
+    failure raises ConsistencyError.
     """
     g, k = params.g, params.k
-    total = 0
+    d = params.dimension
+    b = [0] * (d + 1)
     for j in range(k + 2):
-        r = p - j * (g - k - 1)
         coeffs = gauss_coefficients(2 * g - k - j - 1, k + 1 - j)
-        if 0 <= r < len(coeffs):
-            total += math.comb(2 * g + 1, j) * coeffs[r]
-    return total
+        s = j * (g - k - 1)
+        e = s + len(coeffs)
+        if e > d + 1:
+            raise ConsistencyError(
+                f"block j = {j} of (g, k) = ({g}, {k}) ends at degree {e - 1} > {d}"
+            )
+        w = math.comb(2 * g + 1, j)
+        b[s:e] = map(operator.add, b[s:e], map(w.__mul__, coeffs))
+    if min(b) < 0:
+        raise ConsistencyError(f"negative Betti number for (g, k) = ({g}, {k})")
+    if b != b[::-1]:
+        raise ConsistencyError(f"Betti vector of (g, k) = ({g}, {k}) is not palindromic")
+    return tuple(b)
+
+
+def fano_even_betti(params: EvenFanoParams, p: int) -> int:
+    """Betti number b_{2p}; any integer p is accepted and p outside
+    0..dimension gives 0."""
+    betti = fano_even_betti_numbers(params)
+    return betti[p] if 0 <= p < len(betti) else 0
 
 
 def fano_even_diamond(params: EvenFanoParams) -> HodgeDiamond:
     """Hodge-Tate diamond: h^{p,p} = b_{2p}, all off-diagonal entries 0."""
-    d = params.dimension
-    table = [[0] * (d + 1) for _ in range(d + 1)]
-    for p in range(d + 1):
-        table[p][p] = fano_even_betti(params, p)
+    betti = fano_even_betti_numbers(params)
+    table = [[0] * len(betti) for _ in betti]
+    for p, b in enumerate(betti):
+        table[p][p] = b
     return HodgeDiamond(table)
 
 

@@ -96,10 +96,16 @@ class HodgeDiamond:
         return sum(self._h[p][m - p] for p in range(max(0, m - d), min(d, m) + 1))
 
     def betti_numbers(self) -> tuple[int, ...]:
-        return tuple(self.betti(m) for m in range(2 * self._dim + 1))
+        """All Betti numbers b_0..b_{2d}: row p is added in at offset p."""
+        d = self._dim
+        b = [0] * (2 * d + 1)
+        for p, row in enumerate(self._h):
+            b[p:p + d + 1] = map(operator.add, b[p:p + d + 1], row)
+        return tuple(b)
 
     def euler(self) -> int:
-        return sum((-1) ** m * b for m, b in enumerate(self.betti_numbers()))
+        b = self.betti_numbers()
+        return sum(b[::2]) - sum(b[1::2])
 
     def e_polynomial(self) -> BiPoly:
         """E-polynomial: sum of (-1)^{p+q} h^{p,q} x^p y^q."""

@@ -3,7 +3,11 @@ import json
 import pytest
 
 from twoquadrics import cli
-from twoquadrics.motivic import VerificationReport
+from twoquadrics.exactpoly import InexactDivisionError
+from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
+from twoquadrics.hodge import ConsistencyError
+from twoquadrics.motivic import VERIFIED, VerificationReport
+from twoquadrics.stacky import stacky_collection_length
 
 G4K1_TEXT_ROWS = [
     [1],
@@ -100,6 +104,46 @@ class TestVerifyCommand:
         code, out = run(capsys, argv)
         assert code == 0
         assert out.startswith("PASS")
+
+    def test_even_matches_dense_diamond_route(self, capsys):
+        code, out = run(
+            capsys, ["verify", "even", "--g", "30", "--k", "14", "--format", "json"]
+        )
+        assert code == 0
+        body = json.loads(out)
+        del body["elapsed_ms"]
+        euler = fano_even_diamond(EvenFanoParams(30, 14)).euler()
+        dense = cli.report_to_json_obj(
+            VerificationReport(
+                identity="stacky-counts",
+                params={"g": 30, "k": 14},
+                status=VERIFIED,
+                lhs=euler,
+                rhs=euler_closed_form(30, 14),
+                observations={"collection_length": str(stacky_collection_length(30, 14))},
+            )
+        )
+        del dense["elapsed_ms"]
+        assert body == dense
+
+    def test_even_small_output_unchanged(self, capsys):
+        code, out = run(capsys, ["verify", "even", "--g", "3", "--k", "1", "--format", "json"])
+        assert code == 0
+        body = json.loads(out)
+        del body["elapsed_ms"]
+        assert body == {
+            "effectivity": [],
+            "identity": "stacky-counts",
+            "lhs": "48",
+            "observations": {"collection_length": "48"},
+            "params": {"g": 3, "k": 1},
+            "rhs": "48",
+            "status": "verified",
+        }
+        code, out = run(capsys, ["verify", "even", "--g", "3", "--k", "1"])
+        assert code == 0
+        assert out.startswith("PASS stacky-counts g=3 k=1 (")
+        assert len(out.splitlines()) == 1
 
     def test_domain_error_is_usage_error(self, capsys):
         assert cli.main(["verify", "odd", "--g", "1", "--k", "0"]) == 2
@@ -201,6 +245,29 @@ class TestSweepCommand:
         assert code == 1
         assert "FAIL hyperelliptic-decomposition" in out
         assert "verified 20/26" in out
+
+
+class TestInternalErrors:
+    """An inconsistency inside the library is exit 3, not a traceback, not
+    a failed identity (1) and not a usage error (2)."""
+
+    @pytest.mark.parametrize("error", [ConsistencyError, InexactDivisionError])
+    @pytest.mark.parametrize(
+        "target,argv",
+        [
+            ("fano_even_betti_numbers", ["verify", "even", "--g", "3", "--k", "1"]),
+            ("verify_decomposition", ["sweep", *TestSweepCommand.ARGS]),
+        ],
+    )
+    def test_exit_code_three(self, capsys, monkeypatch, error, target, argv):
+        def broken(*args):
+            raise error("planted inconsistency")
+
+        monkeypatch.setattr(cli, target, broken)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "twoquadrics: internal error: planted inconsistency\n"
 
 
 class TestOutputFile:

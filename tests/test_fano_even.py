@@ -1,13 +1,31 @@
+import math
+
 import pytest
 
-from twoquadrics.exactpoly import eval_at_one
+from twoquadrics import fano_even
+from twoquadrics.exactpoly import eval_at_one, gauss_coefficients
 from twoquadrics.fano_even import (
     EvenFanoParams,
     euler_closed_form,
     fano_even_betti,
+    fano_even_betti_numbers,
     fano_even_diamond,
 )
+from twoquadrics.hodge import ConsistencyError
 from twoquadrics.stacky import stacky_collection_length
+
+
+def betti_by_j_sum(params, p):
+    """Oracle: b_{2p} as the sum over j = 0..k+1 of
+    C(2g+1, j) [q^{p-j(g-k-1)}] [2g-k-j-1, k+1-j]_q, one p at a time."""
+    g, k = params.g, params.k
+    total = 0
+    for j in range(k + 2):
+        r = p - j * (g - k - 1)
+        coeffs = gauss_coefficients(2 * g - k - j - 1, k + 1 - j)
+        if 0 <= r < len(coeffs):
+            total += math.comb(2 * g + 1, j) * coeffs[r]
+    return total
 
 
 class TestParams:
@@ -51,6 +69,78 @@ class TestBetti:
             assert total == euler_closed_form(g, k)
 
 
+class TestBettiVector:
+    @pytest.mark.parametrize("g", range(2, 15))
+    def test_matches_j_sum_oracle(self, g):
+        for k in range(g - 1):
+            params = EvenFanoParams(g, k)
+            expected = [betti_by_j_sum(params, p) for p in range(params.dimension + 1)]
+            assert list(fano_even_betti_numbers(params)) == expected, (g, k)
+
+    def test_matches_j_sum_oracle_deep(self):
+        params = EvenFanoParams(30, 14)
+        expected = [betti_by_j_sum(params, p) for p in range(params.dimension + 1)]
+        assert list(fano_even_betti_numbers(params)) == expected
+
+    def test_betti_reads_the_vector(self):
+        params = EvenFanoParams(5, 2)
+        betti = fano_even_betti_numbers(params)
+        assert [fano_even_betti(params, p) for p in range(-2, len(betti) + 2)] == [
+            0, 0, *betti, 0, 0,
+        ]
+
+
+class TestBettiVectorGuards:
+    """A corrupted Gaussian coefficient must raise, not yield a vector."""
+
+    PARAMS = EvenFanoParams(4, 1)  # dimension 8; block j = 0 is [6, 2]_q
+
+    @pytest.fixture
+    def corrupt(self, monkeypatch):
+        fano_even_betti_numbers.cache_clear()
+
+        def install(edit):
+            def patched(n, m):
+                coeffs = gauss_coefficients(n, m)
+                return tuple(edit(list(coeffs))) if (n, m) == (6, 2) else coeffs
+
+            monkeypatch.setattr(fano_even, "gauss_coefficients", patched)
+
+        yield install
+        fano_even_betti_numbers.cache_clear()
+
+    def test_asymmetric_coefficient_is_inconsistent(self, corrupt):
+        def bump_last(c):
+            c[-1] += 1
+            return c
+
+        corrupt(bump_last)
+        with pytest.raises(ConsistencyError, match="not palindromic"):
+            fano_even_betti_numbers(self.PARAMS)
+
+    def test_negative_entry_is_inconsistent(self, corrupt):
+        def sink_ends(c):
+            c[0] -= 10
+            c[-1] -= 10
+            return c
+
+        corrupt(sink_ends)
+        with pytest.raises(ConsistencyError, match="negative Betti number"):
+            fano_even_betti_numbers(self.PARAMS)
+
+    def test_block_past_top_degree_is_inconsistent(self, corrupt):
+        corrupt(lambda c: c + [0])
+        with pytest.raises(ConsistencyError, match="ends at degree 9 > 8"):
+            fano_even_betti_numbers(self.PARAMS)
+
+    def test_cache_holds_no_corrupted_vector(self, corrupt):
+        corrupt(lambda c: c + [0])
+        with pytest.raises(ConsistencyError):
+            fano_even_betti_numbers(self.PARAMS)
+        corrupt(lambda c: c)
+        assert sum(fano_even_betti_numbers(self.PARAMS)) == euler_closed_form(4, 1)
+
+
 class TestDiamond:
     def test_degree_four_del_pezzo(self):
         dia = fano_even_diamond(EvenFanoParams(2, 0))
@@ -71,6 +161,13 @@ class TestDiamond:
                     if p != q:
                         assert dia.hodge_number(p, q) == 0
             assert all(dia.betti(m) == 0 for m in range(1, 2 * dia.dimension + 1, 2))
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_diagonal_is_the_betti_vector(self, g):
+        for k in range(g - 1):
+            params = EvenFanoParams(g, k)
+            dia = fano_even_diamond(params)
+            assert dia.betti_numbers()[::2] == fano_even_betti_numbers(params)
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_hochschild_concentrated_in_degree_zero(self, g):
@@ -107,7 +204,9 @@ class TestEulerClosedForm:
     @pytest.mark.parametrize("g", range(2, 21))
     def test_diamond_euler_matches(self, g):
         for k in range(g - 1):
-            assert fano_even_diamond(EvenFanoParams(g, k)).euler() == euler_closed_form(g, k)
+            params = EvenFanoParams(g, k)
+            betti_sum = sum(fano_even_betti_numbers(params))
+            assert betti_sum == fano_even_diamond(params).euler() == euler_closed_form(g, k)
 
     @pytest.mark.parametrize("g", range(2, 31))
     def test_collection_length_matches(self, g):

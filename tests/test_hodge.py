@@ -3,7 +3,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from twoquadrics.curves import curve_diamond, sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
+from twoquadrics.fano_even import EvenFanoParams, fano_even_diamond
+from twoquadrics.fano_odd import OddFanoParams, fano_odd_diamond
 from twoquadrics.hodge import (
     ConsistencyError,
     HodgeDiamond,
@@ -14,6 +17,16 @@ from twoquadrics.hodge import (
 
 def curve(g):
     return HodgeDiamond(((1, g), (g, 1)))
+
+
+def betti_by_antidiagonal(dia):
+    """Oracle: b_m as the sum of h^{p,q} over the antidiagonal p + q = m."""
+    d = dia.dimension
+    rows = dia.rows()
+    return tuple(
+        sum(rows[p][m - p] for p in range(max(0, m - d), min(d, m) + 1))
+        for m in range(2 * d + 1)
+    )
 
 
 P1 = curve(0)
@@ -33,6 +46,21 @@ def small_diamonds(draw):
     table[0][0] = 1
     table[d][d] = 1
     return HodgeDiamond(table)
+
+
+@st.composite
+def geometric_diamonds(draw):
+    """Diamonds of curves, Sym^n C and odd and even Fano schemes, g <= 8."""
+    kind = draw(st.sampled_from(("curve", "sym", "fano-odd", "fano-even")))
+    if kind == "curve":
+        return curve_diamond(draw(st.integers(0, 8)))
+    if kind == "sym":
+        return sym_curve_diamond(draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+    g = draw(st.integers(2, 8))
+    k = draw(st.integers(0, g - 2))
+    if kind == "fano-odd":
+        return fano_odd_diamond(OddFanoParams(g, k))
+    return fano_even_diamond(EvenFanoParams(g, k))
 
 
 class TestConstructor:
@@ -122,6 +150,13 @@ class TestBettiEuler:
     @pytest.mark.parametrize("g", [0, 1, 2, 7])
     def test_curve_euler(self, g):
         assert curve(g).euler() == 2 - 2 * g
+
+    @given(st.one_of(small_diamonds(), geometric_diamonds()))
+    def test_betti_numbers_match_antidiagonal_sums(self, dia):
+        betti = betti_by_antidiagonal(dia)
+        assert dia.betti_numbers() == betti
+        assert [dia.betti(m) for m in range(len(betti))] == list(betti)
+        assert dia.euler() == sum((-1) ** m * b for m, b in enumerate(betti))
 
     @given(small_diamonds())
     def test_euler_equals_e_polynomial_at_one_one(self, dia):
