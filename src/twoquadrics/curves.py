@@ -1,12 +1,38 @@
 """Hodge diamonds of the building blocks: curves, their symmetric powers,
-Jacobians and projective spaces."""
+Jacobians and projective spaces, and the expansion of Tate-twisted
+cohomology blocks of a curve into Hodge numbers."""
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 
 from .hodge import ConsistencyError, HodgeDiamond
+
+
+def block_diamond(g: int, d: int, blocks: Iterable[tuple[int, int, int]]) -> HodgeDiamond:
+    """Diamond of dimension d whose cohomology is the sum of blocks
+    mult * wedge^r H^1(C)(-t), C a curve of genus g.
+
+    Each block (r, t, mult) adds mult * C(g, p-t) C(g, q-t) to h^{p,q}
+    for every p + q = r + 2t.  A block that does not fit in the table, or
+    a table that fails the diamond checks, raises ConsistencyError.
+    """
+    comb_g = [math.comb(g, a) for a in range(g + 1)]
+    h = [[0] * (d + 1) for _ in range(d + 1)]
+    for r, t, mult in blocks:
+        if r < 0 or t < 0 or t + min(r, g) > d:
+            raise ConsistencyError(
+                f"block (r, t) = ({r}, {t}) of genus {g} does not fit in dimension {d}"
+            )
+        # wedge^r H^1 has h^{a, r-a} = C(g, a) C(g, r-a), shifted by (t, t)
+        for a in range(max(0, r - g), min(g, r) + 1):
+            h[t + a][t + r - a] += mult * comb_g[a] * comb_g[r - a]
+    try:
+        return HodgeDiamond(h)
+    except ValueError as exc:
+        raise ConsistencyError(str(exc)) from exc
 
 
 @functools.cache
@@ -17,62 +43,28 @@ def curve_diamond(g: int) -> HodgeDiamond:
     return HodgeDiamond(((1, g), (g, 1)))
 
 
-def _mul_truncated(a, b, order):
-    """Product of two truncated series with BiPoly-style dict coefficients;
-    index = t-degree, truncated above `order`."""
-    out = [dict() for _ in range(order + 1)]
-    for i, ai in enumerate(a[: order + 1]):
-        if not ai:
-            continue
-        for j in range(order - i + 1):
-            bj = b[j]
-            if not bj:
-                continue
-            tgt = out[i + j]
-            for (p1, q1), c1 in ai.items():
-                for (p2, q2), c2 in bj.items():
-                    key = (p1 + p2, q1 + q2)
-                    v = tgt.get(key, 0) + c1 * c2
-                    if v:
-                        tgt[key] = v
-                    else:
-                        del tgt[key]
-    return out
-
-
 @functools.cache
 def sym_curve_diamond(g: int, n: int) -> HodgeDiamond:
     """Diamond of the n-th symmetric power of a genus-g curve.
 
-    h^{p,q} is the coefficient of x^p y^q t^n in the generating series
-    (1+xt)^g (1+yt)^g / ((1-t)(1-xyt)), expanded exactly with t truncated
-    at degree n.
+    By Macdonald, [Sym^n C] is the sum over r <= n of
+    wedge^r H^1(C) (1 + L + ... + L^{n-r}): one block (r, t, 1) for each
+    r <= min(n, 2g) and t <= n - r.
     """
     if g < 0 or n < 0:
         raise ValueError("genus and power must be non-negative")
-    fx = [{(j, 0): math.comb(g, j)} if j <= g else {} for j in range(n + 1)]
-    fy = [{(0, j): math.comb(g, j)} if j <= g else {} for j in range(n + 1)]
-    geo = [{(0, 0): 1} for _ in range(n + 1)]
-    diag = [{(j, j): 1} for j in range(n + 1)]
-    series = _mul_truncated(_mul_truncated(fx, fy, n), _mul_truncated(geo, diag, n), n)
-    top = series[n]
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for (p, q), c in top.items():
-        if c < 0 or not (0 <= p <= n and 0 <= q <= n):
-            raise ConsistencyError(
-                f"symmetric-power series gave h^{{{p},{q}}} = {c} for (g, n) = ({g}, {n})"
-            )
-        table[p][q] = c
-    return HodgeDiamond(table)
+    return block_diamond(
+        g, n, ((r, t, 1) for r in range(min(n, 2 * g) + 1) for t in range(n - r + 1))
+    )
 
 
 @functools.cache
 def jacobian_diamond(g: int) -> HodgeDiamond:
-    """Diamond of a g-dimensional Jacobian: h^{p,q} = C(g,p) C(g,q)."""
+    """Diamond of a g-dimensional Jacobian: the blocks wedge^r H^1(C),
+    r = 0..2g, so h^{p,q} = C(g,p) C(g,q)."""
     if g < 0:
         raise ValueError("genus must be non-negative")
-    row = [math.comb(g, j) for j in range(g + 1)]
-    return HodgeDiamond([[row[p] * row[q] for q in range(g + 1)] for p in range(g + 1)])
+    return block_diamond(g, g, ((r, 0, 1) for r in range(2 * g + 1)))
 
 
 @functools.cache

@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .curves import block_diamond
 from .exactpoly import gauss_coefficients
 from .hodge import ConsistencyError, HodgeDiamond
 
@@ -77,12 +78,10 @@ def fano_even_betti(params: EvenFanoParams, p: int) -> int:
 
 
 def fano_even_diamond(params: EvenFanoParams) -> HodgeDiamond:
-    """Hodge-Tate diamond: h^{p,p} = b_{2p}, all off-diagonal entries 0."""
+    """Hodge-Tate diamond: h^{p,p} = b_{2p}, all off-diagonal entries 0,
+    built from the blocks L^p with b_{2p} copies."""
     betti = fano_even_betti_numbers(params)
-    table = [[0] * len(betti) for _ in betti]
-    for p, b in enumerate(betti):
-        table[p][p] = b
-    return HodgeDiamond(table)
+    return block_diamond(params.g, params.dimension, ((0, p, b) for p, b in enumerate(betti)))
 
 
 def euler_closed_form(g: int, k: int) -> int:

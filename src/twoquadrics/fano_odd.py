@@ -10,9 +10,9 @@ twist offset is forced by weight bookkeeping.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
+from .curves import block_diamond
 from .exactpoly import LaurentPoly, div_one_minus_power, mul_one_minus_power
 from .hodge import ConsistencyError, HodgeDiamond
 
@@ -66,19 +66,11 @@ def multiplicity(a: int, b: int, c: int) -> int:
     return multiplicity_kernel(a, b).coefficient(c)
 
 
-@functools.cache
-def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
-    """Hodge diamond of the k-plane Fano scheme in the hyperelliptic case.
-
-    For each j = g-k-1..g and each term mult * q^c of
-    multiplicity_kernel(g-k, j), the block wedge^{g-j} H^1(C) enters
-    degree m = d-c with mult copies, Tate-twisted by t = (m-(g-j))/2,
-    contributing C(g, p-t) C(g, q-t) to h^{p,q} for p+q = m.
-    """
+def _odd_blocks(params: OddFanoParams):
+    """The blocks (g-j, t, mult) of fano_odd_diamond, checked for degree
+    and parity."""
     g, k = params.g, params.k
     d = params.dimension
-    comb_g = [math.comb(g, r) for r in range(g + 1)]
-    h = [[0] * (d + 1) for _ in range(d + 1)]
     for j in range(g - k - 1, g + 1):
         for c, mult in multiplicity_kernel(g - k, j).items():
             m = d - c
@@ -93,8 +85,16 @@ def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
                     f"block (g, k, j, m) = ({g}, {k}, {j}, {m}): twist offset "
                     f"{delta}/2 is not a non-negative integer"
                 )
-            t = delta // 2
-            # p - t and m - p - t must both lie in 0..g
-            for p in range(max(0, m - d, t, m - t - g), min(d, m, t + g, m - t) + 1):
-                h[p][m - p] += mult * comb_g[p - t] * comb_g[m - p - t]
-    return HodgeDiamond(h)
+            yield g - j, delta // 2, mult
+
+
+@functools.cache
+def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
+    """Hodge diamond of the k-plane Fano scheme in the hyperelliptic case.
+
+    For each j = g-k-1..g and each term mult * q^c of
+    multiplicity_kernel(g-k, j), the block wedge^{g-j} H^1(C) enters
+    degree m = d-c with mult copies, Tate-twisted by t = (m-(g-j))/2;
+    block_diamond expands the blocks into Hodge numbers.
+    """
+    return block_diamond(params.g, params.dimension, _odd_blocks(params))

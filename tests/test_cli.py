@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from twoquadrics import cli
-from twoquadrics.exactpoly import InexactDivisionError
+from twoquadrics import cli, fano_even, fano_odd
+from twoquadrics.exactpoly import InexactDivisionError, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
 from twoquadrics.hodge import ConsistencyError
 from twoquadrics.motivic import VERIFIED, VerificationReport
@@ -268,6 +268,39 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "twoquadrics: internal error: planted inconsistency\n"
+
+    def test_non_palindromic_even_diamond_is_internal(self, capsys, monkeypatch):
+        # (g, k) = (3, 1) has dimension 4
+        monkeypatch.setattr(fano_even, "fano_even_betti_numbers", lambda params: (1, 1, 2, 1, 2))
+        assert cli.main(["diamond", "fano-even", "--g", "3", "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "twoquadrics: internal error: Serre duality fails: h^{0,0} = 1 but h^{4,4} = 2\n"
+        )
+
+    @pytest.fixture
+    def fresh_odd_diamonds(self):
+        fano_odd.fano_odd_diamond.cache_clear()
+        yield
+        fano_odd.fano_odd_diamond.cache_clear()
+
+    def test_unbalanced_odd_diamond_is_internal(self, capsys, monkeypatch, fresh_odd_diamonds):
+        # (g, k) = (3, 1) has dimension 6; an extra q^6 in the j = g kernel
+        # is one more block (r, t) = (0, 0): right degree and parity, but
+        # h^{0,0} = 2 against h^{6,6} = 1
+        kernel = fano_odd.multiplicity_kernel
+
+        def planted(a, b):
+            return kernel(a, b) + LaurentPoly.term(1, 6) if b == 3 else kernel(a, b)
+
+        monkeypatch.setattr(fano_odd, "multiplicity_kernel", planted)
+        assert cli.main(["diamond", "fano-odd", "--g", "3", "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "twoquadrics: internal error: Serre duality fails: h^{0,0} = 2 but h^{6,6} = 1\n"
+        )
 
 
 class TestOutputFile:

@@ -1,15 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from twoquadrics.curves import (
+    block_diamond,
     curve_diamond,
     jacobian_diamond,
     projective_space_diamond,
     sym_curve_diamond,
 )
 from twoquadrics.exactpoly import BiPoly
-from twoquadrics.hodge import HodgeDiamond
+from twoquadrics.hodge import ConsistencyError, HodgeDiamond
 
 
 def truncated_euler_series_coefficient(g, n):
@@ -18,6 +20,83 @@ def truncated_euler_series_coefficient(g, n):
     if exponent >= 0:
         return (-1) ** n * math.comb(exponent, n) if n <= exponent else 0
     return math.comb(n - exponent - 1, n)
+
+
+def _mul_truncated(a, b, order):
+    """Product of two truncated series with BiPoly-style dict coefficients;
+    index = t-degree, truncated above `order`."""
+    out = [dict() for _ in range(order + 1)]
+    for i, ai in enumerate(a[: order + 1]):
+        if not ai:
+            continue
+        for j in range(order - i + 1):
+            bj = b[j]
+            if not bj:
+                continue
+            tgt = out[i + j]
+            for (p1, q1), c1 in ai.items():
+                for (p2, q2), c2 in bj.items():
+                    key = (p1 + p2, q1 + q2)
+                    v = tgt.get(key, 0) + c1 * c2
+                    if v:
+                        tgt[key] = v
+                    else:
+                        del tgt[key]
+    return out
+
+
+def sym_diamond_by_series(g, n):
+    """Oracle: h^{p,q} of Sym^n C is the coefficient of x^p y^q t^n in
+    (1+xt)^g (1+yt)^g / ((1-t)(1-xyt)), expanded exactly with t truncated
+    at degree n."""
+    fx = [{(j, 0): math.comb(g, j)} if j <= g else {} for j in range(n + 1)]
+    fy = [{(0, j): math.comb(g, j)} if j <= g else {} for j in range(n + 1)]
+    geo = [{(0, 0): 1} for _ in range(n + 1)]
+    diag = [{(j, j): 1} for j in range(n + 1)]
+    series = _mul_truncated(_mul_truncated(fx, fy, n), _mul_truncated(geo, diag, n), n)
+    top = series[n]
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for (p, q), c in top.items():
+        if c < 0 or not (0 <= p <= n and 0 <= q <= n):
+            raise ConsistencyError(
+                f"symmetric-power series gave h^{{{p},{q}}} = {c} for (g, n) = ({g}, {n})"
+            )
+        table[p][q] = c
+    return HodgeDiamond(table)
+
+
+@st.composite
+def serre_paired_blocks(draw):
+    """(g, d, blocks): each block (r, t, mult) with r + t <= d comes with
+    its Serre dual (r, d-r-t, mult)."""
+    g = draw(st.integers(0, 8))
+    d = draw(st.integers(0, 8))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.integers(0, d))
+        t = draw(st.integers(0, d - r))
+        mult = draw(st.integers(1, 5))
+        blocks += [(r, t, mult), (r, d - r - t, mult)]
+    return g, d, blocks
+
+
+class TestBlockDiamond:
+    @given(serre_paired_blocks())
+    def test_betti_numbers_are_vandermonde_sums(self, case):
+        g, d, blocks = case
+        expected = [0] * (2 * d + 1)
+        for r, t, mult in blocks:
+            expected[r + 2 * t] += mult * math.comb(2 * g, r)
+        assert block_diamond(g, d, blocks).betti_numbers() == tuple(expected)
+
+    @pytest.mark.parametrize("block", [(-1, 0, 1), (0, -1, 1), (2, 2, 1), (0, 4, 1)])
+    def test_block_outside_the_table_is_inconsistent(self, block):
+        with pytest.raises(ConsistencyError, match="does not fit in dimension 3"):
+            block_diamond(2, 3, [block])
+
+    def test_failed_diamond_check_is_inconsistent(self):
+        with pytest.raises(ConsistencyError, match=r"^Serre duality fails: h\^\{0,0\} = 1 but"):
+            block_diamond(1, 1, [(0, 0, 1)])
 
 
 class TestCurveDiamond:
@@ -67,6 +146,11 @@ class TestSymCurveDiamond:
     def test_top_holomorphic_forms(self, g):
         for n in range(1, g + 2):
             assert sym_curve_diamond(g, n).hodge_number(n, 0) == math.comb(g, n)
+
+    @pytest.mark.parametrize("g", range(13))
+    def test_matches_series_oracle(self, g):
+        for n in range(2 * g + 4):
+            assert sym_curve_diamond(g, n) == sym_diamond_by_series(g, n), n
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError):
