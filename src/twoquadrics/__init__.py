@@ -24,7 +24,13 @@ from .fano_even import (
     fano_even_betti_numbers,
     fano_even_diamond,
 )
-from .fano_odd import OddFanoParams, fano_odd_diamond, multiplicity, multiplicity_kernel
+from .fano_odd import (
+    OddFanoParams,
+    fano_odd_blocks,
+    fano_odd_diamond,
+    multiplicity,
+    multiplicity_kernel,
+)
 from .hodge import ConsistencyError, HodgeDiamond
 from .motivic import (
     MotivicExpression,
@@ -67,6 +73,7 @@ __all__ = [
     "fano_even_betti",
     "fano_even_betti_numbers",
     "fano_even_diamond",
+    "fano_odd_blocks",
     "fano_odd_diamond",
     "fonarev_rank",
     "gauss_binomial",

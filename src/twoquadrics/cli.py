@@ -1,7 +1,9 @@
 """Command-line front end: compute diamonds, verify identities, sweep
 parameter ranges, and emit deterministic text or JSON reports with
 CI-friendly exit codes (0 verified, 1 any failure, 2 usage error,
-3 internal error: the library caught itself in an inconsistency)."""
+3 internal error: the library caught itself in an inconsistency).  A
+sweep task that hits an internal error becomes a report with status
+"error"; the other reports are still emitted and the sweep exits 3."""
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .fano_even import (
 from .fano_odd import OddFanoParams, fano_odd_diamond
 from .hodge import ConsistencyError
 from .motivic import (
+    ERROR,
     FAILED,
     VERIFIED,
     VerificationReport,
@@ -77,9 +80,10 @@ def report_to_json_obj(report: VerificationReport) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """Canonical dump: sorted keys, fixed separators, trailing newline.
-    Parsing and re-serializing an emitted document is byte-identical."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical dump: sorted keys, no whitespace between tokens, trailing
+    newline; without `indent` the dump runs on the C encoder.  Parsing and
+    re-serializing an emitted document is byte-identical."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _pretty_side(value) -> str:
@@ -96,11 +100,16 @@ def _pretty_side(value) -> str:
     return str(value)
 
 
+def _params_text(report: VerificationReport) -> str:
+    return " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
+
+
 def report_to_text(report: VerificationReport) -> str:
-    head = "PASS" if report.verified else "FAIL"
-    params = " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
-    lines = [f"{head} {report.identity} {params} ({report.elapsed_ms} ms)"]
-    if not report.verified:
+    head = {VERIFIED: "PASS", ERROR: "ERROR"}.get(report.status, "FAIL")
+    lines = [f"{head} {report.identity} {_params_text(report)} ({report.elapsed_ms} ms)"]
+    if report.status == ERROR:
+        lines.append(f"  error: {report.observations['error']}")
+    elif not report.verified:
         lines.append(f"  lhs: {_pretty_side(report.lhs)}")
         lines.append(f"  rhs: {_pretty_side(report.rhs)}")
         bad = [i for i, ok in report.effectivity if not ok]
@@ -192,23 +201,42 @@ def sweep_tasks(max_g, max_g_even, max_m, max_a, max_n) -> list[tuple]:
     return tasks
 
 
+# sweep task kind -> (identity, parameter names, check); the checks look
+# their functions up at call time, so a patched module attribute is used
+SWEEP_CHECKS = {
+    "decomposition": (
+        "hyperelliptic-decomposition", ("g", "k"), lambda g, k: verify_decomposition(g, k)
+    ),
+    "hochschild": ("hochschild-decomposition", ("g", "k"), lambda g, k: verify_hochschild(g, k)),
+    "k0": ("k0-identity", ("g",), lambda g, _: verify_k0_identity(g)),
+    "bgmn": ("bgmn-crosscheck", ("g",), lambda g, _: verify_bgmn_crosscheck(g)),
+    "stacky": ("stacky-counts", ("g", "k"), lambda g, k: stacky_counts_report(g, k)),
+    "gessel": ("gessel-identity", ("max_m", "max_a"), lambda m, a: gessel_suite_report(m, a)),
+    "chu": ("chu-vandermonde", ("max_n",), lambda n, _: chu_vandermonde_suite_report(n)),
+}
+
+
 def run_sweep_task(task: tuple) -> VerificationReport:
+    """Run one sweep task.  An internal error becomes a report with status
+    "error" and the message in observations["error"], so one broken task
+    does not discard the others."""
     kind, a, b = task
-    if kind == "decomposition":
-        return verify_decomposition(a, b)
-    if kind == "hochschild":
-        return verify_hochschild(a, b)
-    if kind == "k0":
-        return verify_k0_identity(a)
-    if kind == "bgmn":
-        return verify_bgmn_crosscheck(a)
-    if kind == "stacky":
-        return stacky_counts_report(a, b)
-    if kind == "gessel":
-        return gessel_suite_report(a, b)
-    if kind == "chu":
-        return chu_vandermonde_suite_report(a)
-    raise ValueError(f"unknown sweep task {kind!r}")
+    if kind not in SWEEP_CHECKS:
+        raise ValueError(f"unknown sweep task {kind!r}")
+    identity, names, check = SWEEP_CHECKS[kind]
+    t0 = time.perf_counter()
+    try:
+        return check(a, b)
+    except (ConsistencyError, InexactDivisionError) as exc:
+        return VerificationReport(
+            identity=identity,
+            params=dict(zip(names, (a, b))),
+            status=ERROR,
+            lhs=None,
+            rhs=None,
+            observations={"error": str(exc)},
+            elapsed_ms=int((time.perf_counter() - t0) * 1000),
+        )
 
 
 def _report_sort_key(report: VerificationReport):
@@ -364,6 +392,13 @@ def _cmd_sweep(args):
         args.max_g, args.max_g_even, args.max_m, args.max_a, args.max_n, jobs=args.jobs
     )
     failed = [r for r in reports if not r.verified]
+    errors = [r for r in reports if r.status == ERROR]
+    for r in errors:
+        print(
+            f"twoquadrics: internal error: {r.identity} {_params_text(r)}: "
+            f"{r.observations['error']}",
+            file=sys.stderr,
+        )
     payload = {
         "reports": [report_to_json_obj(r) for r in reports],
         "summary": {
@@ -374,7 +409,8 @@ def _cmd_sweep(args):
     }
     lines = [report_to_text(r) for r in reports]
     lines.append(f"verified {len(reports) - len(failed)}/{len(reports)}")
-    return (1 if failed else 0), payload, "\n".join(lines)
+    code = 3 if errors else 1 if failed else 0
+    return code, payload, "\n".join(lines)
 
 
 _DISPATCH = {
@@ -386,11 +422,17 @@ _DISPATCH = {
 
 
 def _write_atomic(path: str, data: str) -> None:
+    """Write through a temporary file and rename it over `path`.  mkstemp
+    creates the file as 0600; it gets 0666 less the umask, the mode of an
+    ordinary new file, before the rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twoquadrics-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(data)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -1,13 +1,16 @@
 """Hodge diamonds of the building blocks: curves, their symmetric powers,
-Jacobians and projective spaces, and the expansion of Tate-twisted
-cohomology blocks of a curve into Hodge numbers."""
+Jacobians and projective spaces; the expansion of Tate-twisted
+cohomology blocks of a curve into Hodge numbers, and the E-polynomial
+and Hochschild measures read straight from block vectors."""
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterable
 
+from .exactpoly import BiPoly, LaurentPoly
 from .hodge import ConsistencyError, HodgeDiamond
 
 
@@ -33,6 +36,51 @@ def block_diamond(g: int, d: int, blocks: Iterable[tuple[int, int, int]]) -> Hod
         return HodgeDiamond(h)
     except ValueError as exc:
         raise ConsistencyError(str(exc)) from exc
+
+
+def block_e_polynomial(g: int, vectors: Iterable[tuple[int, int, list[int]]]) -> BiPoly:
+    """E-polynomial of the sum of blocks coeffs[e] * wedge^r H^1(C) L^{low+e}
+    over (r, low, coeffs) in `vectors`, C a curve of genus g.
+
+    wedge^r H^1 L^s has E-polynomial (-1)^r sum_a C(g, a) C(g, r-a)
+    x^{s+a} y^{s+r-a}, all on the diagonal q - p = r - 2a.  One dense
+    table per diagonal takes each (r, a) as a single slice update of the
+    whole vector, starting at p = low + a; blocks with r > 2g vanish.
+    """
+    vectors = [(r, low, coeffs) for r, low, coeffs in vectors if coeffs and 0 <= r <= 2 * g]
+    if not vectors:
+        return BiPoly.zero()
+    comb_g = [math.comb(g, a) for a in range(g + 1)]
+    w = max(min(r, 2 * g - r) for r, _, _ in vectors)
+    base = min(low + max(0, r - g) for r, low, _ in vectors)
+    size = max(low + len(coeffs) + min(g, r) for r, low, coeffs in vectors) - base
+    diagonals = [[0] * size for _ in range(2 * w + 1)]
+    for r, low, coeffs in vectors:
+        for a in range(max(0, r - g), min(g, r) + 1):
+            h = comb_g[a] * comb_g[r - a]
+            diagonal = diagonals[r - 2 * a + w]
+            span = slice(low + a - base, low + a - base + len(coeffs))
+            scale = (-h if r % 2 else h).__mul__
+            diagonal[span] = map(operator.add, diagonal[span], map(scale, coeffs))
+    # read the table column by column, so the keys arrive sorted by (p, q)
+    return BiPoly._raw({
+        (p + base, p + base + j - w): v
+        for p, column in enumerate(zip(*diagonals))
+        for j, v in enumerate(column)
+        if v
+    })
+
+
+def block_hochschild(g: int, weights: Iterable[tuple[int, int]]) -> LaurentPoly:
+    """Hochschild polynomial of the sum of weight * wedge^r H^1(C) over
+    (r, weight) in `weights`, at any Tate twists (a twist moves no block
+    off its diagonal): wedge^r H^1 adds C(g, a) C(g, r-a) to t^{r-2a}."""
+    comb_g = [math.comb(g, a) for a in range(g + 1)]
+    hh = [0] * (2 * g + 1)
+    for r, weight in weights:
+        for a in range(max(0, r - g), min(g, r) + 1):
+            hh[r - 2 * a + g] += weight * comb_g[a] * comb_g[r - a]
+    return LaurentPoly._raw({i - g: c for i, c in enumerate(hh) if c})
 
 
 @functools.cache

@@ -4,7 +4,9 @@ intersections of two quadrics (the hyperelliptic case).
 The cohomology in degree m is a direct sum of Tate twists of exterior
 powers of H^1 of the associated genus-g hyperelliptic curve; the number
 of copies is the coefficient of an explicit Laurent kernel, and the
-twist offset is forced by weight bookkeeping.
+twist offset is forced by weight bookkeeping.  The block vector (copies
+of each wedge^r H^1(-t)) is the stored form; the dense diamond is
+derived from it on request.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ def multiplicity(a: int, b: int, c: int) -> int:
 
 
 def _odd_blocks(params: OddFanoParams):
-    """The blocks (g-j, t, mult) of fano_odd_diamond, checked for degree
-    and parity."""
+    """The blocks (g-j, t, mult) of fano_odd_blocks, one per kernel term,
+    checked for degree and parity."""
     g, k = params.g, params.k
     d = params.dimension
     for j in range(g - k - 1, g + 1):
@@ -89,12 +91,49 @@ def _odd_blocks(params: OddFanoParams):
 
 
 @functools.cache
-def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
-    """Hodge diamond of the k-plane Fano scheme in the hyperelliptic case.
+def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, ...], ...]:
+    """Block vector of the k-plane Fano scheme in the hyperelliptic case:
+    entry r = 0..k+1 is the dense tuple, over t = 0..d-r, of the number of
+    copies of wedge^r H^1(C)(-t) in its cohomology.
 
     For each j = g-k-1..g and each term mult * q^c of
     multiplicity_kernel(g-k, j), the block wedge^{g-j} H^1(C) enters
-    degree m = d-c with mult copies, Tate-twisted by t = (m-(g-j))/2;
-    block_diamond expands the blocks into Hodge numbers.
+    degree m = d-c with mult copies, Tate-twisted by t = (m-(g-j))/2.
+    The vector is checked as stored: every block fits in dimension d,
+    every entry is non-negative, and v_r[t] == v_r[d-r-t] (Serre
+    duality).  A failure raises ConsistencyError.
     """
-    return block_diamond(params.g, params.dimension, _odd_blocks(params))
+    g, k = params.g, params.k
+    d = params.dimension
+    vectors = [[0] * (d - r + 1) for r in range(k + 2)]
+    for r, t, mult in _odd_blocks(params):
+        if t + r > d:
+            raise ConsistencyError(
+                f"block (r, t) = ({r}, {t}) of (g, k) = ({g}, {k}) does not fit in dimension {d}"
+            )
+        vectors[r][t] += mult
+    for r, v in enumerate(vectors):
+        if min(v) < 0:
+            raise ConsistencyError(
+                f"negative multiplicity of wedge^{r} H^1 for (g, k) = ({g}, {k})"
+            )
+        if v != v[::-1]:
+            t = next(t for t in range(len(v)) if v[t] != v[-1 - t])
+            raise ConsistencyError(
+                f"Serre duality fails: wedge^{r} H^1(-{t}) has multiplicity {v[t]} "
+                f"but wedge^{r} H^1(-{d - r - t}) has {v[-1 - t]}"
+            )
+    return tuple(map(tuple, vectors))
+
+
+@functools.cache
+def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
+    """Hodge diamond of the k-plane Fano scheme in the hyperelliptic case,
+    expanded by block_diamond from the block vector fano_odd_blocks."""
+    blocks = (
+        (r, t, mult)
+        for r, v in enumerate(fano_odd_blocks(params))
+        for t, mult in enumerate(v)
+        if mult
+    )
+    return block_diamond(params.g, params.dimension, blocks)

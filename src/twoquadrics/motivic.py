@@ -12,17 +12,24 @@ verifier returns a report carrying both sides.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .curves import curve_diamond, projective_space_diamond, sym_curve_diamond
+from .curves import (
+    block_e_polynomial,
+    block_hochschild,
+    curve_diamond,
+    projective_space_diamond,
+)
 from .exactpoly import BiPoly, LaurentPoly, binomial, gauss_coefficients
-from .fano_odd import OddFanoParams, fano_odd_diamond
+from .fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 
 VERIFIED = "verified"
 FAILED = "failed"
+ERROR = "error"  # a sweep task that raised an internal error
 
 
 def _check_gki(g: int, k: int, i: int) -> None:
@@ -39,8 +46,8 @@ def multiplicity_polynomial(g: int, k: int, i: int) -> LaurentPoly:
     the k-plane Fano scheme, as an exact polynomial in L.
 
     L^{i(g-k-1)} times a five-term bracket of Gaussian binomials in L;
-    the bracket is accumulated densely since every contributing shift is
-    non-negative.
+    the bracket is accumulated densely, one slice update per shifted
+    Gaussian binomial, since every contributing shift is non-negative.
     """
     _check_gki(g, k, i)
     groups = (
@@ -63,18 +70,14 @@ def multiplicity_polynomial(g: int, k: int, i: int) -> LaurentPoly:
         if m < 0 or (0 <= n < m):
             continue
         coeffs = gauss_coefficients(n, m)
+        combine = operator.add if sign > 0 else operator.sub
         for s in shifts:
-            need = s + len(coeffs)
-            if need > len(acc):
-                acc.extend([0] * (need - len(acc)))
-            if sign > 0:
-                for e, c in enumerate(coeffs):
-                    acc[s + e] += c
-            else:
-                for e, c in enumerate(coeffs):
-                    acc[s + e] -= c
+            end = s + len(coeffs)
+            if end > len(acc):
+                acc.extend([0] * (end - len(acc)))
+            acc[s:end] = map(combine, acc[s:end], coeffs)
     base = i * (g - k - 1)
-    return LaurentPoly({e + base: c for e, c in enumerate(acc) if c})
+    return LaurentPoly._raw({e + base: c for e, c in enumerate(acc) if c})
 
 
 def multiplicity_at_one(g: int, k: int, i: int) -> int:
@@ -124,36 +127,31 @@ class MotivicExpression:
         """Apply the E-polynomial measure: L becomes x*y and [Sym^i C]
         becomes the E-polynomial of its diamond.
 
-        sum_i P_i(xy) E(Sym^i C) is accumulated in one dense table.  Every
-        entry lies within w = max i of the diagonal, so the table holds
-        one column per diagonal q - p = -w..w, indexed by p - low, where
-        low is the lowest exponent of any P_i.  Each nonzero h^{p,q} of
-        Sym^i C adds (-1)^{p+q} h^{p,q} times the coefficients of P_i to
-        its diagonal, starting at p + val(P_i).
+        By Macdonald, [Sym^i C] is the sum over r <= min(i, 2g) of
+        wedge^r H^1 (1 + L + ... + L^{i-r}), so the expression is
+        sum_r wedge^r H^1 Q_r with Q_r = sum_{i >= r} P_i (1 + ... + L^{i-r}).
+        Q_r = T_r + L Q_{r+1}, where T_r = sum_{i >= r} P_i, so each r
+        costs two dense vector updates; block_e_polynomial measures the
+        block vectors.  Every vector runs from the lowest exponent of any
+        P_i to the highest of any P_i L^i.
         """
         if not self.terms:
             return BiPoly.zero()
         low = min(poly.valuation() for _, poly in self.terms)
         size = max(poly.degree() + i for i, poly in self.terms) - low + 1
-        w = max(i for i, _ in self.terms)
-        diagonals = [[0] * size for _ in range(2 * w + 1)]
-        for i, poly in self.terms:
-            val = poly.valuation()
-            dense = [poly.coefficient(e) for e in range(val, poly.degree() + 1)]
-            for p, row in enumerate(sym_curve_diamond(self.genus, i).rows()):
-                for q, h in enumerate(row):
-                    if not h:
-                        continue
-                    diagonal = diagonals[q - p + w]
-                    span = slice(p + val - low, p + val - low + len(dense))
-                    scale = (-h if (p + q) % 2 else h).__mul__
-                    diagonal[span] = map(operator.add, diagonal[span], map(scale, dense))
-        return BiPoly(
-            ((p + low, p + low + j - w), v)
-            for j, diagonal in enumerate(diagonals)
-            for p, v in enumerate(diagonal)
-            if v
-        )
+        polys = dict(self.terms)
+        tail = [0] * size  # T_r
+        q = [0] * size  # Q_r
+        vectors = []
+        for r in range(max(polys), -1, -1):
+            if r in polys:
+                for e, c in polys[r].items():
+                    tail[e - low] += c
+            # the shift drops only a zero: deg L Q_{r+1} <= max_i deg P_i L^i
+            q = list(map(operator.add, tail, itertools.chain((0,), q)))
+            if r <= 2 * self.genus:
+                vectors.append((r, low, q))
+        return block_e_polynomial(self.genus, vectors)
 
     def effectivity(self) -> tuple[tuple[int, bool], ...]:
         """Per-index check that every multiplicity coefficient is >= 0."""
@@ -194,10 +192,12 @@ def _elapsed_ms(t0: float) -> int:
 def verify_decomposition(g: int, k: int) -> VerificationReport:
     """Check, after the E-polynomial measure, that the class of the
     k-plane Fano scheme equals sum_i M_i(L) [Sym^i C], and that every M_i
-    is effective."""
+    is effective.  Both sides are measured from block vectors: the Fano
+    side from fano_odd_blocks, the sum from Macdonald's formula."""
     t0 = time.perf_counter()
     expr = MotivicExpression.decomposition(g, k)
-    lhs = fano_odd_diamond(OddFanoParams(g, k)).e_polynomial()
+    blocks = fano_odd_blocks(OddFanoParams(g, k))
+    lhs = block_e_polynomial(g, ((r, 0, v) for r, v in enumerate(blocks)))
     rhs = expr.e_polynomial()
     effectivity = expr.effectivity()
     spans = [[i, poly.valuation(), poly.degree()] for i, poly in expr.terms]
@@ -259,14 +259,23 @@ def verify_bgmn_crosscheck(g: int) -> VerificationReport:
 def verify_hochschild(g: int, k: int) -> VerificationReport:
     """Check the L = 1 reduction on Hochschild homology: the Hochschild
     polynomial of the Fano scheme equals the multiplicity-weighted sum of
-    those of the symmetric powers."""
+    those of the symmetric powers.
+
+    Both sides are weighted sums of the blocks wedge^r H^1: the Fano side
+    weighs r by its number of copies at any twist, sum_t v_r[t]; by
+    Macdonald the sum side weighs r by sum_{i >= r} M_i(1) (i - r + 1),
+    accumulated from the top i down.
+    """
     t0 = time.perf_counter()
-    lhs = fano_odd_diamond(OddFanoParams(g, k)).hochschild_polynomial()
-    rhs = LaurentPoly.zero()
-    for i in range(k + 2):
-        rhs = rhs + multiplicity_at_one(g, k, i) * sym_curve_diamond(
-            g, i
-        ).hochschild_polynomial()
+    blocks = fano_odd_blocks(OddFanoParams(g, k))
+    lhs = block_hochschild(g, enumerate(map(sum, blocks)))
+    weights = []
+    tail = weight = 0
+    for r in range(k + 1, -1, -1):
+        tail += multiplicity_at_one(g, k, r)
+        weight += tail
+        weights.append((r, weight))
+    rhs = block_hochschild(g, weights)
     return VerificationReport(
         identity="hochschild-decomposition",
         params={"g": g, "k": k},

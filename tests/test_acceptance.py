@@ -84,6 +84,8 @@ def test_criterion_03_decomposition_sweep():
                 report = verify_decomposition(g, k)
                 assert report.verified, (g, k, report.status)
                 assert report.lhs == report.rhs
+                # the block route against the dense diamond
+                assert report.lhs == fano_odd_diamond(OddFanoParams(g, k)).e_polynomial(), (g, k)
                 assert all(ok for _, ok in report.effectivity), (g, k)
                 count += 1
         assert count == 66

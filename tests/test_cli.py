@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -256,7 +258,6 @@ class TestInternalErrors:
         "target,argv",
         [
             ("fano_even_betti_numbers", ["verify", "even", "--g", "3", "--k", "1"]),
-            ("verify_decomposition", ["sweep", *TestSweepCommand.ARGS]),
         ],
     )
     def test_exit_code_three(self, capsys, monkeypatch, error, target, argv):
@@ -268,6 +269,55 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "twoquadrics: internal error: planted inconsistency\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("error", [ConsistencyError, InexactDivisionError])
+    def test_sweep_keeps_other_reports(self, capsys, monkeypatch, error, jobs):
+        argv = ["sweep", *TestSweepCommand.ARGS, "--format", "json", "--jobs", jobs]
+        _, clean = run(capsys, argv)
+        verify_decomposition = cli.verify_decomposition
+
+        def broken(g, k):
+            if (g, k) == (3, 1):
+                raise error("planted inconsistency")
+            return verify_decomposition(g, k)
+
+        monkeypatch.setattr(cli, "verify_decomposition", broken)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "twoquadrics: internal error: hyperelliptic-decomposition g=3 k=1: "
+            "planted inconsistency\n"
+        )
+        doc, want = json.loads(captured.out), json.loads(clean)
+        assert doc["summary"] == {"failed": 1, "total": 26, "verified": 25}
+        errored = [r for r in doc["reports"] if r["status"] != "verified"]
+        assert [(r["identity"], r["params"], r["status"], r["observations"]) for r in errored] == [
+            (
+                "hyperelliptic-decomposition",
+                {"g": 3, "k": 1},
+                "error",
+                {"error": "planted inconsistency"},
+            )
+        ]
+        for report in (*doc["reports"], *want["reports"]):
+            del report["elapsed_ms"]
+        assert [r for r in doc["reports"] if r not in errored] == [
+            r for r in want["reports"] if r["params"] != {"g": 3, "k": 1}
+            or r["identity"] != "hyperelliptic-decomposition"
+        ]
+
+    def test_sweep_error_text_report(self, capsys, monkeypatch):
+        def broken(g, k):
+            raise ConsistencyError("planted inconsistency")
+
+        monkeypatch.setattr(cli, "verify_hochschild", broken)
+        code, out = run(capsys, ["sweep", *TestSweepCommand.ARGS])
+        assert code == 3
+        lines = out.splitlines()
+        assert any(line.startswith("ERROR hochschild-decomposition g=2 k=0 (") for line in lines)
+        assert "  error: planted inconsistency" in lines
+        assert lines[-1] == "verified 20/26"
 
     def test_non_palindromic_even_diamond_is_internal(self, capsys, monkeypatch):
         # (g, k) = (3, 1) has dimension 4
@@ -281,14 +331,17 @@ class TestInternalErrors:
 
     @pytest.fixture
     def fresh_odd_diamonds(self):
+        fano_odd.fano_odd_blocks.cache_clear()
         fano_odd.fano_odd_diamond.cache_clear()
         yield
+        fano_odd.fano_odd_blocks.cache_clear()
         fano_odd.fano_odd_diamond.cache_clear()
 
     def test_unbalanced_odd_diamond_is_internal(self, capsys, monkeypatch, fresh_odd_diamonds):
         # (g, k) = (3, 1) has dimension 6; an extra q^6 in the j = g kernel
         # is one more block (r, t) = (0, 0): right degree and parity, but
-        # h^{0,0} = 2 against h^{6,6} = 1
+        # two copies of wedge^0 H^1(-0) against one of its Serre dual
+        # wedge^0 H^1(-6)
         kernel = fano_odd.multiplicity_kernel
 
         def planted(a, b):
@@ -299,7 +352,8 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "twoquadrics: internal error: Serre duality fails: h^{0,0} = 2 but h^{6,6} = 1\n"
+            "twoquadrics: internal error: Serre duality fails: wedge^0 H^1(-0) has "
+            "multiplicity 2 but wedge^0 H^1(-6) has 1\n"
         )
 
 
@@ -315,3 +369,12 @@ class TestOutputFile:
         assert obj["status"] == "verified"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "report.json"]
         assert leftovers == []
+
+    def test_output_file_gets_the_umask_mode(self, capsys, tmp_path):
+        target = tmp_path / "report.txt"
+        old = os.umask(0o022)
+        try:
+            assert cli.main(["verify", "bgmn", "--g", "3", "--output", str(target)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644

@@ -5,12 +5,14 @@ from hypothesis import given, strategies as st
 
 from twoquadrics.curves import (
     block_diamond,
+    block_e_polynomial,
+    block_hochschild,
     curve_diamond,
     jacobian_diamond,
     projective_space_diamond,
     sym_curve_diamond,
 )
-from twoquadrics.exactpoly import BiPoly
+from twoquadrics.exactpoly import BiPoly, LaurentPoly
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
 
 
@@ -97,6 +99,49 @@ class TestBlockDiamond:
     def test_failed_diamond_check_is_inconsistent(self):
         with pytest.raises(ConsistencyError, match=r"^Serre duality fails: h\^\{0,0\} = 1 but"):
             block_diamond(1, 1, [(0, 0, 1)])
+
+
+class TestBlockMeasures:
+    """block_e_polynomial and block_hochschild against the diamond that
+    block_diamond builds from the same blocks."""
+
+    @staticmethod
+    def vectors(g, blocks):
+        """The blocks gathered into one dense vector over t per r."""
+        dense = {}
+        for r, t, mult in blocks:
+            v = dense.setdefault(r, [])
+            v.extend([0] * (t + 1 - len(v)))
+            v[t] += mult
+        return [(r, 0, v) for r, v in sorted(dense.items())]
+
+    @given(serre_paired_blocks())
+    def test_e_polynomial_matches_the_diamond(self, case):
+        g, d, blocks = case
+        assert (
+            block_e_polynomial(g, self.vectors(g, blocks))
+            == block_diamond(g, d, blocks).e_polynomial()
+        )
+
+    @given(serre_paired_blocks())
+    def test_hochschild_matches_the_diamond(self, case):
+        g, d, blocks = case
+        weights = [(r, mult) for r, _, mult in blocks]
+        assert block_hochschild(g, weights) == block_diamond(g, d, blocks).hochschild_polynomial()
+
+    @given(serre_paired_blocks(), st.integers(-5, 5))
+    def test_offset_multiplies_by_a_power_of_xy(self, case, s):
+        g, _, blocks = case
+        vectors = self.vectors(g, blocks)
+        shifted = [(r, low + s, v) for r, low, v in vectors]
+        assert block_e_polynomial(g, shifted) == BiPoly({(s, s): 1}) * block_e_polynomial(
+            g, vectors
+        )
+
+    def test_blocks_past_the_top_exterior_power_vanish(self):
+        assert block_e_polynomial(2, [(5, 0, [1, 2]), (0, -1, [])]) == BiPoly.zero()
+        assert block_hochschild(2, [(5, 3)]) == LaurentPoly.zero()
+        assert block_e_polynomial(2, [(4, 1, [3]), (5, 0, [1])]) == BiPoly({(3, 3): 3})
 
 
 class TestCurveDiamond:

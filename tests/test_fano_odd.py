@@ -14,6 +14,7 @@ from twoquadrics.exactpoly import (
 )
 from twoquadrics.fano_odd import (
     OddFanoParams,
+    fano_odd_blocks,
     fano_odd_diamond,
     multiplicity,
     multiplicity_kernel,
@@ -28,6 +29,16 @@ G4K1_NONZERO = {
     (6, 5): 4, (5, 6): 4, (7, 6): 4, (6, 7): 4, (8, 7): 4, (7, 8): 4,
     (6, 4): 6, (4, 6): 6,
 }
+
+
+@pytest.fixture
+def fresh_odd_caches():
+    """Empty the odd caches around a test that plants a kernel."""
+    fano_odd.fano_odd_blocks.cache_clear()
+    fano_odd.fano_odd_diamond.cache_clear()
+    yield
+    fano_odd.fano_odd_blocks.cache_clear()
+    fano_odd.fano_odd_diamond.cache_clear()
 
 
 def in_contract_pairs():
@@ -171,11 +182,24 @@ class TestFanoOddDiamond:
         for k in range(g - 1):
             assert fano_odd_diamond(OddFanoParams(g, k)) == diamond_by_degree_scan(g, k), k
 
-    def test_kernel_term_outside_degree_range_is_inconsistent(self, monkeypatch):
+    def test_kernel_term_outside_degree_range_is_inconsistent(
+        self, monkeypatch, fresh_odd_caches
+    ):
         # (g, k) = (3, 0) has d = 5; q^{-7} would land in degree m = 12 > 2d
         monkeypatch.setattr(fano_odd, "multiplicity_kernel", lambda a, b: LaurentPoly({-7: 1}))
         with pytest.raises(ConsistencyError, match="outside 0..10"):
             fano_odd_diamond.__wrapped__(OddFanoParams(3, 0))
+
+    @pytest.mark.parametrize("g", range(2, 11))
+    def test_blocks_are_the_kernel_terms(self, g):
+        # copies of wedge^r H^1(-t) = multiplicity(g-k, g-r, d-r-2t)
+        for k in range(g - 1):
+            d = OddFanoParams(g, k).dimension
+            blocks = fano_odd_blocks(OddFanoParams(g, k))
+            assert len(blocks) == k + 2
+            for r, v in enumerate(blocks):
+                kernel_terms = (multiplicity(g - k, g - r, d - r - 2 * t) for t in range(d - r + 1))
+                assert v == tuple(kernel_terms), (g, k, r)
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_valid_structure_all_k(self, g):
@@ -196,3 +220,55 @@ class TestFanoOddDiamond:
             + shift * curve_diamond(g).e_polynomial()
         )
         assert lhs == rhs
+
+
+class TestBlockVectorGuards:
+    """A corrupted kernel term that passes the degree and parity checks
+    must raise, not yield a vector."""
+
+    PARAMS = OddFanoParams(3, 1)  # dimension 6; r = 3 - j for j = 1..3
+
+    @pytest.fixture
+    def plant(self, monkeypatch, fresh_odd_caches):
+        kernel = fano_odd.multiplicity_kernel
+
+        def install(j, extra):
+            def planted(a, b):
+                return kernel(a, b) + LaurentPoly(extra) if b == j else kernel(a, b)
+
+            monkeypatch.setattr(fano_odd, "multiplicity_kernel", planted)
+
+        return install
+
+    def test_negative_entry_is_inconsistent(self, plant):
+        # -5 copies each of wedge^0 H^1(-0) and its Serre dual wedge^0 H^1(-6)
+        plant(3, {6: -5, -6: -5})
+        with pytest.raises(ConsistencyError, match=r"negative multiplicity of wedge\^0 H\^1"):
+            fano_odd_blocks(self.PARAMS)
+
+    def test_asymmetric_entry_is_inconsistent(self, plant):
+        plant(3, {6: 1})
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^Serre duality fails: wedge\^0 H\^1\(-0\) has multiplicity 2 "
+            r"but wedge\^0 H\^1\(-6\) has 1$",
+        ):
+            fano_odd_blocks(self.PARAMS)
+
+    def test_block_that_does_not_fit_is_inconsistent(self, plant):
+        # q^-6 in the j = 1 kernel puts wedge^2 H^1 in degree 12 = 2d with
+        # twist 5, past d - r = 4
+        plant(1, {-6: 1})
+        with pytest.raises(
+            ConsistencyError,
+            match=r"block \(r, t\) = \(2, 5\) of \(g, k\) = \(3, 1\) does not fit in dimension 6",
+        ):
+            fano_odd_blocks(self.PARAMS)
+
+    def test_cache_holds_no_corrupted_vector(self, plant, monkeypatch):
+        kernel = fano_odd.multiplicity_kernel
+        plant(1, {-6: 1})
+        with pytest.raises(ConsistencyError):
+            fano_odd_diamond(self.PARAMS)
+        monkeypatch.setattr(fano_odd, "multiplicity_kernel", kernel)
+        assert fano_odd_diamond(self.PARAMS) == diamond_by_degree_scan(3, 1)

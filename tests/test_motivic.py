@@ -1,7 +1,11 @@
+import operator
+
 import pytest
+from hypothesis import given, strategies as st
 
 from twoquadrics.curves import sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
+from twoquadrics.fano_odd import OddFanoParams, fano_odd_diamond
 from twoquadrics.motivic import (
     MotivicExpression,
     bgmn_multiplicity,
@@ -22,6 +26,55 @@ def e_polynomial_by_products(expr):
             expr.genus, i
         ).e_polynomial()
     return total
+
+
+def e_polynomial_by_diagonals(expr):
+    """Oracle: the former dense route of MotivicExpression.e_polynomial.
+    One column per diagonal q - p = -w..w; each nonzero h^{p,q} of
+    Sym^i C adds (-1)^{p+q} h^{p,q} times the coefficients of P_i to its
+    diagonal, starting at p + val(P_i)."""
+    if not expr.terms:
+        return BiPoly.zero()
+    low = min(poly.valuation() for _, poly in expr.terms)
+    size = max(poly.degree() + i for i, poly in expr.terms) - low + 1
+    w = max(i for i, _ in expr.terms)
+    diagonals = [[0] * size for _ in range(2 * w + 1)]
+    for i, poly in expr.terms:
+        val = poly.valuation()
+        dense = [poly.coefficient(e) for e in range(val, poly.degree() + 1)]
+        for p, row in enumerate(sym_curve_diamond(expr.genus, i).rows()):
+            for q, h in enumerate(row):
+                if not h:
+                    continue
+                diagonal = diagonals[q - p + w]
+                span = slice(p + val - low, p + val - low + len(dense))
+                scale = (-h if (p + q) % 2 else h).__mul__
+                diagonal[span] = map(operator.add, diagonal[span], map(scale, dense))
+    return BiPoly(
+        ((p + low, p + low + j - w), v)
+        for j, diagonal in enumerate(diagonals)
+        for p, v in enumerate(diagonal)
+        if v
+    )
+
+
+def hochschild_by_diamonds(g, k):
+    """Oracle: both Hochschild sides read off dense diamonds."""
+    lhs = fano_odd_diamond(OddFanoParams(g, k)).hochschild_polynomial()
+    rhs = LaurentPoly.zero()
+    for i in range(k + 2):
+        rhs = rhs + multiplicity_at_one(g, k, i) * sym_curve_diamond(g, i).hochschild_polynomial()
+    return lhs, rhs
+
+
+@st.composite
+def motivic_expressions(draw):
+    """sum_i P_i [Sym^i C] with g <= 4, indices i up to 2g + 3 (past the
+    top exterior power) and exponents down to -6."""
+    g = draw(st.integers(0, 4))
+    polys = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=4).map(LaurentPoly)
+    terms = draw(st.dictionaries(st.integers(0, 2 * g + 3), polys, max_size=4))
+    return MotivicExpression.from_terms(g, terms)
 
 
 def admissible(max_g):
@@ -199,3 +252,36 @@ class TestVerifiers:
         assert report.status == "verified"
         assert report.elapsed_ms >= 0
         assert "multiplicity_spans" in report.observations
+
+
+class TestBlockRoute:
+    """verify_decomposition and verify_hochschild measure block vectors;
+    the dense diamond routes are their oracles."""
+
+    @staticmethod
+    def check_decomposition(g, k):
+        report = verify_decomposition(g, k)
+        assert report.lhs == fano_odd_diamond(OddFanoParams(g, k)).e_polynomial(), (g, k)
+        expr = MotivicExpression.decomposition(g, k)
+        assert report.rhs == e_polynomial_by_diagonals(expr), (g, k)
+
+    @pytest.mark.parametrize("g", range(2, 15))
+    def test_decomposition_sides_match_dense_routes(self, g):
+        for k in range(g - 1):
+            self.check_decomposition(g, k)
+
+    @pytest.mark.parametrize("g,k", [(30, 14), (34, 16)])
+    def test_decomposition_sides_match_dense_routes_deep(self, g, k):
+        self.check_decomposition(g, k)
+
+    @pytest.mark.parametrize("g", range(2, 15))
+    def test_hochschild_sides_match_dense_route(self, g):
+        for k in range(g - 1):
+            report = verify_hochschild(g, k)
+            assert (report.lhs, report.rhs) == hochschild_by_diamonds(g, k), (g, k)
+
+    @given(motivic_expressions())
+    def test_e_polynomial_matches_products(self, expr):
+        expected = e_polynomial_by_products(expr)
+        assert expr.e_polynomial() == expected
+        assert e_polynomial_by_diagonals(expr) == expected
