@@ -1,19 +1,21 @@
 """Command-line front end: compute diamonds, verify identities, sweep
 parameter ranges, and emit deterministic text or JSON reports with
-CI-friendly exit codes (0 verified, 1 any failure, 2 usage error,
-3 internal error: the library caught itself in an inconsistency).  A
-sweep task that hits an internal error becomes a report with status
-"error"; the other reports are still emitted and the sweep exits 3."""
+CI-friendly exit codes (0 verified, 1 any failure, 2 usage error or an
+unwritable --output, 3 internal error: the library caught itself in an
+inconsistency).  A sweep writes each report as it completes; a task that
+hits an internal error becomes a report with status "error", the other
+reports are still emitted and the sweep exits 3."""
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import json
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .curves import jacobian_diamond, sym_curve_diamond
 from .exactpoly import BiPoly, InexactDivisionError, LaurentPoly
@@ -42,6 +44,10 @@ class CliUsageError(Exception):
     pass
 
 
+class OutputError(Exception):
+    """The --output target cannot be written."""
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -67,12 +73,14 @@ def _payload(value):
 
 
 def report_to_json_obj(report: VerificationReport) -> dict:
+    lhs = _payload(report.lhs)
     return {
         "identity": report.identity,
         "params": {k: report.params[k] for k in sorted(report.params)},
         "status": report.status,
-        "lhs": _payload(report.lhs),
-        "rhs": _payload(report.rhs),
+        "lhs": lhs,
+        # a side that is the other side (a verified decomposition) is expanded once
+        "rhs": lhs if report.rhs is report.lhs else _payload(report.rhs),
         "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
         "observations": {k: report.observations[k] for k in sorted(report.observations)},
         "elapsed_ms": report.elapsed_ms,
@@ -186,19 +194,19 @@ def chu_vandermonde_suite_report(max_n: int) -> VerificationReport:
 # sweep machinery
 
 def sweep_tasks(max_g, max_g_even, max_m, max_a, max_n) -> list[tuple]:
-    tasks: list[tuple] = []
-    for g in range(2, max_g + 1):
-        tasks.append(("k0", g, 0))
-        tasks.append(("bgmn", g, 0))
-        for k in range(g - 1):
-            tasks.append(("decomposition", g, k))
-            tasks.append(("hochschild", g, k))
-    for g in range(2, max_g_even + 1):
-        for k in range(g - 1):
-            tasks.append(("stacky", g, k))
-    tasks.append(("gessel", max_m, max_a))
-    tasks.append(("chu", max_n, 0))
-    return tasks
+    """The sweep's tasks in output order: by identity name, then by
+    parameters, so each report can be written as soon as it completes."""
+    genera = range(2, max_g + 1)
+    planes = [(g, k) for g in genera for k in range(g - 1)]
+    return [
+        *(("bgmn", g, 0) for g in genera),
+        ("chu", max_n, 0),
+        ("gessel", max_m, max_a),
+        *(("hochschild", g, k) for g, k in planes),
+        *(("decomposition", g, k) for g, k in planes),
+        *(("k0", g, 0) for g in genera),
+        *(("stacky", g, k) for g in range(2, max_g_even + 1) for k in range(g - 1)),
+    ]
 
 
 # sweep task kind -> (identity, parameter names, check); the checks look
@@ -239,28 +247,37 @@ def run_sweep_task(task: tuple) -> VerificationReport:
         )
 
 
-def _report_sort_key(report: VerificationReport):
-    return (report.identity, tuple(sorted(report.params.items())))
-
-
 def worker_count(jobs: int, n_tasks: int) -> int:
     """Worker processes for a sweep: never more than requested, than there
     are tasks, or than the machine has cores."""
     return min(jobs, n_tasks, os.cpu_count() or 1)
 
 
-def run_sweep(max_g, max_g_even, max_m, max_a, max_n, jobs=1) -> list[VerificationReport]:
-    """Run the full verification sweep; results are sorted by identity and
-    parameters, so the output never depends on worker scheduling."""
+def run_sweep(max_g, max_g_even, max_m, max_a, max_n, jobs=1):
+    """Run the full verification sweep, yielding the reports in task order
+    (by identity and parameters) as they complete, so the output never
+    depends on worker scheduling.  Workers run at most two tasks each
+    ahead of the report being yielded, so at most that many finished
+    reports wait in memory, however large the ranges."""
     tasks = sweep_tasks(max_g, max_g_even, max_m, max_a, max_n)
     workers = worker_count(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_sweep_task, tasks, chunksize=4))
-    else:
-        reports = [run_sweep_task(t) for t in tasks]
-    reports.sort(key=_report_sort_key)
-    return reports
+    if workers == 1:
+        yield from map(run_sweep_task, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque()
+        try:
+            for task in tasks:
+                pending.append(pool.submit(run_sweep_task, task))
+                if len(pending) > 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +342,11 @@ def _reject(args, flag: str):
         raise CliUsageError(f"{flag} is not accepted by this command")
 
 
-def _cmd_diamond(args):
+def _emit(args, write, json_obj, text: str) -> None:
+    write(canonical_json(json_obj) if args.format == "json" else text + "\n")
+
+
+def _cmd_diamond(args, write) -> int:
     target = args.target
     g = _require(args, "--g")
     if target == "fano-odd":
@@ -341,10 +362,11 @@ def _cmd_diamond(args):
         _reject(args, "--k")
         _reject(args, "--n")
         dia = jacobian_diamond(g)
-    return 0, dia.to_json_obj(), dia.to_text()
+    _emit(args, write, dia.to_json_obj(), dia.to_text())
+    return 0
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, write) -> int:
     g = _require(args, "--g")
     target = args.target
     if target == "odd":
@@ -359,8 +381,8 @@ def _cmd_verify(args):
         report = verify_bgmn_crosscheck(g)
     else:
         report = verify_hochschild(g, _require(args, "--k"))
-    code = 0 if report.verified else 1
-    return code, report_to_json_obj(report), report_to_text(report)
+    _emit(args, write, report_to_json_obj(report), report_to_text(report))
+    return 0 if report.verified else 1
 
 
 def _check_suite_ranges(args) -> None:
@@ -371,46 +393,55 @@ def _check_suite_ranges(args) -> None:
         raise CliUsageError("--max-a must be even")
 
 
-def _cmd_identity(args):
+def _cmd_identity(args, write) -> int:
     _check_suite_ranges(args)
     if args.name == "gessel":
         report = gessel_suite_report(args.max_m, args.max_a)
     else:
         report = chu_vandermonde_suite_report(args.max_n)
-    code = 0 if report.verified else 1
-    return code, report_to_json_obj(report), report_to_text(report)
+    _emit(args, write, report_to_json_obj(report), report_to_text(report))
+    return 0 if report.verified else 1
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, write) -> int:
+    """Write each report as it completes, then the summary.  The JSON is
+    the canonical dump of {"reports": [...], "summary": {...}}, written
+    piece by piece: "reports" sorts before "summary", and each report is
+    its own canonical dump without the trailing newline."""
     for flag in ("max_g", "max_g_even"):
         if getattr(args, flag) < 2:
             raise CliUsageError(f"--{flag.replace('_', '-')} must be at least 2")
     if args.jobs < 1:
         raise CliUsageError("--jobs must be at least 1")
     _check_suite_ranges(args)
-    reports = run_sweep(
+    as_json = args.format == "json"
+    total = failed = errors = 0
+    if as_json:
+        write('{"reports":[')
+    for report in run_sweep(
         args.max_g, args.max_g_even, args.max_m, args.max_a, args.max_n, jobs=args.jobs
-    )
-    failed = [r for r in reports if not r.verified]
-    errors = [r for r in reports if r.status == ERROR]
-    for r in errors:
-        print(
-            f"twoquadrics: internal error: {r.identity} {_params_text(r)}: "
-            f"{r.observations['error']}",
-            file=sys.stderr,
-        )
-    payload = {
-        "reports": [report_to_json_obj(r) for r in reports],
-        "summary": {
-            "failed": len(failed),
-            "total": len(reports),
-            "verified": len(reports) - len(failed),
-        },
-    }
-    lines = [report_to_text(r) for r in reports]
-    lines.append(f"verified {len(reports) - len(failed)}/{len(reports)}")
-    code = 3 if errors else 1 if failed else 0
-    return code, payload, "\n".join(lines)
+    ):
+        if report.status == ERROR:
+            errors += 1
+            print(
+                f"twoquadrics: internal error: {report.identity} {_params_text(report)}: "
+                f"{report.observations['error']}",
+                file=sys.stderr,
+            )
+        if as_json:
+            if total:
+                write(",")
+            write(canonical_json(report_to_json_obj(report))[:-1])
+        else:
+            write(report_to_text(report) + "\n")
+        total += 1
+        failed += not report.verified
+    summary = {"failed": failed, "total": total, "verified": total - failed}
+    if as_json:
+        write('],"summary":' + canonical_json(summary)[:-1] + "}\n")
+    else:
+        write(f"verified {total - failed}/{total}\n")
+    return 3 if errors else 1 if failed else 0
 
 
 _DISPATCH = {
@@ -421,24 +452,49 @@ _DISPATCH = {
 }
 
 
-def _write_atomic(path: str, data: str) -> None:
-    """Write through a temporary file and rename it over `path`.  mkstemp
-    creates the file as 0600; it gets 0666 less the umask, the mode of an
-    ordinary new file, before the rename."""
+def _cannot_write(path: str, exc: OSError) -> OutputError:
+    return OutputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Yield the write function of a command's output: stdout, or a
+    temporary file made in the directory of `path` before any work is
+    done and renamed over `path` when the command returns.  A command
+    that raises leaves nothing at `path`.  mkstemp creates the file as
+    0600; it gets 0666 less the umask, the mode of an ordinary new file,
+    before the rename.  An OSError of the file becomes OutputError."""
+    if path is None:
+        yield sys.stdout.write
+        return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twoquadrics-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(data)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twoquadrics-", suffix=".tmp")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    handle = os.fdopen(fd, "w")
+
+    def write(text: str) -> None:
+        try:
+            handle.write(text)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
+
+    try:
+        yield write
+        try:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-        os.replace(tmp, path)
+            handle.close()
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
+            handle.close()
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -446,19 +502,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, json_obj, text = _DISPATCH[args.command](args)
-    except (CliUsageError, ValueError) as exc:
+        with _output(args.output) as write:
+            return _DISPATCH[args.command](args, write)
+    except (CliUsageError, ValueError, OutputError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, InexactDivisionError) as exc:
         print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
         return 3
-    rendered = canonical_json(json_obj) if args.format == "json" else text + "\n"
-    if args.output:
-        _write_atomic(args.output, rendered)
-    else:
-        sys.stdout.write(rendered)
-    return code
 
 
 def entrypoint() -> None:

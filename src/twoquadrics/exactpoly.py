@@ -341,7 +341,9 @@ def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
 
     Entry e is the coefficient of q^e; the empty tuple encodes 0.
     Computed division-free by the Pascal recurrence
-    [n, m]_q = [n-1, m-1]_q + q^m [n-1, m]_q.
+    [n, m]_q = [n-1, m-1]_q + q^m [n-1, m]_q: a copy of the first term,
+    padded to degree m(n-m), and one slice update adding the second,
+    which for n > m ends exactly at that degree.
     """
     if m < 0:
         return ()
@@ -353,11 +355,8 @@ def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
         return ()
     low = gauss_coefficients(n - 1, m - 1)
     high = gauss_coefficients(n - 1, m)
-    out = [0] * (m * (n - m) + 1)
-    for e, c in enumerate(low):
-        out[e] += c
-    for e, c in enumerate(high):
-        out[e + m] += c
+    out = list(low) + [0] * (m * (n - m) + 1 - len(low))
+    out[m:] = map(operator.add, out[m:], high)
     return tuple(out)
 
 

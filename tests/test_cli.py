@@ -1,6 +1,10 @@
 import json
 import os
+import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,7 @@ from twoquadrics import cli, fano_even, fano_odd
 from twoquadrics.exactpoly import InexactDivisionError, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
 from twoquadrics.hodge import ConsistencyError
-from twoquadrics.motivic import VERIFIED, VerificationReport
+from twoquadrics.motivic import VERIFIED, MotivicExpression, VerificationReport
 from twoquadrics.stacky import stacky_collection_length
 
 G4K1_TEXT_ROWS = [
@@ -39,6 +43,65 @@ G4K1_TEXT_ROWS = [
 def run(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports the package from
+    this checkout; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def report_sort_key(report):
+    """The former sort key of the collected sweep reports."""
+    return (report.identity, tuple(sorted(report.params.items())))
+
+
+def collected_sweep_tasks(max_g, max_g_even, max_m, max_a, max_n):
+    """The former sweep task list, in generation order."""
+    tasks = []
+    for g in range(2, max_g + 1):
+        tasks.append(("k0", g, 0))
+        tasks.append(("bgmn", g, 0))
+        for k in range(g - 1):
+            tasks.append(("decomposition", g, k))
+            tasks.append(("hochschild", g, k))
+    for g in range(2, max_g_even + 1):
+        for k in range(g - 1):
+            tasks.append(("stacky", g, k))
+    tasks.append(("gessel", max_m, max_a))
+    tasks.append(("chu", max_n, 0))
+    return tasks
+
+
+def collected_sweep_output(ranges, fmt):
+    """Oracle: the former sweep output, built from every report collected,
+    sorted and then serialized as one document, elapsed times zeroed."""
+    reports = [cli.run_sweep_task(t) for t in collected_sweep_tasks(*ranges)]
+    reports.sort(key=report_sort_key)
+    for report in reports:
+        report.elapsed_ms = 0
+    failed = sum(not r.verified for r in reports)
+    if fmt == "json":
+        return cli.canonical_json({
+            "reports": [cli.report_to_json_obj(r) for r in reports],
+            "summary": {"failed": failed, "total": len(reports), "verified": len(reports) - failed},
+        })
+    lines = [cli.report_to_text(r) for r in reports]
+    lines.append(f"verified {len(reports) - failed}/{len(reports)}")
+    return "\n".join(lines) + "\n"
+
+
+def zero_elapsed(out):
+    out = re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out)
+    return re.sub(r"\(\d+ ms\)", "(0 ms)", out)
 
 
 class TestDiamondCommand:
@@ -86,6 +149,26 @@ class TestVerifyCommand:
         assert obj["params"] == {"g": 4, "k": 1}
         assert obj["lhs"] == obj["rhs"]
         assert [entry[0] for entry in obj["effectivity"]] == [0, 1, 2]
+
+    def test_failed_odd_report_carries_both_sides(self, capsys, monkeypatch):
+        # q^6 + q^-6 in the j = 3 kernel of (g, k) = (3, 1): one more
+        # wedge^0 H^1(-0) and its Serre dual on the Fano side only
+        kernel = fano_odd.multiplicity_kernel
+
+        def planted(a, b):
+            return kernel(a, b) + LaurentPoly({6: 1, -6: 1}) if b == 3 else kernel(a, b)
+
+        fano_odd.fano_odd_blocks.cache_clear()
+        monkeypatch.setattr(fano_odd, "multiplicity_kernel", planted)
+        try:
+            code, out = run(capsys, ["verify", "odd", "--g", "3", "--k", "1", "--format", "json"])
+        finally:
+            fano_odd.fano_odd_blocks.cache_clear()
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["status"] == "failed"
+        assert obj["rhs"] == cli._payload(MotivicExpression.decomposition(3, 1).e_polynomial())
+        assert obj["lhs"] != obj["rhs"]
 
     def test_json_round_trip_is_byte_identical(self, capsys):
         _, out = run(
@@ -231,6 +314,25 @@ class TestSweepCommand:
         for report in (*serial_obj["reports"], *parallel_obj["reports"]):
             report["elapsed_ms"] = 0
         assert serial_obj == parallel_obj
+
+    RANGES = (4, 4, 4, 4, 5)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_streamed_output_matches_collected_document(self, capsys, fmt, jobs):
+        code, out = run(capsys, ["sweep", *self.ARGS, "--format", fmt, "--jobs", jobs])
+        assert code == 0
+        assert zero_elapsed(out) == collected_sweep_output(self.RANGES, fmt)
+
+    @pytest.mark.parametrize("ranges", [(4, 4, 4, 4, 5), (7, 2, 0, 0, 0), (2, 9, 3, 2, 1)])
+    def test_tasks_are_in_output_order(self, ranges):
+        keys = []
+        for kind, a, b in cli.sweep_tasks(*ranges):
+            identity, names, _ = cli.SWEEP_CHECKS[kind]
+            keys.append((identity, tuple(sorted(zip(names, (a, b))))))
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        assert sorted(cli.sweep_tasks(*ranges)) == sorted(collected_sweep_tasks(*ranges))
 
     def test_failure_forces_exit_code_one(self, capsys, monkeypatch):
         def broken(g, k):
@@ -378,3 +480,68 @@ class TestOutputFile:
         finally:
             os.umask(old)
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "odd", "--g", "4", "--k", "1"],
+        ["sweep", *TestSweepCommand.ARGS, "--format", "json"],
+    ], ids=["verify", "sweep"])
+    def test_unwritable_output_is_usage_error_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        def must_not_run(g, k):
+            pytest.fail("the check ran although the output cannot be written")
+
+        monkeypatch.setattr(cli, "verify_decomposition", must_not_run)
+        target = tmp_path / "missing" / "x.json"
+        assert cli.main([*argv, "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"twoquadrics: error: cannot write {target}: No such file or directory\n"
+        )
+
+    def test_error_mid_sweep_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        verify_hochschild = cli.verify_hochschild
+
+        def broken(g, k):
+            if (g, k) == (4, 1):
+                raise RuntimeError("planted failure")
+            return verify_hochschild(g, k)
+
+        monkeypatch.setattr(cli, "verify_hochschild", broken)
+        target = tmp_path / "sweep.json"
+        argv = ["sweep", *TestSweepCommand.ARGS, "--format", "json", "--output", str(target)]
+        with pytest.raises(RuntimeError, match="planted failure"):
+            cli.main(argv)
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
+
+class TestResources:
+    def test_parser_does_not_import_the_process_pool(self):
+        out = run_python(
+            "import sys; import twoquadrics.cli as cli; cli.build_parser(); "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        assert out == "[]\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_sweep_memory_is_set_by_the_largest_instance(self, tmp_path):
+        # the collected sweep peaked at 248 MB over these ranges.  The
+        # child reads its own high-water mark: the ru_maxrss of a child
+        # starts at the resident size of the parent that forked it
+        argv = [
+            "sweep", "--max-g", "24", "--max-g-even", "2", "--max-m", "0", "--max-a", "0",
+            "--max-n", "0", "--format", "json", "--output", str(tmp_path / "s.json"),
+        ]
+        out = run_python(
+            "import twoquadrics.cli as cli\n"
+            f"code = cli.main({argv!r})\n"
+            "status = open('/proc/self/status').read()\n"
+            "hwm = next(l for l in status.splitlines() if l.startswith('VmHWM:'))\n"
+            "print(code, hwm.split()[1])\n"
+        )
+        code, peak_kb = map(int, out.split())
+        assert code == 0
+        assert json.loads((tmp_path / "s.json").read_text())["summary"]["failed"] == 0
+        assert peak_kb < 64 * 1024

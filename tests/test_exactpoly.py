@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +41,26 @@ def product_formula_gauss(n, m):
             assert num[idx] + (quot[idx - l] if 0 <= idx - l <= deg else 0) == 0
         num = quot
     return num
+
+
+@functools.cache
+def gauss_by_entries(n, m):
+    """Oracle: the former Pascal step of gauss_coefficients, one Python
+    loop iteration per entry of each term."""
+    if m < 0:
+        return ()
+    if m == 0:
+        return (1,)
+    if n < m:
+        return ()
+    low = gauss_by_entries(n - 1, m - 1)
+    high = gauss_by_entries(n - 1, m)
+    out = [0] * (m * (n - m) + 1)
+    for e, c in enumerate(low):
+        out[e] += c
+    for e, c in enumerate(high):
+        out[e + m] += c
+    return tuple(out)
 
 
 laurent_polys = st.dictionaries(
@@ -109,6 +131,11 @@ class TestGaussBinomial:
         for n in range(41):
             for m in range(n + 1):
                 assert list(gauss_coefficients(n, m)) == product_formula_gauss(n, m)
+
+    def test_matches_per_entry_pascal_step_below_60(self):
+        for n in range(60):
+            for m in range(-1, n + 3):
+                assert gauss_coefficients(n, m) == gauss_by_entries(n, m), (n, m)
 
     def test_pascal_recurrence_up_to_40(self):
         q = LaurentPoly({1: 1})

@@ -3,9 +3,10 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
+from twoquadrics import fano_odd
 from twoquadrics.curves import sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
-from twoquadrics.fano_odd import OddFanoParams, fano_odd_diamond
+from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.motivic import (
     MotivicExpression,
     bgmn_multiplicity,
@@ -75,6 +76,12 @@ def motivic_expressions(draw):
     polys = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=4).map(LaurentPoly)
     terms = draw(st.dictionaries(st.integers(0, 2 * g + 3), polys, max_size=4))
     return MotivicExpression.from_terms(g, terms)
+
+
+@st.composite
+def fano_params(draw, max_g=16):
+    g = draw(st.integers(2, max_g))
+    return OddFanoParams(g, draw(st.integers(0, g - 2)))
 
 
 def admissible(max_g):
@@ -285,3 +292,50 @@ class TestBlockRoute:
         expected = e_polynomial_by_products(expr)
         assert expr.e_polynomial() == expected
         assert e_polynomial_by_diagonals(expr) == expected
+
+
+class TestSharedMeasure:
+    """verify_decomposition measures the sum side only when its block
+    vectors differ from the Fano side's."""
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_rhs_is_the_measured_sum_side(self, g):
+        for k in range(g - 1):
+            report = verify_decomposition(g, k)
+            assert report.rhs == MotivicExpression.decomposition(g, k).e_polynomial(), (g, k)
+
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        # (g, k) = (3, 1) has dimension 6; q^6 and q^-6 in the j = 3
+        # kernel add wedge^0 H^1(-0) and its Serre dual wedge^0 H^1(-6):
+        # a vector that passes every check of fano_odd_blocks but is not
+        # the sum side's
+        kernel = fano_odd.multiplicity_kernel
+
+        def plant(a, b):
+            return kernel(a, b) + LaurentPoly({6: 1, -6: 1}) if b == 3 else kernel(a, b)
+
+        fano_odd.fano_odd_blocks.cache_clear()
+        monkeypatch.setattr(fano_odd, "multiplicity_kernel", plant)
+        yield
+        fano_odd.fano_odd_blocks.cache_clear()
+
+    def test_different_vectors_measure_both_sides(self, planted):
+        report = verify_decomposition(3, 1)
+        assert report.status == "failed"
+        assert report.rhs is not report.lhs
+        assert report.rhs == MotivicExpression.decomposition(3, 1).e_polynomial()
+        assert report.lhs - report.rhs == BiPoly({(0, 0): 1, (6, 6): 1})
+
+    @given(fano_params())
+    def test_block_vectors_are_non_negative_and_serre_symmetric(self, params):
+        for v in fano_odd_blocks(params):
+            assert min(v) >= 0
+            assert v == v[::-1]
+
+    @given(fano_params())
+    def test_multiplicity_coefficients_sum_to_the_value_at_one(self, params):
+        g, k = params.g, params.k
+        for i in range(k + 2):
+            total = sum(c for _, c in multiplicity_polynomial(g, k, i).items())
+            assert total == multiplicity_at_one(g, k, i), (g, k, i)
