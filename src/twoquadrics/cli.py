@@ -94,6 +94,27 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def report_json(report: VerificationReport) -> str:
+    """canonical_json(report_to_json_obj(report)), with a side that is the
+    other side (a verified decomposition) encoded once and its text
+    spliced into both keys.
+
+    The report object's keys sort as effectivity, elapsed_ms, identity,
+    lhs, observations, params, rhs, status.  No value before "lhs" is an
+    object and the value after "rhs" is a string, whose quotes the dump
+    escapes, so the first '"lhs":null' and the last '"rhs":null' of the
+    dump with both sides nulled are those keys.
+    """
+    obj = report_to_json_obj(report)
+    if report.rhs is not report.lhs or obj["lhs"] is None:
+        return canonical_json(obj)
+    side = canonical_json(obj["lhs"])[:-1]
+    obj["lhs"] = obj["rhs"] = None
+    head, _, rest = canonical_json(obj).partition('"lhs":null')
+    middle, _, tail = rest.rpartition('"rhs":null')
+    return f'{head}"lhs":{side}{middle}"rhs":{side}{tail}'
+
+
 def _pretty_side(value) -> str:
     if value is None:
         return "-"
@@ -342,8 +363,8 @@ def _reject(args, flag: str):
         raise CliUsageError(f"{flag} is not accepted by this command")
 
 
-def _emit(args, write, json_obj, text: str) -> None:
-    write(canonical_json(json_obj) if args.format == "json" else text + "\n")
+def _emit_report(args, write, report: VerificationReport) -> None:
+    write(report_json(report) if args.format == "json" else report_to_text(report) + "\n")
 
 
 def _cmd_diamond(args, write) -> int:
@@ -362,7 +383,7 @@ def _cmd_diamond(args, write) -> int:
         _reject(args, "--k")
         _reject(args, "--n")
         dia = jacobian_diamond(g)
-    _emit(args, write, dia.to_json_obj(), dia.to_text())
+    write(canonical_json(dia.to_json_obj()) if args.format == "json" else dia.to_text() + "\n")
     return 0
 
 
@@ -381,7 +402,7 @@ def _cmd_verify(args, write) -> int:
         report = verify_bgmn_crosscheck(g)
     else:
         report = verify_hochschild(g, _require(args, "--k"))
-    _emit(args, write, report_to_json_obj(report), report_to_text(report))
+    _emit_report(args, write, report)
     return 0 if report.verified else 1
 
 
@@ -399,7 +420,7 @@ def _cmd_identity(args, write) -> int:
         report = gessel_suite_report(args.max_m, args.max_a)
     else:
         report = chu_vandermonde_suite_report(args.max_n)
-    _emit(args, write, report_to_json_obj(report), report_to_text(report))
+    _emit_report(args, write, report)
     return 0 if report.verified else 1
 
 
@@ -431,7 +452,7 @@ def _cmd_sweep(args, write) -> int:
         if as_json:
             if total:
                 write(",")
-            write(canonical_json(report_to_json_obj(report))[:-1])
+            write(report_json(report)[:-1])
         else:
             write(report_to_text(report) + "\n")
         total += 1

@@ -336,6 +336,14 @@ def binomial(n: int, m: int) -> int:
 
 
 @functools.cache
+def _pascal_diagonal(d: int) -> dict[int, tuple[int, ...]]:
+    """[m+d, m]_q by m, filled on demand by gauss_coefficients, seeded
+    with m = 0.  Entries are only ever added, each with its one value, so
+    concurrent fills cannot disagree."""
+    return {0: (1,)}
+
+
+@functools.cache
 def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
     """Dense coefficient tuple of the Gaussian binomial [n, m]_q.
 
@@ -343,7 +351,11 @@ def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
     Computed division-free by the Pascal recurrence
     [n, m]_q = [n-1, m-1]_q + q^m [n-1, m]_q: a copy of the first term,
     padded to degree m(n-m), and one slice update adding the second,
-    which for n > m ends exactly at that degree.
+    which for n > m ends exactly at that degree.  The table is filled
+    diagonal by diagonal (d = n-m), each up to m, so the first term is on
+    the diagonal being filled and the second on the one below; no
+    recursion deepens with n.  A fill reaches every diagonal below its
+    own, so it starts above the highest one that already reaches m.
     """
     if m < 0:
         return ()
@@ -353,11 +365,22 @@ def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"gauss_binomial({n}, {m}) with n < 0, m >= 1 is undefined here")
     if n < m:
         return ()
-    low = gauss_coefficients(n - 1, m - 1)
-    high = gauss_coefficients(n - 1, m)
-    out = list(low) + [0] * (m * (n - m) + 1 - len(low))
-    out[m:] = map(operator.add, out[m:], high)
-    return tuple(out)
+    diagonal = _pascal_diagonal(n - m)
+    if m not in diagonal:
+        start = n - m
+        while start and m not in _pascal_diagonal(start - 1):
+            start -= 1
+        # [i-1, i] = 0 below the diagonal d = 0
+        below = _pascal_diagonal(start - 1) if start else {}
+        for d in range(start, n - m + 1):
+            diagonal = _pascal_diagonal(d)
+            for i in range(len(diagonal), m + 1):
+                low = diagonal[i - 1]
+                out = list(low) + [0] * (i * d + 1 - len(low))
+                out[i:] = map(operator.add, out[i:], below.get(i, ()))
+                diagonal.setdefault(i, tuple(out))
+            below = diagonal
+    return diagonal[m]
 
 
 def gauss_binomial(n: int, m: int) -> LaurentPoly:

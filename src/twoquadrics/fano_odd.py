@@ -4,9 +4,10 @@ intersections of two quadrics (the hyperelliptic case).
 The cohomology in degree m is a direct sum of Tate twists of exterior
 powers of H^1 of the associated genus-g hyperelliptic curve; the number
 of copies is the coefficient of an explicit Laurent kernel, and the
-twist offset is forced by weight bookkeeping.  The block vector (copies
-of each wedge^r H^1(-t)) is the stored form; the dense diamond is
-derived from it on request.
+twist offset is forced by weight bookkeeping.  The kernels are built
+densely, each from its neighbour, and cached; the block vector (copies
+of each wedge^r H^1(-t)) is sliced from them, and the dense diamond is
+derived from the vector on request.
 """
 
 from __future__ import annotations
@@ -39,28 +40,61 @@ class OddFanoParams:
 
 
 @functools.cache
-def multiplicity_kernel(a: int, b: int) -> LaurentPoly:
-    """Laurent polynomial whose q^c coefficient is the summand count
-    multiplicity(a, b, c).
+def _kernel_chain(a: int) -> dict[int, tuple[int, ...]]:
+    """The dense kernels of kernel_coefficients for this a, by b; filled
+    on demand, seeded with K(a, a-1) = 1.  Entries are only ever added,
+    each with its one value, so concurrent fills cannot disagree."""
+    return {a - 1: (1,)}
 
-    Equals q^{-(b-a+1)(2a-1)} (1-q^{4b})
-    prod_{l=b-a+2}^{a+b-2} (1-q^{2l}) / prod_{l=1}^{2a-2} (1-q^{2l}).
-    Every factor is a polynomial in u = q^2, so the numerator is expanded
-    densely in u and each denominator factor is divided out as a running
-    sum whose dropped tail must vanish (InexactDivisionError otherwise).
+
+def _kernel_step(a: int, b: int, previous: tuple[int, ...]) -> tuple[int, ...]:
+    """K(a, b) from K(a, b-1): times (1-u^{2b})(1-u^{a+b-2}), divided by
+    (1-u^{2b-2})(1-u^{b-a+1}), each division checked for exactness."""
+    coeffs = list(previous)
+    mul_one_minus_power(coeffs, 2 * b)
+    mul_one_minus_power(coeffs, a + b - 2)
+    div_one_minus_power(coeffs, 2 * b - 2)
+    div_one_minus_power(coeffs, b - a + 1)
+    return tuple(coeffs)
+
+
+def kernel_coefficients(a: int, b: int) -> tuple[int, tuple[int, ...]]:
+    """The multiplicity kernel as (shift, coeffs): its q^{shift+2e}
+    coefficient is coeffs[e].
+
+    In u = q^2 the kernel is K(a, b) = (1-u^{2b})
+    prod_{l=b-a+2}^{a+b-2} (1-u^l) / prod_{l=1}^{2a-2} (1-u^l), with
+    shift -(b-a+1)(2a-1).  K(a, a-1) = 1, and the factors of K(a, b) and
+    K(a, b-1) differ by four, so
+    K(a, b-1) (1-u^{2b}) (1-u^{a+b-2}) = K(a, b) (1-u^{2b-2}) (1-u^{b-a+1}),
+    and the shift drops by 2a-1 per step.  Each kernel is made from its
+    neighbour by two multiplications and two divisions.  K(a, b) is a
+    power series in u that counts summands, so a polynomial; dividing the
+    left side by 1-u^{2b-2} therefore leaves the polynomial
+    K(a, b) (1-u^{b-a+1}), and dividing that by 1-u^{b-a+1} leaves
+    K(a, b): both divisions are exact, and each checks that its dropped
+    tail vanishes (InexactDivisionError otherwise).  The chain is walked
+    upwards from the highest cached b, with no recursion.
     """
     if a < 2:
         raise ValueError(f"a = {a}: need a >= 2")
     if b < a - 1:
         raise ValueError(f"b = {b}: need b >= a-1 = {a - 1}")
-    coeffs = [1]
-    mul_one_minus_power(coeffs, 2 * b)
-    for ell in range(b - a + 2, a + b - 1):
-        mul_one_minus_power(coeffs, ell)
-    for ell in range(1, 2 * a - 1):
-        div_one_minus_power(coeffs, ell)
-    shift = -(b - a + 1) * (2 * a - 1)
-    return LaurentPoly((2 * e + shift, c) for e, c in enumerate(coeffs) if c)
+    chain = _kernel_chain(a)
+    known = b
+    while known not in chain:
+        known -= 1
+    for step in range(known + 1, b + 1):
+        chain.setdefault(step, _kernel_step(a, step, chain[step - 1]))
+    return -(b - a + 1) * (2 * a - 1), chain[b]
+
+
+@functools.cache
+def multiplicity_kernel(a: int, b: int) -> LaurentPoly:
+    """Laurent polynomial whose q^c coefficient is the summand count
+    multiplicity(a, b, c): the view of kernel_coefficients(a, b)."""
+    shift, coeffs = kernel_coefficients(a, b)
+    return LaurentPoly._raw({2 * e + shift: c for e, c in enumerate(coeffs) if c})
 
 
 def multiplicity(a: int, b: int, c: int) -> int:
@@ -68,50 +102,69 @@ def multiplicity(a: int, b: int, c: int) -> int:
     return multiplicity_kernel(a, b).coefficient(c)
 
 
-def _odd_blocks(params: OddFanoParams):
-    """The blocks (g-j, t, mult) of fano_odd_blocks, one per kernel term,
-    checked for degree and parity."""
-    g, k = params.g, params.k
-    d = params.dimension
-    for j in range(g - k - 1, g + 1):
-        for c, mult in multiplicity_kernel(g - k, j).items():
-            m = d - c
-            if not 0 <= m <= 2 * d:
-                raise ConsistencyError(
-                    f"block (g, k, j) = ({g}, {k}, {j}): kernel term q^{c} lands in "
-                    f"degree {m}, outside 0..{2 * d}"
-                )
-            delta = m - (g - j)
-            if delta < 0 or delta % 2:
-                raise ConsistencyError(
-                    f"block (g, k, j, m) = ({g}, {k}, {j}, {m}): twist offset "
-                    f"{delta}/2 is not a non-negative integer"
-                )
-            yield g - j, delta // 2, mult
+def _check_kernel_term(g: int, k: int, j: int, d: int, c: int) -> None:
+    """Raise ConsistencyError unless the kernel term q^c of j puts its
+    block in a degree m = d - c of 0..2d, at a twist t = (m-r)/2 that is a
+    non-negative integer, and inside the dimension (t + r <= d)."""
+    m = d - c
+    if not 0 <= m <= 2 * d:
+        raise ConsistencyError(
+            f"block (g, k, j) = ({g}, {k}, {j}): kernel term q^{c} lands in "
+            f"degree {m}, outside 0..{2 * d}"
+        )
+    r = g - j
+    delta = m - r
+    if delta < 0 or delta % 2:
+        raise ConsistencyError(
+            f"block (g, k, j, m) = ({g}, {k}, {j}, {m}): twist offset "
+            f"{delta}/2 is not a non-negative integer"
+        )
+    t = delta // 2
+    if t + r > d:
+        raise ConsistencyError(
+            f"block (r, t) = ({r}, {t}) of (g, k) = ({g}, {k}) does not fit in dimension {d}"
+        )
 
 
-@functools.cache
 def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, ...], ...]:
     """Block vector of the k-plane Fano scheme in the hyperelliptic case:
     entry r = 0..k+1 is the dense tuple, over t = 0..d-r, of the number of
     copies of wedge^r H^1(C)(-t) in its cohomology.
 
-    For each j = g-k-1..g and each term mult * q^c of
-    multiplicity_kernel(g-k, j), the block wedge^{g-j} H^1(C) enters
-    degree m = d-c with mult copies, Tate-twisted by t = (m-(g-j))/2.
-    The vector is checked as stored: every block fits in dimension d,
-    every entry is non-negative, and v_r[t] == v_r[d-r-t] (Serre
+    For each j = g-k-1..g and each term mult * q^c of the kernel
+    (g-k, j), the block wedge^r H^1(C), r = g-j, enters degree m = d-c
+    with mult copies, Tate-twisted by t = (m-r)/2.  So v_r is the dense
+    kernel reversed: coeffs[e] (the term q^{shift+2e}) lands at
+    t = (d-shift-r)/2 - e.  The parity of that offset is checked once
+    per kernel, degree and fit on its nonzero ends (a failure names the
+    first offending term, lowest c first).  The vector is checked as
+    returned: every entry is non-negative, and v_r[t] == v_r[d-r-t] (Serre
     duality).  A failure raises ConsistencyError.
     """
     g, k = params.g, params.k
     d = params.dimension
-    vectors = [[0] * (d - r + 1) for r in range(k + 2)]
-    for r, t, mult in _odd_blocks(params):
-        if t + r > d:
-            raise ConsistencyError(
-                f"block (r, t) = ({r}, {t}) of (g, k) = ({g}, {k}) does not fit in dimension {d}"
-            )
-        vectors[r][t] += mult
+    vectors = [()] * (k + 2)
+    for j in range(g - k - 1, g + 1):
+        r = g - j
+        shift, coeffs = kernel_coefficients(g - k, j)
+        lo, hi = 0, len(coeffs) - 1
+        while lo <= hi and not coeffs[lo]:
+            lo += 1
+        while hi > lo and not coeffs[hi]:
+            hi -= 1
+        if lo > hi:
+            vectors[r] = (0,) * (d - r + 1)
+            continue
+        # every term fits exactly when the offset is even and the ends
+        # satisfy r-d <= c <= d-r; otherwise the term scan below raises
+        if (d - shift - r) % 2 or shift + 2 * lo < r - d or shift + 2 * hi > d - r:
+            for e in range(lo, hi + 1):
+                if coeffs[e]:
+                    _check_kernel_term(g, k, j, d, shift + 2 * e)
+        offset = (d - shift - r) // 2
+        vectors[r] = (
+            (0,) * (offset - hi) + coeffs[lo:hi + 1][::-1] + (0,) * (d - r - offset + lo)
+        )
     for r, v in enumerate(vectors):
         if min(v) < 0:
             raise ConsistencyError(
@@ -123,7 +176,7 @@ def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, ...], ...]:
                 f"Serre duality fails: wedge^{r} H^1(-{t}) has multiplicity {v[t]} "
                 f"but wedge^{r} H^1(-{d - r - t}) has {v[-1 - t]}"
             )
-    return tuple(map(tuple, vectors))
+    return tuple(vectors)
 
 
 @functools.cache

@@ -1,0 +1,51 @@
+"""Fixtures that corrupt the multiplicity kernels on purpose, shared by
+the tests of the odd block vector, the decomposition report and the CLI."""
+
+import pytest
+
+from twoquadrics import fano_odd
+from twoquadrics.exactpoly import LaurentPoly
+
+
+def dense_plus(kernel, extra):
+    """The dense kernel (shift, coeffs) plus the Laurent terms `extra`
+    (exponent -> coefficient, all of the kernel's parity), again as a
+    dense kernel with nonzero ends."""
+    shift, coeffs = kernel
+    total = LaurentPoly({shift + 2 * e: c for e, c in enumerate(coeffs)}) + LaurentPoly(extra)
+    low = total.valuation()
+    assert all((e - low) % 2 == 0 for e, _ in total.items()), "extra terms of the wrong parity"
+    return low, tuple(total.coefficient(c) for c in range(low, total.degree() + 1, 2))
+
+
+def _clear_odd_caches():
+    fano_odd._kernel_chain.cache_clear()
+    fano_odd.multiplicity_kernel.cache_clear()
+    fano_odd.fano_odd_diamond.cache_clear()
+
+
+@pytest.fixture
+def fresh_odd_caches():
+    """Empty the kernel chain and the odd caches around a test that
+    corrupts a kernel, so no corrupted value outlives it."""
+    _clear_odd_caches()
+    yield
+    _clear_odd_caches()
+
+
+@pytest.fixture
+def plant_kernel(monkeypatch, fresh_odd_caches):
+    """install(j, extra) adds the Laurent terms `extra` to the dense
+    kernel of j = b, as fano_odd_blocks reads it through
+    fano_odd.kernel_coefficients.  The chain steps each kernel from the
+    cached one before it, not through that seam, so the plant corrupts
+    only the block of j."""
+    kernel = fano_odd.kernel_coefficients
+
+    def install(j, extra):
+        def planted(a, b):
+            return dense_plus(kernel(a, b), extra) if b == j else kernel(a, b)
+
+        monkeypatch.setattr(fano_odd, "kernel_coefficients", planted)
+
+    return install

@@ -9,10 +9,15 @@ from pathlib import Path
 import pytest
 
 from twoquadrics import cli, fano_even, fano_odd
-from twoquadrics.exactpoly import InexactDivisionError, LaurentPoly
+from twoquadrics.exactpoly import InexactDivisionError
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
 from twoquadrics.hodge import ConsistencyError
-from twoquadrics.motivic import VERIFIED, MotivicExpression, VerificationReport
+from twoquadrics.motivic import (
+    VERIFIED,
+    MotivicExpression,
+    VerificationReport,
+    verify_decomposition,
+)
 from twoquadrics.stacky import stacky_collection_length
 
 G4K1_TEXT_ROWS = [
@@ -150,20 +155,11 @@ class TestVerifyCommand:
         assert obj["lhs"] == obj["rhs"]
         assert [entry[0] for entry in obj["effectivity"]] == [0, 1, 2]
 
-    def test_failed_odd_report_carries_both_sides(self, capsys, monkeypatch):
+    def test_failed_odd_report_carries_both_sides(self, capsys, plant_kernel):
         # q^6 + q^-6 in the j = 3 kernel of (g, k) = (3, 1): one more
         # wedge^0 H^1(-0) and its Serre dual on the Fano side only
-        kernel = fano_odd.multiplicity_kernel
-
-        def planted(a, b):
-            return kernel(a, b) + LaurentPoly({6: 1, -6: 1}) if b == 3 else kernel(a, b)
-
-        fano_odd.fano_odd_blocks.cache_clear()
-        monkeypatch.setattr(fano_odd, "multiplicity_kernel", planted)
-        try:
-            code, out = run(capsys, ["verify", "odd", "--g", "3", "--k", "1", "--format", "json"])
-        finally:
-            fano_odd.fano_odd_blocks.cache_clear()
+        plant_kernel(3, {6: 1, -6: 1})
+        code, out = run(capsys, ["verify", "odd", "--g", "3", "--k", "1", "--format", "json"])
         assert code == 1
         obj = json.loads(out)
         assert obj["status"] == "failed"
@@ -175,6 +171,25 @@ class TestVerifyCommand:
             capsys, ["verify", "odd", "--g", "3", "--k", "1", "--format", "json"]
         )
         assert cli.canonical_json(json.loads(out)) == out
+
+    @pytest.mark.parametrize("g,k", [(2, 0), (4, 1), (7, 3), (9, 7)])
+    def test_spliced_shared_side_is_the_canonical_dump(self, g, k):
+        report = verify_decomposition(g, k)
+        assert report.verified and report.rhs is report.lhs
+        assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
+
+    def test_failed_report_is_the_canonical_dump(self, plant_kernel):
+        plant_kernel(3, {6: 1, -6: 1})
+        report = verify_decomposition(3, 1)
+        assert report.status == "failed" and report.rhs is not report.lhs
+        assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
+
+    def test_bgmn_past_the_recursion_limit(self, capsys):
+        # the Gaussian binomials of g = 600 reach m = 599, too deep for a
+        # Pascal fill that recursed once per m under the default limit
+        code, out = run(capsys, ["verify", "bgmn", "--g", "600", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["status"] == "verified"
 
     @pytest.mark.parametrize(
         "argv",
@@ -431,31 +446,29 @@ class TestInternalErrors:
             "twoquadrics: internal error: Serre duality fails: h^{0,0} = 1 but h^{4,4} = 2\n"
         )
 
-    @pytest.fixture
-    def fresh_odd_diamonds(self):
-        fano_odd.fano_odd_blocks.cache_clear()
-        fano_odd.fano_odd_diamond.cache_clear()
-        yield
-        fano_odd.fano_odd_blocks.cache_clear()
-        fano_odd.fano_odd_diamond.cache_clear()
-
-    def test_unbalanced_odd_diamond_is_internal(self, capsys, monkeypatch, fresh_odd_diamonds):
+    def test_unbalanced_odd_diamond_is_internal(self, capsys, plant_kernel):
         # (g, k) = (3, 1) has dimension 6; an extra q^6 in the j = g kernel
         # is one more block (r, t) = (0, 0): right degree and parity, but
         # two copies of wedge^0 H^1(-0) against one of its Serre dual
         # wedge^0 H^1(-6)
-        kernel = fano_odd.multiplicity_kernel
-
-        def planted(a, b):
-            return kernel(a, b) + LaurentPoly.term(1, 6) if b == 3 else kernel(a, b)
-
-        monkeypatch.setattr(fano_odd, "multiplicity_kernel", planted)
+        plant_kernel(3, {6: 1})
         assert cli.main(["diamond", "fano-odd", "--g", "3", "--k", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "twoquadrics: internal error: Serre duality fails: wedge^0 H^1(-0) has "
             "multiplicity 2 but wedge^0 H^1(-6) has 1\n"
+        )
+
+    def test_inexact_kernel_step_is_internal(self, capsys, fresh_odd_caches):
+        # K(3, 3) replaced by 1 in the chain: the step to K(3, 4), which
+        # verify odd --g 4 --k 1 reads, divides (1-u^8)(1-u^5) by 1-u^6
+        fano_odd._kernel_chain(3)[3] = (1,)
+        assert cli.main(["verify", "odd", "--g", "4", "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "twoquadrics: internal error: polynomial division by 1 - q^6 is not exact\n"
         )
 
 

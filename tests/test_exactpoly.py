@@ -7,6 +7,7 @@ from twoquadrics.exactpoly import (
     BiPoly,
     InexactDivisionError,
     LaurentPoly,
+    _pascal_diagonal,
     binomial,
     eval_at_one,
     exact_divide,
@@ -136,6 +137,22 @@ class TestGaussBinomial:
         for n in range(60):
             for m in range(-1, n + 3):
                 assert gauss_coefficients(n, m) == gauss_by_entries(n, m), (n, m)
+
+    @pytest.fixture
+    def fresh_gauss_caches(self):
+        """Drop the large tables a deep test builds once it is done."""
+        yield
+        gauss_coefficients.cache_clear()
+        _pascal_diagonal.cache_clear()
+        gauss_by_entries.cache_clear()
+
+    def test_deep_table_matches_per_entry_pascal_step(self, fresh_gauss_caches):
+        # [1100, 3] needs 1098 diagonals; the oracle is filled row by row
+        # so that its own recursion stays one call deep
+        for n in range(1101):
+            for m in range(4):
+                gauss_by_entries(n, m)
+        assert gauss_coefficients(1100, 3) == gauss_by_entries(1100, 3)
 
     def test_pascal_recurrence_up_to_40(self):
         q = LaurentPoly({1: 1})

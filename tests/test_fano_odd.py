@@ -16,6 +16,7 @@ from twoquadrics.fano_odd import (
     OddFanoParams,
     fano_odd_blocks,
     fano_odd_diamond,
+    kernel_coefficients,
     multiplicity,
     multiplicity_kernel,
 )
@@ -31,18 +32,21 @@ G4K1_NONZERO = {
 }
 
 
-@pytest.fixture
-def fresh_odd_caches():
-    """Empty the odd caches around a test that plants a kernel."""
-    fano_odd.fano_odd_blocks.cache_clear()
-    fano_odd.fano_odd_diamond.cache_clear()
-    yield
-    fano_odd.fano_odd_blocks.cache_clear()
-    fano_odd.fano_odd_diamond.cache_clear()
-
-
 def in_contract_pairs():
     return [(a, b) for a in range(2, 9) for b in range(a - 1, 11)]
+
+
+def kernel_by_products(a, b):
+    """Oracle: the former route, the numerator expanded densely in u = q^2
+    over all its factors and every denominator factor divided out."""
+    coeffs = [1]
+    mul_one_minus_power(coeffs, 2 * b)
+    for ell in range(b - a + 2, a + b - 1):
+        mul_one_minus_power(coeffs, ell)
+    for ell in range(1, 2 * a - 1):
+        div_one_minus_power(coeffs, ell)
+    shift = -(b - a + 1) * (2 * a - 1)
+    return LaurentPoly((2 * e + shift, c) for e, c in enumerate(coeffs) if c)
 
 
 def kernel_by_division(a, b):
@@ -54,6 +58,54 @@ def kernel_by_division(a, b):
     for ell in range(1, 2 * a - 1):
         den = den * LaurentPoly({0: 1, 2 * ell: -1})
     return exact_divide(num, den).shift(-(b - a + 1) * (2 * a - 1))
+
+
+def _odd_blocks(params: OddFanoParams):
+    """The blocks (g-j, t, mult) of blocks_by_kernel_terms, one per kernel
+    term, checked for degree and parity."""
+    g, k = params.g, params.k
+    d = params.dimension
+    for j in range(g - k - 1, g + 1):
+        for c, mult in multiplicity_kernel(g - k, j).items():
+            m = d - c
+            if not 0 <= m <= 2 * d:
+                raise ConsistencyError(
+                    f"block (g, k, j) = ({g}, {k}, {j}): kernel term q^{c} lands in "
+                    f"degree {m}, outside 0..{2 * d}"
+                )
+            delta = m - (g - j)
+            if delta < 0 or delta % 2:
+                raise ConsistencyError(
+                    f"block (g, k, j, m) = ({g}, {k}, {j}, {m}): twist offset "
+                    f"{delta}/2 is not a non-negative integer"
+                )
+            yield g - j, delta // 2, mult
+
+
+def blocks_by_kernel_terms(params: OddFanoParams) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the former block vector, each term of the sparse kernel
+    yielded by _odd_blocks and scattered into a dense vector."""
+    g, k = params.g, params.k
+    d = params.dimension
+    vectors = [[0] * (d - r + 1) for r in range(k + 2)]
+    for r, t, mult in _odd_blocks(params):
+        if t + r > d:
+            raise ConsistencyError(
+                f"block (r, t) = ({r}, {t}) of (g, k) = ({g}, {k}) does not fit in dimension {d}"
+            )
+        vectors[r][t] += mult
+    for r, v in enumerate(vectors):
+        if min(v) < 0:
+            raise ConsistencyError(
+                f"negative multiplicity of wedge^{r} H^1 for (g, k) = ({g}, {k})"
+            )
+        if v != v[::-1]:
+            t = next(t for t in range(len(v)) if v[t] != v[-1 - t])
+            raise ConsistencyError(
+                f"Serre duality fails: wedge^{r} H^1(-{t}) has multiplicity {v[t]} "
+                f"but wedge^{r} H^1(-{d - r - t}) has {v[-1 - t]}"
+            )
+    return tuple(map(tuple, vectors))
 
 
 def diamond_by_degree_scan(g, k):
@@ -132,10 +184,23 @@ class TestKernelOracle:
     def test_matches_division_route(self, a):
         for b in range(a - 1, 30):
             assert multiplicity_kernel(a, b) == kernel_by_division(a, b), (a, b)
+            assert multiplicity_kernel(a, b) == kernel_by_products(a, b), (a, b)
 
     @pytest.mark.parametrize("a,b", [(19, 34), (21, 39)])
     def test_matches_division_route_deep(self, a, b):
         assert multiplicity_kernel(a, b) == kernel_by_division(a, b)
+        assert multiplicity_kernel(a, b) == kernel_by_products(a, b)
+
+    def test_cold_chain_has_no_deep_recursion(self, fresh_odd_caches):
+        # the chain of a = 2 is walked from b = 1 to 1200 in one call
+        assert multiplicity_kernel(2, 1200) == kernel_by_products(2, 1200)
+
+    def test_corrupted_predecessor_makes_a_step_inexact(self, fresh_odd_caches):
+        # K(3, 3) replaced by 1: the step to b = 4 multiplies by
+        # (1-u^8)(1-u^5), which 1-u^6 does not divide
+        fano_odd._kernel_chain(3)[3] = (1,)
+        with pytest.raises(InexactDivisionError, match=r"1 - q\^6 is not exact"):
+            kernel_coefficients(3, 4)
 
     def test_dropped_tail_rejects_inexact_division(self):
         # (1 + q) / (1 - q^2): the running sum leaves 1 + q in the tail
@@ -186,7 +251,7 @@ class TestFanoOddDiamond:
         self, monkeypatch, fresh_odd_caches
     ):
         # (g, k) = (3, 0) has d = 5; q^{-7} would land in degree m = 12 > 2d
-        monkeypatch.setattr(fano_odd, "multiplicity_kernel", lambda a, b: LaurentPoly({-7: 1}))
+        monkeypatch.setattr(fano_odd, "kernel_coefficients", lambda a, b: (-7, (1,)))
         with pytest.raises(ConsistencyError, match="outside 0..10"):
             fano_odd_diamond.__wrapped__(OddFanoParams(3, 0))
 
@@ -200,6 +265,17 @@ class TestFanoOddDiamond:
             for r, v in enumerate(blocks):
                 kernel_terms = (multiplicity(g - k, g - r, d - r - 2 * t) for t in range(d - r + 1))
                 assert v == tuple(kernel_terms), (g, k, r)
+
+    @pytest.mark.parametrize("g", range(2, 15))
+    def test_blocks_match_kernel_term_scatter(self, g):
+        for k in range(g - 1):
+            params = OddFanoParams(g, k)
+            assert fano_odd_blocks(params) == blocks_by_kernel_terms(params), k
+
+    @pytest.mark.parametrize("g,k", [(30, 14), (34, 16), (40, 19)])
+    def test_blocks_match_kernel_term_scatter_deep(self, g, k):
+        params = OddFanoParams(g, k)
+        assert fano_odd_blocks(params) == blocks_by_kernel_terms(params)
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_valid_structure_all_k(self, g):
@@ -229,16 +305,8 @@ class TestBlockVectorGuards:
     PARAMS = OddFanoParams(3, 1)  # dimension 6; r = 3 - j for j = 1..3
 
     @pytest.fixture
-    def plant(self, monkeypatch, fresh_odd_caches):
-        kernel = fano_odd.multiplicity_kernel
-
-        def install(j, extra):
-            def planted(a, b):
-                return kernel(a, b) + LaurentPoly(extra) if b == j else kernel(a, b)
-
-            monkeypatch.setattr(fano_odd, "multiplicity_kernel", planted)
-
-        return install
+    def plant(self, plant_kernel):
+        return plant_kernel
 
     def test_negative_entry_is_inconsistent(self, plant):
         # -5 copies each of wedge^0 H^1(-0) and its Serre dual wedge^0 H^1(-6)
@@ -265,10 +333,44 @@ class TestBlockVectorGuards:
         ):
             fano_odd_blocks(self.PARAMS)
 
+    @pytest.mark.parametrize(
+        "j,kernel",
+        [
+            (3, (-5, (1,))),  # r = 0: odd twist offset
+            (1, (6, (1,))),  # r = 2: degree 0 < r, negative twist offset
+            (3, (8, (1,))),  # degree -2
+            (2, (-3, (1, 0, 0, 0, 1, 1))),  # q^-3 and q^5 fit, q^7 is in degree -1
+            (1, (-6, (1, 0, 0, 0, 0, 0, 0, 1))),  # q^-6 does not fit, q^8 is in degree -2
+        ],
+    )
+    def test_first_offending_term_is_named_as_by_the_term_scan(
+        self, monkeypatch, fresh_odd_caches, j, kernel
+    ):
+        original = fano_odd.kernel_coefficients
+        monkeypatch.setattr(
+            fano_odd, "kernel_coefficients", lambda a, b: kernel if b == j else original(a, b)
+        )
+        with pytest.raises(ConsistencyError) as by_terms:
+            blocks_by_kernel_terms(self.PARAMS)
+        with pytest.raises(ConsistencyError) as by_slices:
+            fano_odd_blocks(self.PARAMS)
+        assert str(by_slices.value) == str(by_terms.value)
+
+    def test_zero_ends_are_trimmed(self, monkeypatch, fresh_odd_caches):
+        expected = fano_odd_blocks(self.PARAMS)
+        original = fano_odd.kernel_coefficients
+
+        def padded(a, b):
+            shift, coeffs = original(a, b)
+            return shift - 2, (0, *coeffs, 0, 0)
+
+        monkeypatch.setattr(fano_odd, "kernel_coefficients", padded)
+        assert fano_odd_blocks(self.PARAMS) == expected
+
     def test_cache_holds_no_corrupted_vector(self, plant, monkeypatch):
-        kernel = fano_odd.multiplicity_kernel
+        kernel = fano_odd.kernel_coefficients
         plant(1, {-6: 1})
         with pytest.raises(ConsistencyError):
             fano_odd_diamond(self.PARAMS)
-        monkeypatch.setattr(fano_odd, "multiplicity_kernel", kernel)
+        monkeypatch.setattr(fano_odd, "kernel_coefficients", kernel)
         assert fano_odd_diamond(self.PARAMS) == diamond_by_degree_scan(3, 1)

@@ -3,7 +3,6 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
-from twoquadrics import fano_odd
 from twoquadrics.curves import sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
@@ -305,20 +304,12 @@ class TestSharedMeasure:
             assert report.rhs == MotivicExpression.decomposition(g, k).e_polynomial(), (g, k)
 
     @pytest.fixture
-    def planted(self, monkeypatch):
+    def planted(self, plant_kernel):
         # (g, k) = (3, 1) has dimension 6; q^6 and q^-6 in the j = 3
         # kernel add wedge^0 H^1(-0) and its Serre dual wedge^0 H^1(-6):
         # a vector that passes every check of fano_odd_blocks but is not
         # the sum side's
-        kernel = fano_odd.multiplicity_kernel
-
-        def plant(a, b):
-            return kernel(a, b) + LaurentPoly({6: 1, -6: 1}) if b == 3 else kernel(a, b)
-
-        fano_odd.fano_odd_blocks.cache_clear()
-        monkeypatch.setattr(fano_odd, "multiplicity_kernel", plant)
-        yield
-        fano_odd.fano_odd_blocks.cache_clear()
+        plant_kernel(3, {6: 1, -6: 1})
 
     def test_different_vectors_measure_both_sides(self, planted):
         report = verify_decomposition(3, 1)
