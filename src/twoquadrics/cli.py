@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -72,19 +73,41 @@ def _payload(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def report_to_json_obj(report: VerificationReport) -> dict:
-    lhs = _payload(report.lhs)
+def _side_json(value) -> str:
+    """canonical_json(_payload(value)) without the newline, written
+    directly as text: the payload holds only ints, decimal strings and
+    nested arrays, whose canonical forms need no escaping."""
+    if value is None:
+        return "null"
+    if isinstance(value, LaurentPoly):
+        return "[" + ",".join([f'[{e},"{c}"]' for e, c in value.items()]) + "]"
+    if isinstance(value, BiPoly):
+        return "[" + ",".join([f'[{p},{q},"{c}"]' for (p, q), c in value.items()]) + "]"
+    if isinstance(value, int):
+        return f'"{value}"'
+    if isinstance(value, (tuple, list)):
+        return "[" + ",".join([f"[{i},{_side_json(p)}]" for i, p in value]) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _report_obj(report: VerificationReport, lhs, rhs) -> dict:
     return {
         "identity": report.identity,
         "params": {k: report.params[k] for k in sorted(report.params)},
         "status": report.status,
         "lhs": lhs,
-        # a side that is the other side (a verified decomposition) is expanded once
-        "rhs": lhs if report.rhs is report.lhs else _payload(report.rhs),
+        "rhs": rhs,
         "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
         "observations": {k: report.observations[k] for k in sorted(report.observations)},
         "elapsed_ms": report.elapsed_ms,
     }
+
+
+def report_to_json_obj(report: VerificationReport) -> dict:
+    """The report as a JSON object; report_json writes its canonical dump."""
+    lhs = _payload(report.lhs)
+    # a side that is the other side (a verified decomposition) is expanded once
+    return _report_obj(report, lhs, lhs if report.rhs is report.lhs else _payload(report.rhs))
 
 
 def canonical_json(obj) -> str:
@@ -95,24 +118,22 @@ def canonical_json(obj) -> str:
 
 
 def report_json(report: VerificationReport) -> str:
-    """canonical_json(report_to_json_obj(report)), with a side that is the
-    other side (a verified decomposition) encoded once and its text
-    spliced into both keys.
+    """canonical_json(report_to_json_obj(report)), with each side written
+    as text by _side_json and spliced into the dump of the report with
+    both sides null; a side that is the other side (a verified
+    decomposition) is written once.
 
     The report object's keys sort as effectivity, elapsed_ms, identity,
     lhs, observations, params, rhs, status.  No value before "lhs" is an
     object and the value after "rhs" is a string, whose quotes the dump
     escapes, so the first '"lhs":null' and the last '"rhs":null' of the
-    dump with both sides nulled are those keys.
+    skeleton are those keys.
     """
-    obj = report_to_json_obj(report)
-    if report.rhs is not report.lhs or obj["lhs"] is None:
-        return canonical_json(obj)
-    side = canonical_json(obj["lhs"])[:-1]
-    obj["lhs"] = obj["rhs"] = None
-    head, _, rest = canonical_json(obj).partition('"lhs":null')
+    lhs = _side_json(report.lhs)
+    rhs = lhs if report.rhs is report.lhs else _side_json(report.rhs)
+    head, _, rest = canonical_json(_report_obj(report, None, None)).partition('"lhs":null')
     middle, _, tail = rest.rpartition('"rhs":null')
-    return f'{head}"lhs":{side}{middle}"rhs":{side}{tail}'
+    return f'{head}"lhs":{lhs}{middle}"rhs":{rhs}{tail}'
 
 
 def _pretty_side(value) -> str:
@@ -484,10 +505,14 @@ def _output(path):
     done and renamed over `path` when the command returns.  A command
     that raises leaves nothing at `path`.  mkstemp creates the file as
     0600; it gets 0666 less the umask, the mode of an ordinary new file,
-    before the rename.  An OSError of the file becomes OutputError."""
+    before the rename.  An OSError of the file becomes OutputError, and
+    a `path` that is a directory is refused at once, not after the work
+    at the rename."""
     if path is None:
         yield sys.stdout.write
         return
+    if os.path.isdir(path):
+        raise OutputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twoquadrics-", suffix=".tmp")

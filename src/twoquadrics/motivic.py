@@ -41,9 +41,24 @@ def _check_gki(g: int, k: int, i: int) -> None:
         raise ValueError(f"i = {i}: need 0 <= i <= k+1 = {k + 1}")
 
 
-def multiplicity_polynomial(g: int, k: int, i: int) -> LaurentPoly:
+def _nonzero_ends(coeffs) -> tuple[int, int]:
+    """(lo, hi) such that coeffs[lo:hi] runs from the first nonzero
+    coefficient to the last, found by scanning in from both ends; (0, 0)
+    when every coefficient is zero."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    return lo, hi
+
+
+def multiplicity_coefficients(g: int, k: int, i: int) -> tuple[int, list[int]]:
     """Multiplicity polynomial of [Sym^i C] in the class decomposition of
-    the k-plane Fano scheme, as an exact polynomial in L.
+    the k-plane Fano scheme, as a dense (base, coeffs): the polynomial
+    sum_e coeffs[e] L^{base+e}, with nonzero ends (no coefficients for
+    the zero polynomial).
 
     L^{i(g-k-1)} times a five-term bracket of Gaussian binomials in L;
     the bracket is accumulated densely, one slice update per shifted
@@ -76,8 +91,16 @@ def multiplicity_polynomial(g: int, k: int, i: int) -> LaurentPoly:
             if end > len(acc):
                 acc.extend([0] * (end - len(acc)))
             acc[s:end] = map(combine, acc[s:end], coeffs)
-    base = i * (g - k - 1)
-    return LaurentPoly._raw({e + base: c for e, c in enumerate(acc) if c})
+    lo, hi = _nonzero_ends(acc)
+    return i * (g - k - 1) + lo, acc[lo:hi]
+
+
+def multiplicity_polynomial(g: int, k: int, i: int) -> LaurentPoly:
+    """Multiplicity polynomial of [Sym^i C] in the class decomposition of
+    the k-plane Fano scheme, as an exact polynomial in L: the LaurentPoly
+    view of multiplicity_coefficients."""
+    base, coeffs = multiplicity_coefficients(g, k, i)
+    return LaurentPoly._raw({base + e: c for e, c in enumerate(coeffs) if c})
 
 
 def multiplicity_at_one(g: int, k: int, i: int) -> int:
@@ -103,6 +126,41 @@ def bgmn_multiplicity(g: int, i: int) -> LaurentPoly:
     return LaurentPoly.power_sum((i, 3 * g - 3 - 2 * i))
 
 
+def macdonald_vectors(g: int, terms) -> list[tuple[int, int, list[int]]]:
+    """The sum over (i, low, coeffs) in `terms` (distinct i >= 0) of
+    P_i [Sym^i C], P_i = sum_e coeffs[e] L^{low+e}, C of genus g, as
+    blocks of the curve: (r, low, coeffs) stands for
+    sum_e coeffs[e] wedge^r H^1 L^{low+e}, for r = top index down to 0,
+    r <= 2g.
+
+    By Macdonald, [Sym^i C] is the sum over r <= min(i, 2g) of
+    wedge^r H^1 (1 + L + ... + L^{i-r}), so the sum is
+    sum_r wedge^r H^1 Q_r with Q_r = sum_{i >= r} P_i (1 + ... + L^{i-r}).
+    Q_r = T_r + L Q_{r+1}, where T_r = sum_{i >= r} P_i, so each r
+    costs two dense vector updates, P_r entering T_r as one slice update.
+    Every vector runs from the lowest exponent of any P_i to the highest
+    of any P_i L^i.
+    """
+    if not terms:
+        return []
+    low = min(start for _, start, _ in terms)
+    size = max(start + len(coeffs) + i for i, start, coeffs in terms) - low
+    polys = {i: (start - low, coeffs) for i, start, coeffs in terms}
+    tail = [0] * size  # T_r
+    q = [0] * size  # Q_r
+    vectors = []
+    for r in range(max(polys), -1, -1):
+        if r in polys:
+            at, coeffs = polys[r]
+            span = slice(at, at + len(coeffs))
+            tail[span] = map(operator.add, tail[span], coeffs)
+        # the shift drops only a zero: deg L Q_{r+1} <= max_i deg P_i L^i
+        q = list(map(operator.add, tail, itertools.chain((0,), q)))
+        if r <= 2 * g:
+            vectors.append((r, low, q))
+    return vectors
+
+
 @dataclass(frozen=True)
 class MotivicExpression:
     """Formal sum over i of P_i(L) [Sym^i C] for a genus-g curve; the i = 0
@@ -124,34 +182,13 @@ class MotivicExpression:
         )
 
     def block_vectors(self) -> list[tuple[int, int, list[int]]]:
-        """The expression as blocks of the curve: (r, low, coeffs) stands
-        for sum_e coeffs[e] wedge^r H^1 L^{low+e}, for r = top index down
-        to 0, r <= 2g.
-
-        By Macdonald, [Sym^i C] is the sum over r <= min(i, 2g) of
-        wedge^r H^1 (1 + L + ... + L^{i-r}), so the expression is
-        sum_r wedge^r H^1 Q_r with Q_r = sum_{i >= r} P_i (1 + ... + L^{i-r}).
-        Q_r = T_r + L Q_{r+1}, where T_r = sum_{i >= r} P_i, so each r
-        costs two dense vector updates.  Every vector runs from the lowest
-        exponent of any P_i to the highest of any P_i L^i.
-        """
-        if not self.terms:
-            return []
-        low = min(poly.valuation() for _, poly in self.terms)
-        size = max(poly.degree() + i for i, poly in self.terms) - low + 1
-        polys = dict(self.terms)
-        tail = [0] * size  # T_r
-        q = [0] * size  # Q_r
-        vectors = []
-        for r in range(max(polys), -1, -1):
-            if r in polys:
-                for e, c in polys[r].items():
-                    tail[e - low] += c
-            # the shift drops only a zero: deg L Q_{r+1} <= max_i deg P_i L^i
-            q = list(map(operator.add, tail, itertools.chain((0,), q)))
-            if r <= 2 * self.genus:
-                vectors.append((r, low, q))
-        return vectors
+        """The expression as blocks of the curve, by macdonald_vectors
+        from its terms made dense."""
+        dense = []
+        for i, poly in self.terms:
+            low = poly.valuation()
+            dense.append((i, low, [poly.coefficient(e) for e in range(low, poly.degree() + 1)]))
+        return macdonald_vectors(self.genus, dense)
 
     def e_polynomial(self) -> BiPoly:
         """Apply the E-polynomial measure: L becomes x*y and [Sym^i C]
@@ -195,24 +232,27 @@ def _elapsed_ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _block_sum(vectors) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """The formal sum of (r, low, coeffs) block vectors as r -> (lowest
-    exponent, coefficients up to the highest), zero vectors dropped."""
-    out = {}
+def _block_sum(vectors) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The formal sum of (r, low, coeffs) block vectors, distinct r, as
+    (r, lowest exponent, coefficients up to the highest) in ascending r,
+    zero vectors dropped."""
+    out = []
     for r, low, coeffs in vectors:
-        nonzero = [e for e, c in enumerate(coeffs) if c]
-        if nonzero:
-            out[r] = (low + nonzero[0], tuple(coeffs[nonzero[0]:nonzero[-1] + 1]))
-    return out
+        lo, hi = _nonzero_ends(coeffs)
+        if lo < hi:
+            out.append((r, low + lo, tuple(coeffs[lo:hi])))
+    return sorted(out)
 
 
 def verify_decomposition(g: int, k: int) -> VerificationReport:
     """Check, after the E-polynomial measure, that the class of the
     k-plane Fano scheme equals sum_i M_i(L) [Sym^i C], and that every M_i
-    is effective.  Both sides are measured from block vectors: the Fano
-    side from fano_odd_blocks, the sum from Macdonald's formula.
+    is effective.  Both sides are measured from their block sums, the
+    block vectors with zero ends trimmed (the measure does not see the
+    trim): the Fano side from fano_odd_blocks, the sum from the dense
+    multiplicities by macdonald_vectors.
 
-    The sum side is measured only when its block vectors differ from the
+    The sum side is measured only when its block sum differs from the
     Fano side's.  When they agree, both sides are the E-polynomial of the
     same block sum, so rhs is lhs exactly; when they differ, the E-
     polynomials are compared as they are.  Either way the verdict and
@@ -220,13 +260,17 @@ def verify_decomposition(g: int, k: int) -> VerificationReport:
     measure being injective on block vectors.
     """
     t0 = time.perf_counter()
-    expr = MotivicExpression.decomposition(g, k)
-    blocks = [(r, 0, v) for r, v in enumerate(fano_odd_blocks(OddFanoParams(g, k)))]
-    lhs = block_e_polynomial(g, blocks)
-    vectors = expr.block_vectors()
-    rhs = lhs if _block_sum(vectors) == _block_sum(blocks) else block_e_polynomial(g, vectors)
-    effectivity = expr.effectivity()
-    spans = [[i, poly.valuation(), poly.degree()] for i, poly in expr.terms]
+    terms = []
+    for i in range(k + 2):
+        base, coeffs = multiplicity_coefficients(g, k, i)
+        if coeffs:
+            terms.append((i, base, coeffs))
+    fano = _block_sum((r, 0, v) for r, v in enumerate(fano_odd_blocks(OddFanoParams(g, k))))
+    lhs = block_e_polynomial(g, fano)
+    sums = _block_sum(macdonald_vectors(g, terms))
+    rhs = lhs if sums == fano else block_e_polynomial(g, sums)
+    effectivity = tuple((i, min(coeffs) >= 0) for i, _, coeffs in terms)
+    spans = [[i, base, base + len(coeffs) - 1] for i, base, coeffs in terms]
     return VerificationReport(
         identity="hyperelliptic-decomposition",
         params={"g": g, "k": k},

@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from twoquadrics import cli, fano_even, fano_odd
-from twoquadrics.exactpoly import InexactDivisionError
+from twoquadrics.exactpoly import BiPoly, InexactDivisionError, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
 from twoquadrics.hodge import ConsistencyError
 from twoquadrics.motivic import (
@@ -104,6 +105,46 @@ def collected_sweep_output(ranges, fmt):
     return "\n".join(lines) + "\n"
 
 
+# integers of either sign, small and past 2^64
+big_ints = st.integers(-5, 5) | st.integers(2**64, 2**200) | st.integers(-2**200, -2**64)
+# text that holds quotes, backslashes and the keys the splice looks for
+tricky_text = st.text() | st.lists(
+    st.sampled_from(['"lhs":null', '"rhs":null', '"', "\\", "lhs", "rhs", ":", "null", "é"])
+).map("".join)
+laurent_sides = st.dictionaries(st.integers(-30, 30), big_ints, max_size=8).map(LaurentPoly)
+sides = st.one_of(
+    st.none(),
+    big_ints,
+    laurent_sides,
+    st.dictionaries(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)), big_ints, max_size=8
+    ).map(BiPoly),
+    st.lists(st.tuples(st.integers(0, 12), laurent_sides), max_size=4).map(tuple),
+)
+observation_values = st.none() | big_ints | tricky_text | st.lists(st.integers(-3, 3))
+
+
+@st.composite
+def reports(draw):
+    """Random reports: rhs either is lhs or is drawn on its own, and the
+    observations may hold "lhs"/"rhs" keys set to None."""
+    lhs = draw(sides)
+    rhs = lhs if draw(st.booleans()) else draw(sides)
+    observations = draw(st.dictionaries(
+        tricky_text | st.sampled_from(["lhs", "rhs"]), observation_values, max_size=4
+    ))
+    return VerificationReport(
+        identity=draw(tricky_text),
+        params=draw(st.dictionaries(st.text(max_size=3), big_ints, max_size=3)),
+        status=draw(st.sampled_from(["verified", "failed", "error"]) | tricky_text),
+        lhs=lhs,
+        rhs=rhs,
+        effectivity=tuple(draw(st.lists(st.tuples(st.integers(0, 9), st.booleans())))),
+        observations=observations,
+        elapsed_ms=draw(st.integers(0, 10**6)),
+    )
+
+
 def zero_elapsed(out):
     out = re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out)
     return re.sub(r"\(\d+ ms\)", "(0 ms)", out)
@@ -182,6 +223,18 @@ class TestVerifyCommand:
         plant_kernel(3, {6: 1, -6: 1})
         report = verify_decomposition(3, 1)
         assert report.status == "failed" and report.rhs is not report.lhs
+        assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
+
+    @given(reports())
+    def test_report_json_is_the_canonical_dump(self, report):
+        assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
+
+    def test_side_with_an_observation_keyed_rhs(self):
+        side = LaurentPoly({-2: -(2**70), 3: 1})
+        report = VerificationReport(
+            identity='a "lhs":null b', params={"g": 2}, status='"rhs":null', lhs=side, rhs=side,
+            observations={"rhs": None, "lhs": None},
+        )
         assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
 
     def test_bgmn_past_the_recursion_limit(self, capsys):
@@ -494,17 +547,20 @@ class TestOutputFile:
             os.umask(old)
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
+    @pytest.fixture
+    def no_checks(self, monkeypatch):
+        def must_not_run(g, k):
+            pytest.fail("the check ran although the output cannot be written")
+
+        monkeypatch.setattr(cli, "verify_decomposition", must_not_run)
+
     @pytest.mark.parametrize("argv", [
         ["verify", "odd", "--g", "4", "--k", "1"],
         ["sweep", *TestSweepCommand.ARGS, "--format", "json"],
     ], ids=["verify", "sweep"])
     def test_unwritable_output_is_usage_error_before_any_work(
-        self, capsys, monkeypatch, tmp_path, argv
+        self, capsys, no_checks, tmp_path, argv
     ):
-        def must_not_run(g, k):
-            pytest.fail("the check ran although the output cannot be written")
-
-        monkeypatch.setattr(cli, "verify_decomposition", must_not_run)
         target = tmp_path / "missing" / "x.json"
         assert cli.main([*argv, "--output", str(target)]) == 2
         captured = capsys.readouterr()
@@ -512,6 +568,23 @@ class TestOutputFile:
         assert captured.err == (
             f"twoquadrics: error: cannot write {target}: No such file or directory\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "odd", "--g", "4", "--k", "1"],
+        ["sweep", *TestSweepCommand.ARGS, "--format", "json"],
+    ], ids=["verify", "sweep"])
+    def test_directory_output_is_usage_error_before_any_work(
+        self, capsys, no_checks, tmp_path, argv
+    ):
+        # a temporary file would be made beside the target, in tmp_path
+        target = tmp_path / "out"
+        target.mkdir()
+        assert cli.main([*argv, "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"twoquadrics: error: cannot write {target}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
     def test_error_mid_sweep_leaves_no_file(self, capsys, monkeypatch, tmp_path):
         verify_hochschild = cli.verify_hochschild

@@ -82,6 +82,30 @@ def serre_paired_blocks(draw):
     return g, d, blocks
 
 
+@st.composite
+def padded_vectors(draw):
+    """(g, vectors, trimmed, padded): block vectors (r, low, coeffs) with
+    r up to 2g + 1 and signed coefficients, the same vectors with the zero
+    ends stripped, and with zeros padded onto both ends; `low` moves with
+    each change of the left end."""
+    g = draw(st.integers(0, 5))
+    vectors, trimmed, padded = [], [], []
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.integers(0, 2 * g + 1))
+        low = draw(st.integers(-6, 6))
+        coeffs = draw(st.lists(st.integers(-9, 9) | st.just(0), max_size=6))
+        vectors.append((r, low, coeffs))
+        nonzero = [e for e, c in enumerate(coeffs) if c]
+        if nonzero:
+            lo, hi = nonzero[0], nonzero[-1] + 1
+            trimmed.append((r, low + lo, coeffs[lo:hi]))
+        else:
+            trimmed.append((r, low, []))
+        left, right = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        padded.append((r, low - left, [0] * left + coeffs + [0] * right))
+    return g, vectors, trimmed, padded
+
+
 class TestBlockDiamond:
     @given(serre_paired_blocks())
     def test_betti_numbers_are_vandermonde_sums(self, case):
@@ -137,6 +161,13 @@ class TestBlockMeasures:
         assert block_e_polynomial(g, shifted) == BiPoly({(s, s): 1}) * block_e_polynomial(
             g, vectors
         )
+
+    @given(padded_vectors())
+    def test_e_polynomial_ignores_zero_ends(self, case):
+        g, vectors, trimmed, padded = case
+        expected = block_e_polynomial(g, vectors)
+        assert block_e_polynomial(g, trimmed) == expected
+        assert block_e_polynomial(g, padded) == expected
 
     def test_blocks_past_the_top_exterior_power_vanish(self):
         assert block_e_polynomial(2, [(5, 0, [1, 2]), (0, -1, [])]) == BiPoly.zero()

@@ -1,3 +1,4 @@
+import itertools
 import operator
 
 import pytest
@@ -9,7 +10,9 @@ from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamon
 from twoquadrics.motivic import (
     MotivicExpression,
     bgmn_multiplicity,
+    macdonald_vectors,
     multiplicity_at_one,
+    multiplicity_coefficients,
     multiplicity_polynomial,
     verify_bgmn_crosscheck,
     verify_decomposition,
@@ -56,6 +59,34 @@ def e_polynomial_by_diagonals(expr):
         for p, v in enumerate(diagonal)
         if v
     )
+
+
+def block_vectors_by_scatter(expr):
+    """Oracle: the former MotivicExpression.block_vectors, which added
+    each P_i to T_r one term at a time from its dict."""
+    if not expr.terms:
+        return []
+    low = min(poly.valuation() for _, poly in expr.terms)
+    size = max(poly.degree() + i for i, poly in expr.terms) - low + 1
+    polys = dict(expr.terms)
+    tail = [0] * size  # T_r
+    q = [0] * size  # Q_r
+    vectors = []
+    for r in range(max(polys), -1, -1):
+        if r in polys:
+            for e, c in polys[r].items():
+                tail[e - low] += c
+        # the shift drops only a zero: deg L Q_{r+1} <= max_i deg P_i L^i
+        q = list(map(operator.add, tail, itertools.chain((0,), q)))
+        if r <= 2 * expr.genus:
+            vectors.append((r, low, q))
+    return vectors
+
+
+def dense_terms(g, k):
+    """The nonzero multiplicities of (g, k) as dense (i, base, coeffs)."""
+    terms = [(i, *multiplicity_coefficients(g, k, i)) for i in range(k + 2)]
+    return [(i, base, coeffs) for i, base, coeffs in terms if coeffs]
 
 
 def hochschild_by_diamonds(g, k):
@@ -330,3 +361,44 @@ class TestSharedMeasure:
         for i in range(k + 2):
             total = sum(c for _, c in multiplicity_polynomial(g, k, i).items())
             assert total == multiplicity_at_one(g, k, i), (g, k, i)
+
+
+class TestDenseRoute:
+    """verify_decomposition reads the dense multiplicities and the shared
+    dense Q_r recursion; the LaurentPoly route and the dict scatter of
+    the former block_vectors are their oracles."""
+
+    @pytest.mark.parametrize("g", range(2, 21))
+    def test_coefficients_match_the_polynomial(self, g):
+        for k in range(g - 1):
+            for i in range(k + 2):
+                base, coeffs = multiplicity_coefficients(g, k, i)
+                poly = multiplicity_polynomial(g, k, i)
+                assert coeffs[0] and coeffs[-1], (g, k, i)
+                assert (base, base + len(coeffs) - 1) == (poly.valuation(), poly.degree())
+                assert [(base + e, c) for e, c in enumerate(coeffs) if c] == list(poly.items())
+
+    @pytest.mark.parametrize("g", range(2, 21))
+    def test_recursion_matches_the_scatter(self, g):
+        for k in range(g - 1):
+            expr = MotivicExpression.decomposition(g, k)
+            expected = block_vectors_by_scatter(expr)
+            assert macdonald_vectors(g, dense_terms(g, k)) == expected, (g, k)
+            assert expr.block_vectors() == expected, (g, k)
+
+    @pytest.mark.parametrize("g", range(2, 21))
+    def test_effectivity_and_spans_match_the_polynomial_route(self, g):
+        for k in range(g - 1):
+            report = verify_decomposition(g, k)
+            expr = MotivicExpression.decomposition(g, k)
+            assert report.effectivity == expr.effectivity(), (g, k)
+            spans = [[i, poly.valuation(), poly.degree()] for i, poly in expr.terms]
+            assert report.observations["multiplicity_spans"] == spans, (g, k)
+
+    @given(motivic_expressions())
+    def test_block_vectors_match_the_scatter(self, expr):
+        assert expr.block_vectors() == block_vectors_by_scatter(expr)
+
+    def test_empty_expression_has_no_blocks(self):
+        assert macdonald_vectors(3, []) == []
+        assert MotivicExpression.from_terms(3, {}).block_vectors() == []
