@@ -139,9 +139,7 @@ def report_json(report: VerificationReport) -> str:
 def _pretty_side(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, LaurentPoly):
-        return value.pretty()
-    if isinstance(value, BiPoly):
+    if isinstance(value, (LaurentPoly, BiPoly)):
         return value.pretty()
     if isinstance(value, int):
         return str(value)

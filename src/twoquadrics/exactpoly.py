@@ -1,9 +1,12 @@
 """Exact integer polynomial arithmetic.
 
 Laurent polynomials in one variable, polynomials in two commuting
-variables, and Gaussian (q-)binomial coefficients.  Coefficients are
-arbitrary-precision Python ints, so every operation is exact and
-downstream identity checks are literal polynomial equalities.
+variables, and Gaussian (q-)binomial coefficients.  The two polynomial
+classes share one sparse core for their arithmetic, comparison and
+printing.  Coefficients are arbitrary-precision Python ints, so every
+operation is exact and downstream identity checks are literal
+polynomial equalities; the constructors take int exponents and
+coefficients only and raise TypeError on anything else.
 
 All values are immutable after construction and all operations are pure;
 the Gaussian-binomial memo cache is safe for concurrent use under the
@@ -23,50 +26,144 @@ class InexactDivisionError(ArithmeticError):
     """A polynomial division left a nonzero remainder."""
 
 
-def _clean(items: Iterable[tuple]) -> dict:
-    out: dict = {}
-    for key, c in items:
-        if c:
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
+def _power(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
 
 
-class LaurentPoly:
-    """Immutable Laurent polynomial with integer coefficients.
-
-    The variable is anonymous; by context it stands for q (multiplicity
-    kernels), L (the Lefschetz class) or t (the Hochschild grading).
-    Zero coefficients are never stored.
+class _SparsePoly:
+    """Immutable sparse polynomial: a dict from exponent keys to nonzero
+    ints.  A subclass gives the key form (_key, _add_keys) and the
+    monomial format of its pretty; the arithmetic, comparison and
+    printing below are shared.  Operands of different subclasses never
+    combine and never compare equal.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __init__(self, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._coeffs = _clean(items)
+        key_of = self._key
+        out: dict = {}
+        for key, c in items:
+            key = key_of(key)
+            if not isinstance(c, int):
+                raise TypeError(f"{type(self).__name__} coefficients must be ints, got {c!r}")
+            if c:
+                v = out.get(key, 0) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        self._coeffs = out
 
     @classmethod
-    def _raw(cls, coeffs: dict[int, int]) -> "LaurentPoly":
-        # internal fast path; `coeffs` must already be zero-free
+    def _raw(cls, coeffs: dict):
+        # internal fast path; `coeffs` must already be zero-free, with keys
+        # in the subclass's form
         p = object.__new__(cls)
         p._coeffs = coeffs
         return p
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def zero(cls):
         return cls._raw({})
+
+    def items(self) -> tuple:
+        """(key, coefficient) pairs, ascending in key."""
+        return tuple(sorted(self._coeffs.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._coeffs.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        out = dict(self._coeffs)
+        for k, c in other._coeffs.items():
+            v = out.get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return self._raw(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + -other
+
+    def _product(self, other):
+        # each subclass binds this as its own __mul__ and __rmul__
+        if isinstance(other, int):
+            return self._raw({k: c * other for k, c in self._coeffs.items()} if other else {})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        add_keys = self._add_keys
+        out: dict = {}
+        for k1, c1 in self._coeffs.items():
+            for k2, c2 in other._coeffs.items():
+                k = add_keys(k1, k2)
+                v = out.get(k, 0) + c1 * c2
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return self._raw(out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def _pretty(self, monomial) -> str:
+        # monomial(key) is the variable part of a term, "" for a constant
+        parts = []
+        for key, c in self.items():
+            m = monomial(key)
+            if not m:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = m
+            else:
+                body = f"{abs(c)}*{m}"
+            if parts:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            else:
+                parts.append(body if c > 0 else f"-{body}")
+        return " ".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class LaurentPoly(_SparsePoly):
+    """Immutable Laurent polynomial with integer coefficients.
+
+    The variable is anonymous; by context it stands for q (multiplicity
+    kernels), L (the Lefschetz class) or t (the Hochschild grading).
+    Keys are int exponents and zero coefficients are never stored.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(e) -> int:
+        if not isinstance(e, int):
+            raise TypeError(f"LaurentPoly exponents must be ints, got {e!r}")
+        return e
+
+    _add_keys = staticmethod(operator.add)
+    __mul__ = __rmul__ = _SparsePoly._product
 
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls._raw({0: 1})
-
-    @classmethod
-    def term(cls, coeff: int, exponent: int = 0) -> "LaurentPoly":
-        return cls({exponent: coeff})
 
     @classmethod
     def power_sum(cls, exponents: Iterable[int]) -> "LaurentPoly":
@@ -75,13 +172,6 @@ class LaurentPoly:
 
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
-
-    def items(self) -> tuple[tuple[int, int], ...]:
-        """(exponent, coefficient) pairs, ascending in exponent."""
-        return tuple(sorted(self._coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
 
     def degree(self) -> int:
         if not self._coeffs:
@@ -103,121 +193,36 @@ class LaurentPoly:
             return self
         return LaurentPoly._raw({e + n: c for e, c in self._coeffs.items()})
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({e: -c for e, c in self._coeffs.items()})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            v = out.get(e, 0) - c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return LaurentPoly.zero()
-            return LaurentPoly._raw({e: c * other for e, c in self._coeffs.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return LaurentPoly._raw(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
     def pretty(self, var: str = "q") -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            if e == 0:
-                body = str(abs(c))
-            else:
-                head = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({dict(self.items())!r})"
+        return self._pretty(lambda e: _power(var, e))
 
 
-class BiPoly:
+class BiPoly(_SparsePoly):
     """Immutable polynomial in two commuting variables x, y over the ints.
 
-    Houses E-polynomials; exponents are stored as (p, q) pairs and zero
-    coefficients are never stored.
+    Houses E-polynomials; keys are (p, q) int pairs, the exponents of x
+    and y, and zero coefficients are never stored.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | Iterable = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._coeffs = _clean(((int(p), int(q)), c) for (p, q), c in items)
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        p, q = key
+        if not (isinstance(p, int) and isinstance(q, int)):
+            raise TypeError(f"BiPoly exponents must be ints, got {key!r}")
+        return (p, q)
 
-    @classmethod
-    def _raw(cls, coeffs: dict) -> "BiPoly":
-        p = object.__new__(cls)
-        p._coeffs = coeffs
-        return p
+    @staticmethod
+    def _add_keys(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
 
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls._raw({(0, 0): 1})
+    __mul__ = __rmul__ = _SparsePoly._product
 
     @classmethod
     def from_diagonal(cls, p: LaurentPoly) -> "BiPoly":
         """Substitute the Laurent variable by x*y (each L^e becomes x^e y^e)."""
         return cls._raw({(e, e): c for e, c in p._coeffs.items()})
-
-    def coefficient(self, p: int, q: int) -> int:
-        return self._coeffs.get((p, q), 0)
-
-    def items(self) -> tuple[tuple[tuple[int, int], int], ...]:
-        return tuple(sorted(self._coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
 
     def evaluate(self, x: int, y: int) -> int:
         total = 0
@@ -227,90 +232,8 @@ class BiPoly:
             total += c * x**p * y**q
         return total
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly._raw({k: -c for k, c in self._coeffs.items()})
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return BiPoly._raw(out)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return BiPoly._raw(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return BiPoly.zero()
-            return BiPoly._raw({k: c * other for k, c in self._coeffs.items()})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (p1, q1), c1 in self._coeffs.items():
-            for (p2, q2), c2 in other._coeffs.items():
-                k = (p1 + p2, q1 + q2)
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return BiPoly._raw(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
     def pretty(self, x: str = "x", y: str = "y") -> str:
-        if not self._coeffs:
-            return "0"
-
-        def mono(p, q):
-            factors = []
-            if p:
-                factors.append(x if p == 1 else f"{x}^{p}")
-            if q:
-                factors.append(y if q == 1 else f"{y}^{q}")
-            return "*".join(factors)
-
-        parts = []
-        for (p, q), c in self.items():
-            m = mono(p, q)
-            if not m:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = m
-            else:
-                body = f"{abs(c)}*{m}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"BiPoly({dict(self.items())!r})"
+        return self._pretty(lambda k: "*".join(filter(None, (_power(x, k[0]), _power(y, k[1])))))
 
 
 def eval_at_one(p: LaurentPoly) -> int:
@@ -410,6 +333,19 @@ def div_one_minus_power(coeffs: list[int], s: int) -> None:
     if any(coeffs[top:]):
         raise InexactDivisionError(f"polynomial division by 1 - q^{s} is not exact")
     del coeffs[top:]
+
+
+def _nonzero_ends(coeffs) -> tuple[int, int]:
+    """(lo, hi) such that coeffs[lo:hi] runs from the first nonzero
+    coefficient to the last, found by scanning in from both ends; (0, 0)
+    when every coefficient is zero."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    return lo, hi
 
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

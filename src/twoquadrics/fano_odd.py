@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 
 from .curves import block_diamond
-from .exactpoly import LaurentPoly, div_one_minus_power, mul_one_minus_power
+from .exactpoly import LaurentPoly, _nonzero_ends, div_one_minus_power, mul_one_minus_power
 from .hodge import ConsistencyError, HodgeDiamond
 
 
@@ -147,23 +147,19 @@ def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, ...], ...]:
     for j in range(g - k - 1, g + 1):
         r = g - j
         shift, coeffs = kernel_coefficients(g - k, j)
-        lo, hi = 0, len(coeffs) - 1
-        while lo <= hi and not coeffs[lo]:
-            lo += 1
-        while hi > lo and not coeffs[hi]:
-            hi -= 1
-        if lo > hi:
+        lo, hi = _nonzero_ends(coeffs)
+        if lo == hi:
             vectors[r] = (0,) * (d - r + 1)
             continue
         # every term fits exactly when the offset is even and the ends
         # satisfy r-d <= c <= d-r; otherwise the term scan below raises
-        if (d - shift - r) % 2 or shift + 2 * lo < r - d or shift + 2 * hi > d - r:
-            for e in range(lo, hi + 1):
+        if (d - shift - r) % 2 or shift + 2 * lo < r - d or shift + 2 * (hi - 1) > d - r:
+            for e in range(lo, hi):
                 if coeffs[e]:
                     _check_kernel_term(g, k, j, d, shift + 2 * e)
         offset = (d - shift - r) // 2
         vectors[r] = (
-            (0,) * (offset - hi) + coeffs[lo:hi + 1][::-1] + (0,) * (d - r - offset + lo)
+            (0,) * (offset - hi + 1) + coeffs[lo:hi][::-1] + (0,) * (d - r - offset + lo)
         )
     for r, v in enumerate(vectors):
         if min(v) < 0:

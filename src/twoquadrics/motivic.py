@@ -24,7 +24,7 @@ from .curves import (
     curve_diamond,
     projective_space_diamond,
 )
-from .exactpoly import BiPoly, LaurentPoly, binomial, gauss_coefficients
+from .exactpoly import BiPoly, LaurentPoly, _nonzero_ends, binomial, gauss_coefficients
 from .fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 
 VERIFIED = "verified"
@@ -39,19 +39,6 @@ def _check_gki(g: int, k: int, i: int) -> None:
         raise ValueError(f"k = {k}: need 0 <= k <= g-2 = {g - 2}")
     if not 0 <= i <= k + 1:
         raise ValueError(f"i = {i}: need 0 <= i <= k+1 = {k + 1}")
-
-
-def _nonzero_ends(coeffs) -> tuple[int, int]:
-    """(lo, hi) such that coeffs[lo:hi] runs from the first nonzero
-    coefficient to the last, found by scanning in from both ends; (0, 0)
-    when every coefficient is zero."""
-    hi = len(coeffs)
-    while hi and not coeffs[hi - 1]:
-        hi -= 1
-    lo = 0
-    while lo < hi and not coeffs[lo]:
-        lo += 1
-    return lo, hi
 
 
 def multiplicity_coefficients(g: int, k: int, i: int) -> tuple[int, list[int]]:

@@ -1,4 +1,6 @@
 import functools
+import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from twoquadrics.exactpoly import (
     BiPoly,
     InexactDivisionError,
     LaurentPoly,
+    _nonzero_ends,
     _pascal_diagonal,
     binomial,
     eval_at_one,
@@ -70,6 +73,11 @@ laurent_polys = st.dictionaries(
 bipolys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-9, 9), max_size=6
 ).map(BiPoly)
+
+
+def same_class(n):
+    """n polynomials of one class, LaurentPoly or BiPoly."""
+    return st.sampled_from([bipolys, laurent_polys]).flatmap(lambda polys: st.tuples(*[polys] * n))
 
 
 class TestLaurentPoly:
@@ -261,15 +269,95 @@ class TestBiPoly:
         p = BiPoly({(0, 0): 1, (1, 1): -1, (2, 0): 3})
         assert p.pretty() == "1 - x*y + 3*x^2"
 
-    @given(bipolys, bipolys, bipolys)
-    def test_distributivity(self, a, b, c):
+    @given(same_class(3))
+    def test_distributivity(self, polys):
+        a, b, c = polys
         assert a * (b + c) == a * b + a * c
 
-    @given(bipolys, bipolys)
-    def test_commutativity(self, a, b):
+    @given(same_class(2))
+    def test_commutativity(self, polys):
+        a, b = polys
         assert a * b == b * a
         assert a + b == b + a
 
-    @given(bipolys, bipolys, bipolys)
-    def test_associativity(self, a, b, c):
+    @given(same_class(3))
+    def test_associativity(self, polys):
+        a, b, c = polys
         assert (a * b) * c == a * (b * c)
+
+    def test_list_keys_become_tuples(self):
+        p = BiPoly([([1, 0], 2), ((1, 0), 1)])
+        assert p.items() == (((1, 0), 3),)
+        assert p == BiPoly({(1, 0): 3})
+
+
+class TestSharedCore:
+    @given(same_class(2))
+    def test_subtraction_adds_the_negative(self, polys):
+        a, b = polys
+        assert a - b == a + (-b)
+        assert not a - a
+
+    @given(same_class(2))
+    def test_equal_polynomials_hash_equal(self, polys):
+        a, b = polys
+        c = (a + b) - b
+        assert c == a
+        assert hash(c) == hash(a)
+        reordered = type(a)(a.items()[::-1])
+        assert reordered == a
+        assert hash(reordered) == hash(a)
+
+    @given(same_class(1))
+    def test_repr_round_trips(self, polys):
+        (a,) = polys
+        assert eval(repr(a), {"LaurentPoly": LaurentPoly, "BiPoly": BiPoly}) == a
+
+    @given(laurent_polys, bipolys)
+    def test_classes_do_not_mix(self, p, b):
+        assert p != b
+        assert b != p
+        for x, y in ((p, b), (b, p)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(x, y)
+
+    BAD_EXPONENTS = [1.5, 2.0, "2", Fraction(3, 1), None]
+    BAD_COEFFICIENTS = [0.5, 1.0, 0.0, Fraction(1, 2), Fraction(2, 1), "1"]
+
+    @staticmethod
+    def bad_id(value):
+        return f"{type(value).__name__}-{value}"
+
+    @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
+    @pytest.mark.parametrize("bad", BAD_EXPONENTS, ids=bad_id)
+    def test_non_int_exponent_rejected(self, cls, bad):
+        key = bad if cls is LaurentPoly else (bad, 0)
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            cls({key: 1})
+        if cls is BiPoly:
+            with pytest.raises(TypeError, match="exponents must be ints"):
+                cls([((0, bad), 1)])
+
+    @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
+    @pytest.mark.parametrize("bad", BAD_COEFFICIENTS, ids=bad_id)
+    def test_non_int_coefficient_rejected(self, cls, bad):
+        key = 0 if cls is LaurentPoly else (0, 0)
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            cls({key: bad})
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            cls([(key, 1), (key, bad)])
+
+
+@pytest.mark.parametrize(
+    "coeffs,ends",
+    [
+        ((), (0, 0)),
+        ((0, 0), (0, 0)),
+        ((3,), (0, 1)),
+        ((0, 1, 0, 2, 0, 0), (1, 4)),
+        ([0, -1], (1, 2)),
+    ],
+)
+def test_nonzero_ends(coeffs, ends):
+    assert _nonzero_ends(coeffs) == ends

@@ -367,6 +367,30 @@ class TestBlockVectorGuards:
         monkeypatch.setattr(fano_odd, "kernel_coefficients", padded)
         assert fano_odd_blocks(self.PARAMS) == expected
 
+    @pytest.mark.parametrize(
+        "j,moved,zeros",
+        [
+            (1, 0, ()),
+            (2, 1, (0,)),  # odd twist offset
+            (3, 50, (0, 0, 0)),  # would sit below degree 0
+            (2, -50, ()),  # would sit above degree 2d
+        ],
+    )
+    def test_zero_kernel_gives_the_zero_vector(
+        self, monkeypatch, fresh_odd_caches, j, moved, zeros
+    ):
+        expected = list(fano_odd_blocks(self.PARAMS))
+        r = 3 - j
+        expected[r] = (0,) * (self.PARAMS.dimension - r + 1)
+        original = fano_odd.kernel_coefficients
+
+        def zero_at_j(a, b):
+            shift, coeffs = original(a, b)
+            return (shift + moved, zeros) if b == j else (shift, coeffs)
+
+        monkeypatch.setattr(fano_odd, "kernel_coefficients", zero_at_j)
+        assert fano_odd_blocks(self.PARAMS) == tuple(expected)
+
     def test_cache_holds_no_corrupted_vector(self, plant, monkeypatch):
         kernel = fano_odd.kernel_coefficients
         plant(1, {-6: 1})
