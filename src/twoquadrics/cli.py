@@ -504,11 +504,14 @@ def _output(path):
     that raises leaves nothing at `path`.  mkstemp creates the file as
     0600; it gets 0666 less the umask, the mode of an ordinary new file,
     before the rename.  An OSError of the file becomes OutputError, and
-    a `path` that is a directory is refused at once, not after the work
-    at the rename."""
+    a `path` that is empty or a directory is refused at once, not after
+    the work at the rename (an empty path would put the temporary file
+    in the parent of the working directory)."""
     if path is None:
         yield sys.stdout.write
         return
+    if not path:
+        raise OutputError(f"cannot write {path!r}: {os.strerror(errno.ENOENT)}")
     if os.path.isdir(path):
         raise OutputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -46,6 +46,9 @@ def block_e_polynomial(g: int, vectors: Iterable[tuple[int, int, list[int]]]) ->
     x^{s+a} y^{s+r-a}, all on the diagonal q - p = r - 2a.  One dense
     table per diagonal takes each (r, a) as a single slice update of the
     whole vector, starting at p = low + a; blocks with r > 2g vanish.
+    Only the diagonals q - p >= 0 (a <= r/2) are accumulated: the terms
+    of a and r-a have the same coefficient with p and q swapped, so
+    diagonal -delta is diagonal delta moved delta places along p.
     """
     vectors = [(r, low, coeffs) for r, low, coeffs in vectors if coeffs and 0 <= r <= 2 * g]
     if not vectors:
@@ -54,14 +57,18 @@ def block_e_polynomial(g: int, vectors: Iterable[tuple[int, int, list[int]]]) ->
     w = max(min(r, 2 * g - r) for r, _, _ in vectors)
     base = min(low + max(0, r - g) for r, low, _ in vectors)
     size = max(low + len(coeffs) + min(g, r) for r, low, coeffs in vectors) - base
-    diagonals = [[0] * size for _ in range(2 * w + 1)]
+    upper = [[0] * size for _ in range(w + 1)]  # upper[delta]: q - p = delta
     for r, low, coeffs in vectors:
-        for a in range(max(0, r - g), min(g, r) + 1):
+        for a in range(max(0, r - g), r // 2 + 1):
             h = comb_g[a] * comb_g[r - a]
-            diagonal = diagonals[r - 2 * a + w]
+            diagonal = upper[r - 2 * a]
             span = slice(low + a - base, low + a - base + len(coeffs))
             scale = (-h if r % 2 else h).__mul__
             diagonal[span] = map(operator.add, diagonal[span], map(scale, coeffs))
+    # (p, p + delta) mirrors to (p + delta, p), which still lies below
+    # `size`, so the cut tail upper[delta][size - delta:] is all zeros
+    diagonals = [[0] * delta + upper[delta][: size - delta] for delta in range(w, 0, -1)]
+    diagonals += upper
     # read the table column by column, so the keys arrive sorted by (p, q)
     return BiPoly._raw({
         (p + base, p + base + j - w): v

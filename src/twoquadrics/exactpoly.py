@@ -32,10 +32,11 @@ def _power(var: str, e: int) -> str:
 
 class _SparsePoly:
     """Immutable sparse polynomial: a dict from exponent keys to nonzero
-    ints.  A subclass gives the key form (_key, _add_keys) and the
-    monomial format of its pretty; the arithmetic, comparison and
-    printing below are shared.  Operands of different subclasses never
-    combine and never compare equal.
+    ints, stored in ascending key order, so a reader walks the terms in
+    order without sorting them.  A subclass gives the key form (_key,
+    _add_keys) and the monomial format of its pretty; the arithmetic,
+    comparison and printing below are shared.  Operands of different
+    subclasses never combine and never compare equal.
     """
 
     __slots__ = ("_coeffs",)
@@ -54,12 +55,12 @@ class _SparsePoly:
                     out[key] = v
                 else:
                     del out[key]
-        self._coeffs = out
+        self._coeffs = dict(sorted(out.items()))
 
     @classmethod
     def _raw(cls, coeffs: dict):
         # internal fast path; `coeffs` must already be zero-free, with keys
-        # in the subclass's form
+        # in the subclass's form and in ascending order
         p = object.__new__(cls)
         p._coeffs = coeffs
         return p
@@ -70,7 +71,7 @@ class _SparsePoly:
 
     def items(self) -> tuple:
         """(key, coefficient) pairs, ascending in key."""
-        return tuple(sorted(self._coeffs.items()))
+        return tuple(self._coeffs.items())
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -88,7 +89,7 @@ class _SparsePoly:
                 out[k] = v
             else:
                 del out[k]
-        return self._raw(out)
+        return self._raw(dict(sorted(out.items())))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -111,7 +112,7 @@ class _SparsePoly:
                     out[k] = v
                 else:
                     del out[k]
-        return self._raw(out)
+        return self._raw(dict(sorted(out.items())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -176,12 +177,12 @@ class LaurentPoly(_SparsePoly):
     def degree(self) -> int:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no degree")
-        return max(self._coeffs)
+        return next(reversed(self._coeffs))
 
     def valuation(self) -> int:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no valuation")
-        return min(self._coeffs)
+        return next(iter(self._coeffs))
 
     def is_effective(self) -> bool:
         """True when every coefficient is non-negative."""
@@ -381,4 +382,4 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 rem[ne] = v
             else:
                 rem.pop(ne, None)
-    return LaurentPoly._raw(quot)
+    return LaurentPoly._raw(dict(sorted(quot.items())))

@@ -11,7 +11,9 @@ identities are verified by exact evaluation over finite ranges.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 
 def fonarev_rank(g: int, k: int) -> int:
@@ -26,15 +28,21 @@ def fonarev_rank(g: int, k: int) -> int:
 
 def stacky_collection_length(g: int, k: int) -> int:
     """Total exceptional-object count of the conjectured decomposition:
-    sum_{i=0..k+1} C(2g-3-k-i, k+1-i) fonarev_rank(g, i)."""
+    sum_{i=0..k+1} C(2g-3-k-i, k+1-i) fonarev_rank(g, i).
+
+    The ranks come from two running sums, not one fonarev_rank call per
+    i: fonarev_rank(g, i) = fonarev_rank(g, i-1) + S_i with
+    S_i = sum_{t<=i} C(2g+1, t)."""
     if g < 2:
         raise ValueError(f"g = {g}: need g >= 2")
     if not 0 <= k <= g - 2:
         raise ValueError(f"k = {k}: need 0 <= k <= g-2 = {g - 2}")
-    return sum(
-        math.comb(2 * g - 3 - k - i, k + 1 - i) * fonarev_rank(g, i)
-        for i in range(k + 2)
-    )
+    total = partial = rank = 0
+    for i in range(k + 2):
+        partial += math.comb(2 * g + 1, i)
+        rank += partial
+        total += math.comb(2 * g - 3 - k - i, k + 1 - i) * rank
+    return total
 
 
 def gessel_identity_check(m: int, a: int) -> bool:
@@ -67,10 +75,43 @@ def gessel_series_check(m: int, a: int) -> bool:
     return series[m] == rhs
 
 
+# _columns[j][i] = C(i+j, j) for i <= n-j, j <= n: the Pascal columns up
+# to the largest n requested, O(n^2) entries.  Growth builds a new tuple
+# and replaces the old one whole, so a reader never sees a short column.
+_columns: tuple[tuple[int, ...], ...] = ()
+
+
+def pascal_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """Pascal columns covering every C(m, j) with 0 <= j <= m <= n:
+    entry i of column j is C(i+j, j), for i <= n-j at least.  The table is
+    shared and only grows, to the largest n requested.  Each column is
+    the running sum of the one before, C(i+j, j) = sum_{t<=i} C(t+j-1, j-1),
+    so the table is built by additions alone, with no recursion."""
+    global _columns
+    columns = _columns
+    if len(columns) <= n:
+        grown = [(1,) * (n + 1)]
+        for j in range(1, n + 1):
+            old = columns[j] if j < len(columns) else ()
+            tail = list(grown[j - 1][len(old) : n - j + 1])
+            if old:
+                tail[0] += old[-1]
+            grown.append(old + tuple(itertools.accumulate(tail)))
+        columns = _columns = tuple(grown)
+    return columns
+
+
 def chu_vandermonde_check(n: int, j: int, k: int) -> bool:
     """Exact check of the hockey-stick variant
-    sum_{m=0..n} C(m, j) C(n-m, k-j) = C(n+1, k+1) for 0 <= j <= k <= n."""
+    sum_{m=0..n} C(m, j) C(n-m, k-j) = C(n+1, k+1) for 0 <= j <= k <= n.
+
+    The term of m is nonzero only for j <= m <= n-k+j, so the sum is one
+    dot product of column j, entries 0..n-k, with column k-j, entries
+    n-k..0, of pascal_columns; the right side is math.comb, a route
+    independent of the table."""
     if not 0 <= j <= k <= n:
         raise ValueError(f"(n, j, k) = ({n}, {j}, {k}): need 0 <= j <= k <= n")
-    lhs = sum(math.comb(m, j) * math.comb(n - m, k - j) for m in range(n + 1))
+    columns = pascal_columns(n)
+    length = n - k + 1
+    lhs = sum(map(operator.mul, columns[j][:length], columns[k - j][length - 1 :: -1]))
     return lhs == math.comb(n + 1, k + 1)

@@ -229,6 +229,25 @@ class TestVerifyCommand:
     def test_report_json_is_the_canonical_dump(self, report):
         assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
 
+    @staticmethod
+    def sorted_side_json(value):
+        """Reference text of a side that sorts its terms itself, so an
+        ordering bug shared by report_json and report_to_json_obj shows."""
+        if isinstance(value, LaurentPoly):
+            terms = [f'[{e},"{c}"]' for e, c in sorted(value._coeffs.items())]
+        elif isinstance(value, BiPoly):
+            terms = [f'[{p},{q},"{c}"]' for (p, q), c in sorted(value._coeffs.items())]
+        elif isinstance(value, tuple):
+            terms = [f"[{i},{TestVerifyCommand.sorted_side_json(p)}]" for i, p in value]
+        else:
+            return json.dumps(value if value is None else str(value))
+        return "[" + ",".join(terms) + "]"
+
+    @given(sides)
+    def test_side_json_lists_terms_in_sorted_order(self, side):
+        assert cli._side_json(side) == self.sorted_side_json(side)
+        assert cli.canonical_json(cli._payload(side)) == self.sorted_side_json(side) + "\n"
+
     def test_side_with_an_observation_keyed_rhs(self):
         side = LaurentPoly({-2: -(2**70), 3: 1})
         report = VerificationReport(
@@ -585,6 +604,25 @@ class TestOutputFile:
         assert captured.err == f"twoquadrics: error: cannot write {target}: Is a directory\n"
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "odd", "--g", "4", "--k", "1"],
+        ["sweep", *TestSweepCommand.ARGS, "--format", "json"],
+    ], ids=["verify", "sweep"])
+    def test_empty_output_is_usage_error_before_any_work(
+        self, capsys, monkeypatch, no_checks, tmp_path, argv
+    ):
+        # the temporary file of an empty path would be made in the parent
+        # of the working directory, here tmp_path
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main([*argv, "--output", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "twoquadrics: error: cannot write '': No such file or directory\n"
+        assert list(tmp_path.iterdir()) == [work]
+        assert list(work.iterdir()) == []
 
     def test_error_mid_sweep_leaves_no_file(self, capsys, monkeypatch, tmp_path):
         verify_hochschild = cli.verify_hochschild

@@ -1,7 +1,8 @@
 import math
+import operator
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twoquadrics.curves import (
     block_diamond,
@@ -13,7 +14,9 @@ from twoquadrics.curves import (
     sym_curve_diamond,
 )
 from twoquadrics.exactpoly import BiPoly, LaurentPoly
+from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
+from twoquadrics.motivic import _block_sum, macdonald_vectors, multiplicity_coefficients
 
 
 def truncated_euler_series_coefficient(g, n):
@@ -65,6 +68,32 @@ def sym_diamond_by_series(g, n):
             )
         table[p][q] = c
     return HodgeDiamond(table)
+
+
+def block_e_polynomial_full(g, vectors):
+    """Oracle: the former route of block_e_polynomial, which accumulates
+    every diagonal q - p = r - 2a, a = 0..r, mirror halves included."""
+    vectors = [(r, low, coeffs) for r, low, coeffs in vectors if coeffs and 0 <= r <= 2 * g]
+    if not vectors:
+        return BiPoly.zero()
+    comb_g = [math.comb(g, a) for a in range(g + 1)]
+    w = max(min(r, 2 * g - r) for r, _, _ in vectors)
+    base = min(low + max(0, r - g) for r, low, _ in vectors)
+    size = max(low + len(coeffs) + min(g, r) for r, low, coeffs in vectors) - base
+    diagonals = [[0] * size for _ in range(2 * w + 1)]
+    for r, low, coeffs in vectors:
+        for a in range(max(0, r - g), min(g, r) + 1):
+            h = comb_g[a] * comb_g[r - a]
+            diagonal = diagonals[r - 2 * a + w]
+            span = slice(low + a - base, low + a - base + len(coeffs))
+            scale = (-h if r % 2 else h).__mul__
+            diagonal[span] = map(operator.add, diagonal[span], map(scale, coeffs))
+    return BiPoly({
+        (p + base, p + base + j - w): v
+        for p, column in enumerate(zip(*diagonals))
+        for j, v in enumerate(column)
+        if v
+    })
 
 
 @st.composite
@@ -168,6 +197,27 @@ class TestBlockMeasures:
         expected = block_e_polynomial(g, vectors)
         assert block_e_polynomial(g, trimmed) == expected
         assert block_e_polynomial(g, padded) == expected
+
+    @given(padded_vectors())
+    @example((3, [(2, 0, [1, -2])], None, None))  # even r <= g
+    @example((3, [(1, -1, [4]), (3, 2, [0, 5, 1])], None, None))  # odd r <= g
+    @example((3, [(4, 0, [2, 7]), (5, -3, [1]), (6, 1, [3])], None, None))  # g < r <= 2g
+    @example((2, [(5, 0, [1]), (3, 0, [1])], None, None))  # r = 2g + 1 beside r > g
+    def test_mirror_half_matches_full_diagonals(self, case):
+        g, vectors, _, _ = case
+        assert block_e_polynomial(g, vectors) == block_e_polynomial_full(g, vectors)
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_both_decomposition_sides_match_full_diagonals(self, g):
+        # the block sums verify_decomposition measures, for every k
+        for k in range(g - 1):
+            fano = _block_sum(
+                (r, 0, v) for r, v in enumerate(fano_odd_blocks(OddFanoParams(g, k)))
+            )
+            terms = [(i, *multiplicity_coefficients(g, k, i)) for i in range(k + 2)]
+            sums = _block_sum(macdonald_vectors(g, [t for t in terms if t[2]]))
+            for side in (fano, sums):
+                assert block_e_polynomial(g, side) == block_e_polynomial_full(g, side), (g, k)
 
     def test_blocks_past_the_top_exterior_power_vanish(self):
         assert block_e_polynomial(2, [(5, 0, [1, 2]), (0, -1, [])]) == BiPoly.zero()

@@ -80,6 +80,13 @@ def same_class(n):
     return st.sampled_from([bipolys, laurent_polys]).flatmap(lambda polys: st.tuples(*[polys] * n))
 
 
+def assert_canonical(p):
+    """The class invariant: terms stored in ascending key order."""
+    keys = list(p._coeffs)
+    assert keys == sorted(keys), keys
+    assert p.items() == tuple(sorted(p._coeffs.items()))
+
+
 class TestLaurentPoly:
     def test_zero_coefficients_dropped(self):
         assert LaurentPoly({0: 1, 3: 0, -2: 0}) == LaurentPoly({0: 1})
@@ -347,6 +354,64 @@ class TestSharedCore:
             cls({key: bad})
         with pytest.raises(TypeError, match="coefficients must be ints"):
             cls([(key, 1), (key, bad)])
+
+
+class TestCanonicalOrder:
+    """Every constructor and operation stores its keys ascending; each
+    is fed operands whose input order is not sorted."""
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-9, 9)), max_size=8))
+    def test_constructor_sorts_laurent_terms(self, pairs):
+        assert_canonical(LaurentPoly(pairs))
+        assert_canonical(LaurentPoly(dict(pairs)))
+
+    @given(st.lists(st.tuples(st.tuples(st.integers(0, 4), st.integers(-4, 4)),
+                              st.integers(-9, 9)), max_size=8))
+    def test_constructor_sorts_bi_terms(self, pairs):
+        assert_canonical(BiPoly(pairs))
+        assert_canonical(BiPoly([(list(k), c) for k, c in pairs]))
+
+    @given(same_class(2), st.integers(-3, 3))
+    def test_operations(self, polys, scalar):
+        a, b = polys
+        for p in (a + b, a - b, b + a, a * b, b * a, -a, scalar * a, a * scalar):
+            assert_canonical(p)
+
+    @given(laurent_polys, st.integers(-5, 5))
+    def test_laurent_operations(self, a, n):
+        assert_canonical(a.shift(n))
+        assert_canonical(BiPoly.from_diagonal(a))
+
+    @given(laurent_polys, laurent_polys)
+    def test_exact_divide(self, a, b):
+        if b:
+            assert_canonical(exact_divide(a * b, b))
+
+    @given(st.lists(st.integers(-6, 6), max_size=8))
+    def test_power_sum(self, exponents):
+        assert_canonical(LaurentPoly.power_sum(exponents))
+
+    def test_raw_callers(self):
+        from twoquadrics.curves import block_e_polynomial, block_hochschild
+        from twoquadrics.fano_odd import multiplicity_kernel
+        from twoquadrics.motivic import MotivicExpression, multiplicity_polynomial
+
+        for p in (LaurentPoly.zero(), LaurentPoly.one(), BiPoly.zero()):
+            assert_canonical(p)
+        for n in range(8):
+            for m in range(n + 1):
+                assert_canonical(gauss_binomial(n, m))
+        for a in range(2, 7):
+            for b in range(a - 1, a + 4):
+                assert_canonical(multiplicity_kernel(a, b))
+        for g in range(2, 7):
+            for k in range(g - 1):
+                for i in range(k + 2):
+                    assert_canonical(multiplicity_polynomial(g, k, i))
+                expression = MotivicExpression.decomposition(g, k)
+                assert_canonical(expression.e_polynomial())
+                assert_canonical(block_hochschild(g, [(r, r + 1) for r in range(2 * g + 1)]))
+        assert_canonical(block_e_polynomial(2, [(3, 1, [2, 0, -1]), (0, -2, [1, 4])]))
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,36 @@ import math
 
 import pytest
 
+from twoquadrics import stacky
+from twoquadrics.cli import chu_vandermonde_suite_report
 from twoquadrics.fano_even import euler_closed_form
 from twoquadrics.stacky import (
     chu_vandermonde_check,
     fonarev_rank,
     gessel_identity_check,
     gessel_series_check,
+    pascal_columns,
     stacky_collection_length,
 )
+
+
+def chu_vandermonde_by_comb(n, j, k):
+    """Oracle: the former route of chu_vandermonde_check, the sum over
+    every m of two math.comb values."""
+    return sum(math.comb(m, j) * math.comb(n - m, k - j) for m in range(n + 1))
+
+
+def collection_length_by_ranks(g, k):
+    """Oracle: the former route of stacky_collection_length, one
+    fonarev_rank call per i."""
+    return sum(math.comb(2 * g - 3 - k - i, k + 1 - i) * fonarev_rank(g, i) for i in range(k + 2))
+
+
+@pytest.fixture
+def fresh_columns(monkeypatch):
+    """An empty Pascal table for the test; the shared one is restored
+    after it, so a planted entry never outlives the test."""
+    monkeypatch.setattr(stacky, "_columns", ())
 
 
 class TestFonarevRank:
@@ -52,6 +74,11 @@ class TestStackyCollectionLength:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             stacky_collection_length(2, 1)
+
+    def test_matches_fonarev_rank_route_up_to_40(self):
+        for g in range(2, 41):
+            for k in range(g - 1):
+                assert stacky_collection_length(g, k) == collection_length_by_ranks(g, k), (g, k)
 
 
 class TestGesselIdentity:
@@ -105,8 +132,74 @@ class TestChuVandermonde:
                 for j in range(k + 1):
                     assert chu_vandermonde_check(n, j, k), (n, j, k)
 
+    def test_matches_comb_route_up_to_60(self):
+        # the dot product of the two columns is the former sum, and the
+        # verdicts agree
+        columns = pascal_columns(60)
+        for n in range(61):
+            for k in range(n + 1):
+                rhs = math.comb(n + 1, k + 1)
+                for j in range(k + 1):
+                    by_comb = chu_vandermonde_by_comb(n, j, k)
+                    left, right = columns[j][: n - k + 1], columns[k - j][n - k :: -1]
+                    assert sum(x * y for x, y in zip(left, right)) == by_comb, (n, j, k)
+                    assert chu_vandermonde_check(n, j, k) == (by_comb == rhs), (n, j, k)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             chu_vandermonde_check(3, 2, 1)
         with pytest.raises(ValueError):
             chu_vandermonde_check(2, 0, 3)
+
+
+class TestPascalColumns:
+    def test_entries_are_binomials_up_to_60(self):
+        columns = pascal_columns(60)
+        for j in range(61):
+            assert columns[j][: 61 - j] == tuple(math.comb(i + j, j) for i in range(61 - j)), j
+
+    def test_table_has_quadratic_size(self, fresh_columns):
+        columns = pascal_columns(9)
+        assert [len(c) for c in columns] == list(range(10, 0, -1))
+        assert sum(map(len, columns)) == 10 * 11 // 2
+
+    def test_request_past_the_table_grows_it(self, fresh_columns):
+        small = pascal_columns(5)
+        assert [len(c) for c in small] == [6, 5, 4, 3, 2, 1]
+        # C(m, 0) for m <= 9 reaches past the cached column of length 6
+        assert chu_vandermonde_check(9, 0, 0)
+        grown = stacky._columns
+        assert [len(c) for c in grown] == list(range(10, 0, -1))
+        for j, column in enumerate(grown):
+            assert column == tuple(math.comb(i + j, j) for i in range(10 - j)), j
+        assert all(chu_vandermonde_check(12, j, k) for k in range(13) for j in range(k + 1))
+        assert pascal_columns(3) is pascal_columns(12) is stacky._columns
+
+    @staticmethod
+    def plant(n, j, i):
+        """Add 1 to C(i+j, j) in the table grown to n."""
+        columns = list(pascal_columns(n))
+        column = list(columns[j])
+        column[i] += 1
+        columns[j] = tuple(column)
+        stacky._columns = tuple(columns)
+
+    def test_planted_entry_fails_the_check(self, fresh_columns):
+        assert chu_vandermonde_check(5, 2, 2)
+        self.plant(10, 2, 3)  # C(5, 2) = 10 becomes 11
+        assert not chu_vandermonde_check(5, 2, 2)
+        assert not chu_vandermonde_check(7, 1, 3)  # as the reversed column C(., k-j)
+        assert chu_vandermonde_check(5, 2, 3)  # reads C(m, 2) only for m <= 4
+
+    def test_planted_entry_fails_the_suite(self, fresh_columns):
+        self.plant(10, 2, 3)
+        report = chu_vandermonde_suite_report(10)
+        assert report.status == "failed"
+        # C(5, 2) is read by every triple with j = 2 or k - j = 2 and n - k >= 3
+        assert report.observations["failures"] == [
+            [n, j, k]
+            for n in range(11)
+            for k in range(n + 1)
+            for j in range(k + 1)
+            if 2 in (j, k - j) and n - k >= 3
+        ]
