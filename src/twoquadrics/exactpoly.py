@@ -6,11 +6,13 @@ classes share one sparse core for their arithmetic, comparison and
 printing.  Coefficients are arbitrary-precision Python ints, so every
 operation is exact and downstream identity checks are literal
 polynomial equalities; the constructors take int exponents and
-coefficients only and raise TypeError on anything else.
+coefficients only and raise TypeError on anything else.  Dense
+polynomials on the hot paths are packed into single ints (see the
+packed section below).
 
 All values are immutable after construction and all operations are pure;
-the Gaussian-binomial memo cache is safe for concurrent use under the
-GIL and never changes results.
+the Gaussian-binomial tables are safe for concurrent use under the GIL
+and never change results.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from typing import Iterable, Mapping
 
 
@@ -259,81 +262,198 @@ def binomial(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
+# ---------------------------------------------------------------------------
+# Packed dense polynomials (Kronecker substitution)
+#
+# A dense integer polynomial sum_e c_e X^e is held as its value at
+# X = 2^width, one Python int, so that a shift of every coefficient, or a
+# sum of two polynomials, is one C-level operation on that int.  The
+# width S is a multiple of 64 and the digits are signed and balanced:
+# every c_e lies in [-2^(S-1), 2^(S-1)).  Two polynomials with digits in
+# that range are equal exactly when their packed values are, and more
+# generally P(2^S) = 0 forces P = 0 whenever every |P_e| < 2^S (the
+# lowest nonzero coefficient would be a nonzero multiple of 2^S).
+#
+# Exactness therefore rests on the width, and every caller derives it
+# with packed_width from an a priori bound on every |coefficient| and
+# every partial sum it forms, proved where the width is chosen; a digit
+# in the top half of its range then reads back as a negative
+# coefficient, never as a carry.
+
+_LIMB_BITS = 64
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def packed_width(bound: int) -> int:
+    """The digit width S for values bounded by `bound`: the least multiple
+    of 64 with bound < 2^(S-1), so one bit spare above the bound itself
+    and every |value| <= bound is a balanced digit."""
+    return (bound.bit_length() + _LIMB_BITS) // _LIMB_BITS * _LIMB_BITS
+
+
+def _half_digits(width: int, length: int) -> int:
+    """The packed value with each of `length` digits equal to 2^(width-1):
+    adding it makes balanced digits non-negative, one per width bits."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * length, "little")
+
+
+def _native_limbs(data, fmt: str) -> memoryview:
+    """The 64-bit limbs of `data` (bytes in native byte order) as a
+    memoryview of format `fmt`, least significant limb first."""
+    view = memoryview(data).cast(fmt)
+    return view[::-1] if _BIG_ENDIAN else view
+
+
+def _digits_holding(x: int, width: int) -> int:
+    """A digit count that holds x, at most one more than it needs: with
+    b = |x|.bit_length(), it is n = (b + 64 + width) // width, and
+    |x| < 2^b <= 2^(n width - 65), far inside the n-digit range."""
+    return (abs(x).bit_length() + _LIMB_BITS + width) // width
+
+
+def pack(coeffs, width: int) -> int:
+    """sum_e coeffs[e] 2^(width e): the packed form of the dense
+    polynomial `coeffs` (entry e is the coefficient of X^e).  Every
+    coefficient must lie in [-2^(width-1), 2^(width-1)); OverflowError
+    otherwise.
+
+    Each coefficient becomes `width` bits of two's complement, and the
+    bytes are read as one unsigned int z; flipping the top bit of every
+    digit turns two's complement into offset form, so (z ^ H) - H, H the
+    half digits, is the balanced value.  Only repacking and the tests
+    pack; the hot paths build packed values by shifts and adds."""
+    size = width // 8
+    data = b"".join(c.to_bytes(size, "little", signed=True) for c in coeffs)
+    half = _half_digits(width, len(coeffs))
+    return (int.from_bytes(data, "little") ^ half) - half
+
+
+def unpack(x: int, width: int, length: int | None = None) -> list[int]:
+    """The dense coefficients of the packed polynomial x: `length` of
+    them, or, when length is None, up to the highest nonzero one (none
+    for x = 0).  OverflowError when x has no `length`-digit form.
+
+    The inverse of pack, at C level: x + H makes every digit
+    non-negative and ^ H flips each digit's top bit back to two's
+    complement; the bytes are cast to 64-bit limbs, the top limb of each
+    digit read signed, and lower limbs, if any, are shifted in by maps."""
+    trim = length is None
+    if trim:
+        length = _digits_holding(x, width)
+    half = _half_digits(width, length)
+    data = ((x + half) ^ half).to_bytes(length * width // 8, sys.byteorder)
+    limbs = width // _LIMB_BITS
+    digits = _native_limbs(data, "q")[limbs - 1 :: limbs].tolist()
+    if limbs > 1:
+        unsigned = _native_limbs(data, "Q")
+        for t in range(limbs - 2, -1, -1):
+            digits = list(
+                map(operator.add, map(operator.lshift, digits, itertools.repeat(_LIMB_BITS)),
+                    unsigned[t::limbs].tolist())
+            )
+    if trim:
+        while digits and not digits[-1]:
+            digits.pop()
+    return digits
+
+
+def packed_divide_one_minus(x: int, s: int, width: int) -> int:
+    """The packed quotient of the packed polynomial x by 1 - X^s, s >= 1,
+    which must be exact (InexactDivisionError otherwise).
+
+    The quotient series is the stride-s running sum of the coefficients,
+    formed by doubling shifts: after y += y << (w s width) for
+    w = 1, 2, 4, ..., digit i of y sums x_{i-js} over j < 2w, so once
+    2w s reaches the n digits of x, the low n digits of y are the series.
+    They are kept as q, and the division is exact exactly when
+    q (1 - X^s) == x: then q is the quotient, and otherwise no quotient
+    exists, since an exact quotient has degree below n - s and would be
+    q itself.
+
+    The caller's width must satisfy 3A < 2^(width-1), A the sum of the
+    |coefficients| of x: every digit of y is a window sum, at most A, as
+    is every digit of q; q (1 - X^s) has digits at most 2A, so the
+    compared polynomials differ by at most 3A per coefficient, and equal
+    packed values mean equal polynomials."""
+    n = _digits_holding(x, width)
+    total = n * width
+    y = x
+    shift = s * width
+    while shift < total:
+        y += y << shift
+        shift <<= 1
+    half = _half_digits(width, n)
+    q = ((y + half) & ((1 << total) - 1)) - half
+    if q - (q << s * width) != x:
+        raise InexactDivisionError(f"polynomial division by 1 - q^{s} is not exact")
+    return q
+
+
 @functools.cache
-def _pascal_diagonal(d: int) -> dict[int, tuple[int, ...]]:
-    """[m+d, m]_q by m, filled on demand by gauss_coefficients, seeded
-    with m = 0.  Entries are only ever added, each with its one value, so
-    concurrent fills cannot disagree."""
-    return {0: (1,)}
+def _pascal_table(width: int) -> dict[int, dict[int, int]]:
+    """Packed Gaussian binomials [m+d, m] at this width, by diagonal d and
+    then m, filled on demand by gauss_packed.  Entries are only ever
+    added, each with its one value, so concurrent fills cannot disagree."""
+    return {}
+
+
+def gauss_packed(n: int, m: int, width: int) -> int:
+    """The Gaussian binomial [n, m]_q packed at X = 2^width, which must
+    satisfy C(n, m) < 2^(width-1) (ValueError otherwise).
+
+    Its coefficients are non-negative and sum to C(n, m), so each is at
+    most C(n, m), and so is every value the table below forms: each is
+    an entry [n', m'] with n'-m' <= n-m and m' <= m, and C(n', m') <=
+    C(n, m).  Computed division-free by the Pascal recurrence
+    [n, m]_q = [n-1, m-1]_q + q^m [n-1, m]_q, one shift and one add per
+    entry.  The table is filled diagonal by diagonal (d = n-m), each up
+    to m, so the first term is on the diagonal being filled and the
+    second on the one below; no recursion deepens with n.  A fill reaches
+    every diagonal below its own, so it starts above the highest one
+    that already reaches m.
+    """
+    if m < 0:
+        return 0
+    if m == 0:
+        return 1
+    if n < 0:
+        raise ValueError(f"gauss_binomial({n}, {m}) with n < 0, m >= 1 is undefined here")
+    if n < m:
+        return 0
+    if math.comb(n, m).bit_length() >= width:
+        raise ValueError(f"[{n}, {m}]_q does not fit digits of width {width}")
+    table = _pascal_table(width)
+    diagonal = table.get(n - m, {})
+    if m not in diagonal:
+        start = n - m
+        while start and m not in table.get(start - 1, ()):
+            start -= 1
+        # [i-1, i] = 0 below the diagonal d = 0
+        below = table[start - 1] if start else {}
+        for d in range(start, n - m + 1):
+            diagonal = table.setdefault(d, {0: 1})
+            for i in range(len(diagonal), m + 1):
+                diagonal.setdefault(i, diagonal[i - 1] + (below.get(i, 0) << (i * width)))
+            below = diagonal
+    return diagonal[m]
 
 
 @functools.cache
 def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
-    """Dense coefficient tuple of the Gaussian binomial [n, m]_q.
+    """Dense coefficient tuple of the Gaussian binomial [n, m]_q, the
+    unpacked view of gauss_packed at the width C(n, m) needs.
 
     Entry e is the coefficient of q^e; the empty tuple encodes 0.
-    Computed division-free by the Pascal recurrence
-    [n, m]_q = [n-1, m-1]_q + q^m [n-1, m]_q: a copy of the first term,
-    padded to degree m(n-m), and one slice update adding the second,
-    which for n > m ends exactly at that degree.  The table is filled
-    diagonal by diagonal (d = n-m), each up to m, so the first term is on
-    the diagonal being filled and the second on the one below; no
-    recursion deepens with n.  A fill reaches every diagonal below its
-    own, so it starts above the highest one that already reaches m.
     """
     if m < 0:
         return ()
-    if m == 0:
-        return (1,)
-    if n < 0:
-        raise ValueError(f"gauss_binomial({n}, {m}) with n < 0, m >= 1 is undefined here")
-    if n < m:
-        return ()
-    diagonal = _pascal_diagonal(n - m)
-    if m not in diagonal:
-        start = n - m
-        while start and m not in _pascal_diagonal(start - 1):
-            start -= 1
-        # [i-1, i] = 0 below the diagonal d = 0
-        below = _pascal_diagonal(start - 1) if start else {}
-        for d in range(start, n - m + 1):
-            diagonal = _pascal_diagonal(d)
-            for i in range(len(diagonal), m + 1):
-                low = diagonal[i - 1]
-                out = list(low) + [0] * (i * d + 1 - len(low))
-                out[i:] = map(operator.add, out[i:], below.get(i, ()))
-                diagonal.setdefault(i, tuple(out))
-            below = diagonal
-    return diagonal[m]
+    width = packed_width(binomial(n, m))
+    return tuple(unpack(gauss_packed(n, m, width), width))
 
 
 def gauss_binomial(n: int, m: int) -> LaurentPoly:
     """Gaussian binomial coefficient [n, m]_q as a polynomial in q."""
     return LaurentPoly._raw({e: c for e, c in enumerate(gauss_coefficients(n, m)) if c})
-
-
-def mul_one_minus_power(coeffs: list[int], s: int) -> None:
-    """Multiply the dense polynomial `coeffs` (entry e is the coefficient
-    of q^e) by 1 - q^s in place, for s >= 1."""
-    coeffs.extend([0] * s)
-    # the right-hand slices are copies, so every subtrahend is an old value
-    coeffs[s:] = map(operator.sub, coeffs[s:], coeffs[:-s])
-
-
-def div_one_minus_power(coeffs: list[int], s: int) -> None:
-    """Divide the dense polynomial `coeffs` by 1 - q^s in place, for s >= 1.
-
-    The quotient series is the stride-s running sum of the coefficients.
-    It is a polynomial exactly when its top s coefficients (the dropped
-    tail) vanish; otherwise InexactDivisionError is raised.
-    """
-    n = len(coeffs)
-    for r in range(min(s, n)):
-        coeffs[r:n:s] = itertools.accumulate(coeffs[r:n:s])
-    top = max(n - s, 0)
-    if any(coeffs[top:]):
-        raise InexactDivisionError(f"polynomial division by 1 - q^{s} is not exact")
-    del coeffs[top:]
 
 
 def _nonzero_ends(coeffs) -> tuple[int, int]:

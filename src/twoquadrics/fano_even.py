@@ -13,27 +13,17 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from dataclasses import dataclass
 
 from .curves import block_diamond
-from .exactpoly import gauss_coefficients
-from .hodge import ConsistencyError, HodgeDiamond
+from .exactpoly import gauss_packed, packed_width, unpack
+from .hodge import ConsistencyError, FanoParams, HodgeDiamond
 
 
-@dataclass(frozen=True)
-class EvenFanoParams:
+class EvenFanoParams(FanoParams):
     """Parameters (g, k): planes of dimension k on an intersection of two
     quadrics in projective 2g-space, with 2 <= g and 0 <= k <= g-2."""
 
-    g: int
-    k: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ValueError(f"g = {self.g}: need g >= 2")
-        if not 0 <= self.k <= self.g - 2:
-            raise ValueError(f"k = {self.k}: need 0 <= k <= g-2 = {self.g - 2}")
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -42,27 +32,39 @@ class EvenFanoParams:
 
 @functools.cache
 def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
-    """Even Betti numbers (b_0, b_2, ..., b_{2d}), d = dimension, in one
-    dense pass: b_{2p} is the sum over j = 0..k+1 of
-    C(2g+1, j) [q^{p-j(g-k-1)}] [2g-k-j-1, k+1-j]_q.
+    """Even Betti numbers (b_0, b_2, ..., b_{2d}), d = dimension: the
+    coefficients of sum_{j=0..k+1} C(2g+1, j) q^{j(g-k-1)} [2g-k-j-1, k+1-j]_q,
+    summed as one packed int (exactpoly.pack) and unpacked once.
 
-    The vector is checked as stored: its entries are non-negative, it is
-    a palindrome (Serre duality), and no block runs past index d.  A
+    The packing width comes from the bound sum_j C(2g+1, j) C(n_j, m_j),
+    (n_j, m_j) = (2g-k-j-1, k+1-j), computed by math.comb: the
+    coefficients of [n_j, m_j] are non-negative and sum to C(n_j, m_j),
+    so every coefficient of every partial sum is at most the bound.
+
+    The vector is checked as stored: no block runs past index d, its
+    entries are non-negative, and it is a palindrome (Serre duality).  A
     failure raises ConsistencyError.
     """
     g, k = params.g, params.k
     d = params.dimension
-    b = [0] * (d + 1)
-    for j in range(k + 2):
-        coeffs = gauss_coefficients(2 * g - k - j - 1, k + 1 - j)
-        s = j * (g - k - 1)
-        e = s + len(coeffs)
-        if e > d + 1:
-            raise ConsistencyError(
-                f"block j = {j} of (g, k) = ({g}, {k}) ends at degree {e - 1} > {d}"
-            )
-        w = math.comb(2 * g + 1, j)
-        b[s:e] = map(operator.add, b[s:e], map(w.__mul__, coeffs))
+    blocks = [(j, math.comb(2 * g + 1, j), 2 * g - k - j - 1, k + 1 - j) for j in range(k + 2)]
+    width = packed_width(sum(w * math.comb(n, m) for _, w, n, m in blocks))
+    total = 0
+    for j, w, n, m in blocks:
+        total += w * gauss_packed(n, m, width) << (j * (g - k - 1) * width)
+    try:
+        b = unpack(total, width, d + 1)
+    except OverflowError:
+        # some block has a nonzero coefficient past degree d; name the first
+        for j, w, n, m in blocks:
+            e = j * (g - k - 1) + len(unpack(gauss_packed(n, m, width), width))
+            if e > d + 1:
+                raise ConsistencyError(
+                    f"block j = {j} of (g, k) = ({g}, {k}) ends at degree {e - 1} > {d}"
+                ) from None
+        raise ConsistencyError(
+            f"Betti vector of (g, k) = ({g}, {k}) exceeds its coefficient bound"
+        ) from None
     if min(b) < 0:
         raise ConsistencyError(f"negative Betti number for (g, k) = ({g}, {k})")
     if b != b[::-1]:

@@ -5,6 +5,7 @@ smooth projective variety; the constructor enforces Hodge symmetry and
 Serre duality eagerly, so everything computed downstream inherits those
 guarantees.  The measures (E-polynomial, Betti numbers, Euler
 characteristic, Hochschild homology dimensions) are read off the table.
+FanoParams is the (g, k) record that both Fano cases subclass.
 """
 
 from __future__ import annotations
@@ -17,6 +18,43 @@ from .exactpoly import BiPoly, LaurentPoly
 
 class ConsistencyError(RuntimeError):
     """Internal bookkeeping produced an impossible Hodge-theoretic value."""
+
+
+class FanoParams:
+    """Parameters (g, k) of the Fano scheme of k-planes on a smooth
+    intersection of two quadrics, with 2 <= g and 0 <= k <= g-2; each
+    case subclasses it with its dimension.  Immutable; equal, with equal
+    hashes, exactly when the class and (g, k) agree."""
+
+    __slots__ = ("g", "k")
+
+    def __init__(self, g: int, k: int):
+        if g < 2:
+            raise ValueError(f"g = {g}: need g >= 2")
+        if not 0 <= k <= g - 2:
+            raise ValueError(f"k = {k}: need 0 <= k <= g-2 = {g - 2}")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.g, self.k) == (other.g, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.k))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(g={self.g!r}, k={self.k!r})"
+
+    def __reduce__(self):
+        return type(self), (self.g, self.k)
 
 
 def _is_valid_table(rows: tuple[tuple, ...]) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from .curves import (
@@ -24,7 +23,15 @@ from .curves import (
     curve_diamond,
     projective_space_diamond,
 )
-from .exactpoly import BiPoly, LaurentPoly, _nonzero_ends, binomial, gauss_coefficients
+from .exactpoly import (
+    BiPoly,
+    LaurentPoly,
+    _nonzero_ends,
+    binomial,
+    gauss_packed,
+    packed_width,
+    unpack,
+)
 from .fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 
 VERIFIED = "verified"
@@ -47,9 +54,14 @@ def multiplicity_coefficients(g: int, k: int, i: int) -> tuple[int, list[int]]:
     sum_e coeffs[e] L^{base+e}, with nonzero ends (no coefficients for
     the zero polynomial).
 
-    L^{i(g-k-1)} times a five-term bracket of Gaussian binomials in L;
-    the bracket is accumulated densely, one slice update per shifted
-    Gaussian binomial, since every contributing shift is non-negative.
+    L^{i(g-k-1)} times a five-term bracket of Gaussian binomials in L,
+    every contributing shift non-negative.  The bracket is summed as one
+    packed int (exactpoly.pack), one shift and add per shifted Gaussian
+    binomial, then unpacked once, signed, from its lowest nonzero
+    coefficient to its highest.  The packing width comes from the
+    bound sum over the groups of (number of shifts) C(n, m): each [n, m]
+    has non-negative coefficients summing to C(n, m), so every
+    coefficient of every partial sum is at most that in absolute value.
     """
     _check_gki(g, k, i)
     groups = (
@@ -67,19 +79,19 @@ def multiplicity_coefficients(g: int, k: int, i: int) -> tuple[int, list[int]]:
         ),
         ((4 * (g - k) - 2,), 2 * g - k - i - 4, k - i - 3, -1),
     )
-    acc: list[int] = []
+    width = packed_width(sum(len(shifts) * binomial(n, m) for shifts, n, m, _ in groups))
+    acc = 0
     for shifts, n, m, sign in groups:
-        if m < 0 or (0 <= n < m):
-            continue
-        coeffs = gauss_coefficients(n, m)
-        combine = operator.add if sign > 0 else operator.sub
-        for s in shifts:
-            end = s + len(coeffs)
-            if end > len(acc):
-                acc.extend([0] * (end - len(acc)))
-            acc[s:end] = map(combine, acc[s:end], coeffs)
-    lo, hi = _nonzero_ends(acc)
-    return i * (g - k - 1) + lo, acc[lo:hi]
+        value = sign * gauss_packed(n, m, width)
+        if value:  # a vanishing group may have negative shifts
+            for s in shifts:
+                acc += value << (s * width)
+    base = i * (g - k - 1)
+    if not acc:
+        return base, []
+    # the lowest set bit lies in the lowest nonzero digit
+    lo = ((acc & -acc).bit_length() - 1) // width
+    return base + lo, unpack(acc >> (lo * width), width)
 
 
 def multiplicity_polynomial(g: int, k: int, i: int) -> LaurentPoly:
@@ -148,13 +160,37 @@ def macdonald_vectors(g: int, terms) -> list[tuple[int, int, list[int]]]:
     return vectors
 
 
-@dataclass(frozen=True)
 class MotivicExpression:
     """Formal sum over i of P_i(L) [Sym^i C] for a genus-g curve; the i = 0
-    term stands for the point class.  Zero multiplicities are dropped."""
+    term stands for the point class.  Zero multiplicities are dropped.
+    Immutable; equal, with equal hashes, exactly when genus and terms
+    agree."""
 
-    genus: int
-    terms: tuple[tuple[int, LaurentPoly], ...]
+    __slots__ = ("genus", "terms")
+
+    def __init__(self, genus: int, terms: tuple[tuple[int, LaurentPoly], ...]):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.genus, self.terms) == (other.genus, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.terms))
+
+    def __repr__(self) -> str:
+        return f"MotivicExpression(genus={self.genus!r}, terms={self.terms!r})"
+
+    def __reduce__(self):
+        return type(self), (self.genus, self.terms)
 
     @classmethod
     def from_terms(cls, genus, mapping) -> "MotivicExpression":
@@ -188,23 +224,52 @@ class MotivicExpression:
         return tuple((i, poly.is_effective()) for i, poly in self.terms)
 
 
-@dataclass
 class VerificationReport:
     """Structured pass/fail record for one identity instance.
 
     Carries both sides so that a mismatch is diagnosable; status is
     "verified" exactly when the sides agree and every effectivity check
-    passes.
+    passes.  Two reports are equal when every field is.
     """
 
-    identity: str
-    params: dict[str, int]
-    status: str
-    lhs: Any
-    rhs: Any
-    effectivity: tuple[tuple[int, bool], ...] = ()
-    observations: dict[str, Any] = field(default_factory=dict)
-    elapsed_ms: int = 0
+    _FIELDS = (
+        "identity", "params", "status", "lhs", "rhs", "effectivity", "observations",
+        "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        identity: str,
+        params: dict[str, int],
+        status: str,
+        lhs: Any,
+        rhs: Any,
+        effectivity: tuple[tuple[int, bool], ...] = (),
+        observations: dict[str, Any] | None = None,
+        elapsed_ms: int = 0,
+    ):
+        self.identity = identity
+        self.params = params
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
+        self.effectivity = effectivity
+        self.observations = {} if observations is None else observations
+        self.elapsed_ms = elapsed_ms
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"VerificationReport({fields})"
 
     @property
     def verified(self) -> bool:

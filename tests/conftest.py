@@ -18,8 +18,13 @@ def dense_plus(kernel, extra):
     return low, tuple(total.coefficient(c) for c in range(low, total.degree() + 1, 2))
 
 
+# the cached view itself: plant_kernel replaces the module attribute
+_kernel_coefficients = fano_odd.kernel_coefficients
+
+
 def _clear_odd_caches():
     fano_odd._kernel_chain.cache_clear()
+    _kernel_coefficients.cache_clear()
     fano_odd.multiplicity_kernel.cache_clear()
     fano_odd.fano_odd_diamond.cache_clear()
 

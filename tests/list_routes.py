@@ -1,0 +1,151 @@
+"""Test oracles: the dense routes the library ran on lists of ints before
+its dense polynomials were packed into single ints.  Each is the former
+library code, kept whole, so the packed routes can be compared with it
+and their widths with the values it forms.
+
+Every function here can record the largest |value| it forms: pass a
+`seen` list and each intermediate coefficient list is appended to it.
+"""
+
+import functools
+import itertools
+import math
+import operator
+
+from twoquadrics.exactpoly import InexactDivisionError
+
+
+def mul_one_minus_power(coeffs, s):
+    """Multiply the dense polynomial `coeffs` (entry e is the coefficient
+    of q^e) by 1 - q^s in place, for s >= 1."""
+    coeffs.extend([0] * s)
+    # the right-hand slices are copies, so every subtrahend is an old value
+    coeffs[s:] = map(operator.sub, coeffs[s:], coeffs[:-s])
+
+
+def div_one_minus_power(coeffs, s):
+    """Divide the dense polynomial `coeffs` by 1 - q^s in place, for s >= 1.
+
+    The quotient series is the stride-s running sum of the coefficients.
+    It is a polynomial exactly when its top s coefficients (the dropped
+    tail) vanish; otherwise InexactDivisionError is raised.
+    """
+    n = len(coeffs)
+    for r in range(min(s, n)):
+        coeffs[r:n:s] = itertools.accumulate(coeffs[r:n:s])
+    top = max(n - s, 0)
+    if any(coeffs[top:]):
+        raise InexactDivisionError(f"polynomial division by 1 - q^{s} is not exact")
+    del coeffs[top:]
+
+
+@functools.cache
+def _list_diagonal(d):
+    """[m+d, m]_q by m as tuples, seeded with m = 0."""
+    return {0: (1,)}
+
+
+def list_gauss_coefficients(n, m):
+    """[n, m]_q as a dense tuple by the former list Pascal table: filled
+    diagonal by diagonal, one slice update per entry."""
+    if m < 0:
+        return ()
+    if m == 0:
+        return (1,)
+    if n < m:
+        return ()
+    diagonal = _list_diagonal(n - m)
+    if m not in diagonal:
+        start = n - m
+        while start and m not in _list_diagonal(start - 1):
+            start -= 1
+        below = _list_diagonal(start - 1) if start else {}
+        for d in range(start, n - m + 1):
+            diagonal = _list_diagonal(d)
+            for i in range(len(diagonal), m + 1):
+                low = diagonal[i - 1]
+                out = list(low) + [0] * (i * d + 1 - len(low))
+                out[i:] = map(operator.add, out[i:], below.get(i, ()))
+                diagonal.setdefault(i, tuple(out))
+            below = diagonal
+    return diagonal[m]
+
+
+def list_kernel_step(a, b, previous, seen=None):
+    """K(a, b) from K(a, b-1) by the in-place list steps."""
+    coeffs = list(previous)
+    for step, s in ((mul_one_minus_power, 2 * b), (mul_one_minus_power, a + b - 2),
+                    (div_one_minus_power, 2 * b - 2), (div_one_minus_power, b - a + 1)):
+        step(coeffs, s)
+        if seen is not None:
+            seen.append(list(coeffs))
+    return tuple(coeffs)
+
+
+@functools.cache
+def list_kernel_coefficients(a, b):
+    """The dense kernel K(a, b) in u = q^2, stepped from K(a, a-1) = 1."""
+    if b == a - 1:
+        return (1,)
+    return list_kernel_step(a, b, list_kernel_coefficients(a, b - 1))
+
+
+def list_betti_numbers(g, k, seen=None):
+    """The even Betti vector of the (g, k) stacky Fano scheme, one slice
+    update per weighted Gaussian binomial."""
+    d = (k + 1) * (2 * g - 2 * k - 2)
+    b = [0] * (d + 1)
+    for j in range(k + 2):
+        coeffs = list_gauss_coefficients(2 * g - k - j - 1, k + 1 - j)
+        s = j * (g - k - 1)
+        e = s + len(coeffs)
+        w = math.comb(2 * g + 1, j)
+        b[s:e] = map(operator.add, b[s:e], map(w.__mul__, coeffs))
+        if seen is not None:
+            seen.append(list(b))
+    return tuple(b)
+
+
+def list_multiplicity_coefficients(g, k, i, seen=None):
+    """M_i(L) of the (g, k) decomposition as a dense (base, coeffs) with
+    nonzero ends: the five-group bracket accumulated by slice updates."""
+    groups = (
+        ((0,), 2 * g - k - i, k + 1 - i, 1),
+        ((g - k - 1, g + 2 * k - 3 * i), 2 * g - k - i - 4, k - i, -1),
+        (
+            (g - k, g - i, g + k - 2 * i, 3 * g - 3 * k - 4, 3 * g - 2 * k - 4 - i,
+             3 * g - k - 2 * i - 4),
+            2 * g - k - i - 4, k - i - 1, -1,
+        ),
+        (
+            (3 * (g - k - 1), 3 * (g - k - 1) + 1, 3 * g - 2 * k - i - 3,
+             3 * g - 2 * k - i - 2),
+            2 * g - k - i - 4, k - i - 2, -1,
+        ),
+        ((4 * (g - k) - 2,), 2 * g - k - i - 4, k - i - 3, -1),
+    )
+    acc = []
+    for shifts, n, m, sign in groups:
+        if m < 0 or (0 <= n < m):
+            continue
+        coeffs = list_gauss_coefficients(n, m)
+        combine = operator.add if sign > 0 else operator.sub
+        for s in shifts:
+            end = s + len(coeffs)
+            if end > len(acc):
+                acc.extend([0] * (end - len(acc)))
+            acc[s:end] = map(combine, acc[s:end], coeffs)
+            if seen is not None:
+                seen.append(list(acc))
+    hi = len(acc)
+    while hi and not acc[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not acc[lo]:
+        lo += 1
+    return i * (g - k - 1) + lo, acc[lo:hi]
+
+
+def max_abs(lists):
+    """The largest |entry| over a collection of int lists (0 if none)."""
+    return max((abs(c) for values in lists for c in values), default=0)

@@ -533,9 +533,10 @@ class TestInternalErrors:
         )
 
     def test_inexact_kernel_step_is_internal(self, capsys, fresh_odd_caches):
-        # K(3, 3) replaced by 1 in the chain: the step to K(3, 4), which
-        # verify odd --g 4 --k 1 reads, divides (1-u^8)(1-u^5) by 1-u^6
-        fano_odd._kernel_chain(3)[3] = (1,)
+        # K(3, 3) replaced by the packed polynomial 1 in the chain: the step
+        # to K(3, 4), which verify odd --g 4 --k 1 reads, divides
+        # (1-u^8)(1-u^5) by 1-u^6
+        fano_odd._kernel_chain(3)[3] = 1
         assert cli.main(["verify", "odd", "--g", "4", "--k", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

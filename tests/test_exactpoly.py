@@ -1,21 +1,30 @@
 import functools
+import importlib.util
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from list_routes import div_one_minus_power, list_gauss_coefficients, mul_one_minus_power
 
+from twoquadrics import fano_odd
 from twoquadrics.exactpoly import (
     BiPoly,
     InexactDivisionError,
     LaurentPoly,
     _nonzero_ends,
-    _pascal_diagonal,
+    _pascal_table,
     binomial,
     eval_at_one,
     exact_divide,
     gauss_binomial,
     gauss_coefficients,
+    gauss_packed,
+    pack,
+    packed_divide_one_minus,
+    packed_width,
+    unpack,
 )
 
 
@@ -158,7 +167,7 @@ class TestGaussBinomial:
         """Drop the large tables a deep test builds once it is done."""
         yield
         gauss_coefficients.cache_clear()
-        _pascal_diagonal.cache_clear()
+        _pascal_table.cache_clear()
         gauss_by_entries.cache_clear()
 
     def test_deep_table_matches_per_entry_pascal_step(self, fresh_gauss_caches):
@@ -194,6 +203,102 @@ class TestGaussBinomial:
                 assert len(coeffs) == m * (n - m) + 1
                 assert all(c > 0 for c in coeffs)
                 assert coeffs == coeffs[::-1]
+
+
+class TestPackedCore:
+    """pack/unpack, the width rule, the packed Pascal table and the packed
+    division by 1 - X^s, against the former list routes."""
+
+    @pytest.mark.parametrize("width", [64, 128, 192])
+    def test_round_trip_at_the_digit_extremes(self, width):
+        top = (1 << (width - 1)) - 1
+        for coeffs in (
+            [top, -top, 0, top, -top],
+            [-top] * 4,
+            [top] * 4,
+            [0, top, 0, -top, 0],
+            [1, -1, 1 << (width - 2), -(1 << (width - 2))],
+            [-1],
+            [],
+        ):
+            x = pack(coeffs, width)
+            assert x == sum(c << (width * e) for e, c in enumerate(coeffs))
+            assert unpack(x, width, len(coeffs)) == coeffs
+            ends = list(coeffs)
+            while ends and not ends[-1]:
+                ends.pop()
+            assert unpack(x, width) == ends
+
+    @given(st.sampled_from([64, 128, 192]), st.data())
+    def test_round_trip(self, width, data):
+        top = (1 << (width - 1)) - 1
+        coeffs = data.draw(st.lists(st.integers(-top, top), max_size=8))
+        assert unpack(pack(coeffs, width), width, len(coeffs)) == coeffs
+
+    def test_digits_outside_the_width_are_rejected(self):
+        with pytest.raises(OverflowError):
+            pack([1 << 63], 64)
+        with pytest.raises(OverflowError):
+            pack([-(1 << 127) - 1], 128)
+        with pytest.raises(OverflowError):
+            unpack(1 << 64, 64, 1)  # needs a second digit
+
+    @pytest.mark.parametrize(
+        "bound,width",
+        [(0, 64), (1, 64), ((1 << 63) - 1, 64), (1 << 63, 128), ((1 << 127) - 1, 128),
+         (1 << 127, 192)],
+    )
+    def test_width_leaves_one_spare_bit(self, bound, width):
+        assert packed_width(bound) == width
+        assert bound < 1 << (width - 1)
+
+    def test_gauss_matches_list_table_up_to_80(self):
+        for n in range(81):
+            for m in range(-1, n + 2):
+                assert gauss_coefficients(n, m) == list_gauss_coefficients(n, m), (n, m)
+
+    def test_gauss_width_exceeds_the_largest_coefficient(self):
+        for n in range(81):
+            for m in range(n + 1):
+                width = packed_width(binomial(n, m))
+                assert max(list_gauss_coefficients(n, m)).bit_length() + 1 <= width
+
+    def test_table_rejects_a_width_too_narrow(self):
+        # C(70, 35) ~ 2^66.1
+        with pytest.raises(ValueError, match="does not fit"):
+            gauss_packed(70, 35, 64)
+        assert unpack(gauss_packed(70, 35, 128), 128) == list(list_gauss_coefficients(70, 35))
+
+    def test_division_matches_list_route(self):
+        for coeffs in ([3, -1, 0, 2], [1], [5, 0, 0, 0, -7, 1], [1 << 40, -(1 << 40)]):
+            for s in (1, 2, 3, 5, 8):
+                product = list(coeffs)
+                mul_one_minus_power(product, s)
+                x = pack(product, 64)
+                assert x == pack(coeffs, 64) - (pack(coeffs, 64) << (64 * s))
+                quotient = list(product)
+                div_one_minus_power(quotient, s)
+                assert unpack(packed_divide_one_minus(x, s, 64), 64) == unpack(
+                    pack(quotient, 64), 64
+                )
+
+    def test_clearing_the_package_caches_empties_the_packed_tables(self):
+        # the benchmark's per-layer pass clears every functools cache of the
+        # package between calls; a packed table that survived would make
+        # the traced numbers measure warm tables
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        gauss_packed(30, 12, 64)
+        gauss_packed(70, 35, 128)
+        fano_odd.kernel_coefficients(5, 9)
+        assert _pascal_table(64) and fano_odd._kernel_chain(5)
+        tracing.clear_caches()
+        assert _pascal_table.cache_info().currsize == 0
+        assert fano_odd._kernel_chain.cache_info().currsize == 0
+        assert _pascal_table(64) == {} and _pascal_table(128) == {}
+        assert fano_odd._kernel_chain(5) == {4: 1}
 
 
 class TestExactDivide:

@@ -2,8 +2,17 @@ import math
 
 import pytest
 
+from list_routes import list_betti_numbers, max_abs
+
 from twoquadrics import fano_even
-from twoquadrics.exactpoly import eval_at_one, gauss_coefficients
+from twoquadrics.exactpoly import (
+    eval_at_one,
+    gauss_coefficients,
+    gauss_packed,
+    pack,
+    packed_width,
+    unpack,
+)
 from twoquadrics.fano_even import (
     EvenFanoParams,
     euler_closed_form,
@@ -82,6 +91,32 @@ class TestBettiVector:
         expected = [betti_by_j_sum(params, p) for p in range(params.dimension + 1)]
         assert list(fano_even_betti_numbers(params)) == expected
 
+    @pytest.mark.parametrize("g", range(2, 41))
+    def test_matches_list_route(self, g):
+        for k in range(g - 1):
+            assert fano_even_betti_numbers(EvenFanoParams(g, k)) == list_betti_numbers(g, k)
+
+    def test_width_exceeds_every_partial_sum(self, monkeypatch):
+        widths = []
+
+        def recorded(bound):
+            widths.append(packed_width(bound))
+            return widths[-1]
+
+        monkeypatch.setattr(fano_even, "packed_width", recorded)
+        fano_even_betti_numbers.cache_clear()
+        try:
+            for g in range(2, 41):
+                for k in range(g - 1):
+                    fano_even_betti_numbers(EvenFanoParams(g, k))
+                    seen = []
+                    list_betti_numbers(g, k, seen)
+                    assert max_abs(seen).bit_length() + 1 <= widths[-1], (g, k)
+        finally:
+            fano_even_betti_numbers.cache_clear()
+        # at g <= 30 the bound reaches 68 bits: two limbs per coefficient
+        assert set(widths) == {64, 128}
+
     def test_betti_reads_the_vector(self):
         params = EvenFanoParams(5, 2)
         betti = fano_even_betti_numbers(params)
@@ -100,11 +135,13 @@ class TestBettiVectorGuards:
         fano_even_betti_numbers.cache_clear()
 
         def install(edit):
-            def patched(n, m):
-                coeffs = gauss_coefficients(n, m)
-                return tuple(edit(list(coeffs))) if (n, m) == (6, 2) else coeffs
+            def patched(n, m, width):
+                value = gauss_packed(n, m, width)
+                if (n, m) != (6, 2):
+                    return value
+                return pack(edit(unpack(value, width, m * (n - m) + 1)), width)
 
-            monkeypatch.setattr(fano_even, "gauss_coefficients", patched)
+            monkeypatch.setattr(fano_even, "gauss_packed", patched)
 
         yield install
         fano_even_betti_numbers.cache_clear()
@@ -128,13 +165,15 @@ class TestBettiVectorGuards:
         with pytest.raises(ConsistencyError, match="negative Betti number"):
             fano_even_betti_numbers(self.PARAMS)
 
+    # a packed block has no trailing zeros, so the block that runs past the
+    # top degree carries a nonzero coefficient there
     def test_block_past_top_degree_is_inconsistent(self, corrupt):
-        corrupt(lambda c: c + [0])
+        corrupt(lambda c: c + [1])
         with pytest.raises(ConsistencyError, match="ends at degree 9 > 8"):
             fano_even_betti_numbers(self.PARAMS)
 
     def test_cache_holds_no_corrupted_vector(self, corrupt):
-        corrupt(lambda c: c + [0])
+        corrupt(lambda c: c + [1])
         with pytest.raises(ConsistencyError):
             fano_even_betti_numbers(self.PARAMS)
         corrupt(lambda c: c)

@@ -1,17 +1,33 @@
 import math
+import os
+import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from list_routes import (
+    div_one_minus_power,
+    list_kernel_coefficients,
+    list_kernel_step,
+    max_abs,
+    mul_one_minus_power,
+)
 
+import twoquadrics
 from twoquadrics import fano_odd
 from twoquadrics.curves import curve_diamond, projective_space_diamond
 from twoquadrics.exactpoly import (
     BiPoly,
     InexactDivisionError,
     LaurentPoly,
-    div_one_minus_power,
     exact_divide,
-    mul_one_minus_power,
+    pack,
+    packed_divide_one_minus,
+    unpack,
 )
+from twoquadrics.fano_even import EvenFanoParams
 from twoquadrics.fano_odd import (
     OddFanoParams,
     fano_odd_blocks,
@@ -141,6 +157,55 @@ class TestParams:
             OddFanoParams(g, k)
 
 
+@pytest.mark.parametrize("cls", [OddFanoParams, EvenFanoParams])
+class TestParamsRecord:
+    """Both parameter classes: one validated, immutable (g, k) record."""
+
+    def test_keyword_construction_and_value_equality(self, cls):
+        params = cls(g=4, k=1)
+        assert (params.g, params.k) == (4, 1)
+        assert params == cls(4, 1) and hash(params) == hash(cls(4, 1)) == hash((4, 1))
+        assert params != cls(4, 2) and params != (4, 1)
+        assert repr(params) == f"{cls.__name__}(g=4, k=1)"
+        assert pickle.loads(pickle.dumps(params)) == params
+
+    def test_immutable(self, cls):
+        params = cls(4, 1)
+        with pytest.raises(AttributeError):
+            params.g = 5
+        with pytest.raises(AttributeError):
+            del params.k
+        with pytest.raises(AttributeError):
+            params.extra = 1
+        assert (params.g, params.k) == (4, 1)
+
+    @pytest.mark.parametrize(
+        "g,k,message",
+        [
+            (1, 0, "g = 1: need g >= 2"),
+            (4, 3, "k = 3: need 0 <= k <= g-2 = 2"),
+            (4, -1, "k = -1: need 0 <= k <= g-2 = 2"),
+        ],
+    )
+    def test_value_error_messages(self, cls, g, k, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(g, k)
+
+
+def test_odd_and_even_params_never_compare_equal():
+    assert OddFanoParams(4, 1) != EvenFanoParams(4, 1)
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, about 15 ms of every fresh interpreter
+    code = "import sys, twoquadrics.cli as cli; cli.build_parser(); print(sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(twoquadrics.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert "'twoquadrics.cli'" in out and "'dataclasses'" not in out
+
+
 class TestMultiplicity:
     def test_a2_b2(self):
         assert multiplicity(2, 2, 3) == 1
@@ -196,27 +261,63 @@ class TestKernelOracle:
         assert multiplicity_kernel(2, 1200) == kernel_by_products(2, 1200)
 
     def test_corrupted_predecessor_makes_a_step_inexact(self, fresh_odd_caches):
-        # K(3, 3) replaced by 1: the step to b = 4 multiplies by
-        # (1-u^8)(1-u^5), which 1-u^6 does not divide
-        fano_odd._kernel_chain(3)[3] = (1,)
+        # K(3, 3) replaced by the packed polynomial 1: the step to b = 4
+        # multiplies by (1-u^8)(1-u^5), which 1-u^6 does not divide
+        fano_odd._kernel_chain(3)[3] = 1
         with pytest.raises(InexactDivisionError, match=r"1 - q\^6 is not exact"):
             kernel_coefficients(3, 4)
 
     def test_dropped_tail_rejects_inexact_division(self):
         # (1 + q) / (1 - q^2): the running sum leaves 1 + q in the tail
-        with pytest.raises(InexactDivisionError):
-            div_one_minus_power([1, 1], 2)
+        with pytest.raises(InexactDivisionError, match=r"1 - q\^2 is not exact"):
+            packed_divide_one_minus(pack([1, 1], 64), 2, 64)
         # (1 - q^3 + q^4) / (1 - q^3): the tail q^2..q^4 holds a nonzero
-        with pytest.raises(InexactDivisionError):
-            div_one_minus_power([1, 0, 0, -1, 1], 3)
+        with pytest.raises(InexactDivisionError, match=r"1 - q\^3 is not exact"):
+            packed_divide_one_minus(pack([1, 0, 0, -1, 1], 64), 3, 64)
 
     def test_divide_undoes_multiply(self):
-        coeffs = [3, -1, 0, 2]
+        x = pack([3, -1, 0, 2], 128)
         for s in (1, 2, 5):
-            mul_one_minus_power(coeffs, s)
+            x -= x << (128 * s)
         for s in (5, 1, 2):
-            div_one_minus_power(coeffs, s)
-        assert coeffs == [3, -1, 0, 2]
+            x = packed_divide_one_minus(x, s, 128)
+        assert unpack(x, 128) == [3, -1, 0, 2]
+
+
+class TestPackedKernelChain:
+    """The packed chain against the former list steps, and its widths
+    against the values the list steps form."""
+
+    @pytest.mark.parametrize("a", range(2, 21))
+    def test_matches_list_steps(self, a):
+        for b in range(a - 1, 61):
+            shift, coeffs = kernel_coefficients(a, b)
+            assert shift == -(b - a + 1) * (2 * a - 1)
+            assert coeffs == list_kernel_coefficients(a, b), (a, b)
+
+    @pytest.mark.parametrize("a", range(2, 21))
+    def test_width_exceeds_every_value_a_step_forms(self, a):
+        for b in range(a, 61):
+            seen = [list(list_kernel_coefficients(a, b - 1))]
+            list_kernel_step(a, b, seen[0], seen)
+            # the comparison in an exact division reaches 3 times the
+            # absolute sum of its dividend (see packed_divide_one_minus);
+            # seen: K(a, b-1), the two products, the two quotients
+            worst = max(max_abs(seen), 3 * sum(map(abs, seen[2])), 3 * sum(map(abs, seen[3])))
+            assert worst.bit_length() + 1 <= fano_odd._kernel_width(a, b), (a, b)
+
+    def test_width_rests_on_the_kernel_value_at_one(self):
+        # K(a, b)(1) = b C(a+b-2, 2a-3) / (a-1), the sum _kernel_width bounds
+        for a in range(2, 21):
+            for b in range(a - 1, 61):
+                total = sum(list_kernel_coefficients(a, b))
+                assert total * (a - 1) == b * math.comb(a + b - 2, 2 * a - 3), (a, b)
+
+    def test_wide_digits_are_exercised(self):
+        # K(20, 60)(1) is about 2^78, so the chain of a = 20 crosses from
+        # one limb per coefficient to two
+        widths = {fano_odd._kernel_width(20, b) for b in range(19, 61)}
+        assert widths == {64, 128}
 
 
 class TestFanoOddDiamond:

@@ -1,14 +1,18 @@
 import itertools
 import operator
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
+from list_routes import list_multiplicity_coefficients, max_abs
 
+from twoquadrics import motivic
 from twoquadrics.curves import sym_curve_diamond
-from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
+from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one, packed_width
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.motivic import (
     MotivicExpression,
+    VerificationReport,
     bgmn_multiplicity,
     macdonald_vectors,
     multiplicity_at_one,
@@ -151,6 +155,32 @@ class TestMultiplicityPolynomial:
                 g, k, i
             ), (g, k, i)
 
+    @pytest.mark.parametrize("g", range(2, 41))
+    def test_matches_list_route(self, g):
+        for k in range(g - 1):
+            for i in range(k + 2):
+                assert multiplicity_coefficients(g, k, i) == list_multiplicity_coefficients(
+                    g, k, i
+                ), (g, k, i)
+
+    def test_width_exceeds_every_partial_sum(self, monkeypatch):
+        widths = []
+
+        def recorded(bound):
+            widths.append(packed_width(bound))
+            return widths[-1]
+
+        monkeypatch.setattr(motivic, "packed_width", recorded)
+        # every bracket at g <= 40 fits one limb; (47, 24, 0) is the first
+        # that needs two
+        for g, k, i in itertools.chain(admissible(40), [(47, 24, 0)]):
+            seen = []
+            assert multiplicity_coefficients(g, k, i) == list_multiplicity_coefficients(
+                g, k, i, seen
+            )
+            assert max_abs(seen).bit_length() + 1 <= widths[-1], (g, k, i)
+        assert widths[-1] == 128 and set(widths[:-1]) == {64}
+
     def test_span_pairing(self):
         # observed pattern: valuation + degree = dim F_k - i
         for g, k, i in admissible(8):
@@ -230,6 +260,41 @@ class TestMotivicExpression:
             2, {0: LaurentPoly({0: 1}), 1: LaurentPoly({1: -1})}
         )
         assert expr.effectivity() == ((0, True), (1, False))
+
+
+    def test_immutable_with_value_equality(self):
+        terms = ((0, LaurentPoly.one()), (1, LaurentPoly({1: 2})))
+        expr = MotivicExpression(genus=2, terms=terms)
+        same = MotivicExpression(2, terms)
+        assert expr == same and hash(expr) == hash(same)
+        assert expr != MotivicExpression(3, terms)
+        assert expr != (2, terms)
+        assert repr(expr) == f"MotivicExpression(genus=2, terms={terms!r})"
+        with pytest.raises(AttributeError):
+            expr.genus = 3
+        with pytest.raises(AttributeError):
+            del expr.terms
+        with pytest.raises(AttributeError):
+            expr.extra = 1
+        assert expr.genus == 2 and expr.terms == terms
+        assert pickle.loads(pickle.dumps(expr)) == expr
+
+
+class TestVerificationReport:
+    def test_keywords_defaults_and_equality(self):
+        report = VerificationReport(
+            identity="k0-identity", params={"g": 2}, status="verified", lhs=1, rhs=1
+        )
+        assert (report.effectivity, report.observations, report.elapsed_ms) == ((), {}, 0)
+        other = VerificationReport("k0-identity", {"g": 2}, "verified", 1, 1)
+        assert report == other
+        assert report.observations is not other.observations
+        other.elapsed_ms = 5
+        assert report != other
+        with pytest.raises(TypeError):
+            hash(report)
+        assert pickle.loads(pickle.dumps(other)) == other
+        assert repr(report).startswith("VerificationReport(identity='k0-identity', ")
 
 
 class TestVerifiers:
