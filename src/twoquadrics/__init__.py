@@ -47,7 +47,6 @@ from .stacky import (
     chu_vandermonde_check,
     fonarev_rank,
     gessel_identity_check,
-    gessel_series_check,
     stacky_collection_length,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "gauss_binomial",
     "gauss_coefficients",
     "gessel_identity_check",
-    "gessel_series_check",
     "jacobian_diamond",
     "multiplicity",
     "multiplicity_at_one",

@@ -2,9 +2,11 @@
 parameter ranges, and emit deterministic text or JSON reports with
 CI-friendly exit codes (0 verified, 1 any failure, 2 usage error or an
 unwritable --output, 3 internal error: the library caught itself in an
-inconsistency).  A sweep writes each report as it completes; a task that
-hits an internal error becomes a report with status "error", the other
-reports are still emitted and the sweep exits 3."""
+inconsistency).  One table, CHECKS, drives `verify`, `identity` and the
+sweep, and DIAMONDS drives `diamond`.  A sweep writes each report as it
+completes; a task that hits an internal error becomes a report with
+status "error", the other reports are still emitted and the sweep exits
+3."""
 
 from __future__ import annotations
 
@@ -17,20 +19,15 @@ import os
 import sys
 import tempfile
 import time
+from typing import Callable, NamedTuple
 
 from .curves import jacobian_diamond, sym_curve_diamond
 from .exactpoly import BiPoly, InexactDivisionError, LaurentPoly
-from .fano_even import (
-    EvenFanoParams,
-    euler_closed_form,
-    fano_even_betti_numbers,
-    fano_even_diamond,
-)
+from .fano_even import EvenFanoParams, fano_even_diamond
 from .fano_odd import OddFanoParams, fano_odd_diamond
 from .hodge import ConsistencyError
 from .motivic import (
     ERROR,
-    FAILED,
     VERIFIED,
     VerificationReport,
     verify_bgmn_crosscheck,
@@ -38,7 +35,7 @@ from .motivic import (
     verify_hochschild,
     verify_k0_identity,
 )
-from .stacky import chu_vandermonde_check, gessel_identity_check, stacky_collection_length
+from .stacky import chu_vandermonde_suite_report, gessel_suite_report, stacky_counts_report
 
 
 class CliUsageError(Exception):
@@ -47,6 +44,10 @@ class CliUsageError(Exception):
 
 class OutputError(Exception):
     """The --output target cannot be written."""
+
+
+class InternalError(Exception):
+    """The report of a single check has status "error"."""
 
 
 # ---------------------------------------------------------------------------
@@ -153,138 +154,117 @@ def _params_text(report: VerificationReport) -> str:
 
 
 def report_to_text(report: VerificationReport) -> str:
+    """One head line; a report that is not verified adds its sides (an
+    error report has none) and then every observation, one line each in
+    key order, a string as it is and any other value as JSON."""
     head = {VERIFIED: "PASS", ERROR: "ERROR"}.get(report.status, "FAIL")
     lines = [f"{head} {report.identity} {_params_text(report)} ({report.elapsed_ms} ms)"]
-    if report.status == ERROR:
-        lines.append(f"  error: {report.observations['error']}")
-    elif not report.verified:
+    if report.verified:
+        return lines[0]
+    if report.status != ERROR:
         lines.append(f"  lhs: {_pretty_side(report.lhs)}")
         lines.append(f"  rhs: {_pretty_side(report.rhs)}")
         bad = [i for i, ok in report.effectivity if not ok]
         if bad:
             lines.append(f"  non-effective multiplicities at i = {bad}")
+    for key, value in sorted(report.observations.items()):
+        lines.append(f"  {key}: {value if isinstance(value, str) else json.dumps(value)}")
     return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# report builders for the checks the library does not package itself
+# the checks and the sweep
 
-def stacky_counts_report(g: int, k: int) -> VerificationReport:
-    """Three-way agreement: Euler characteristic of the Hodge-Tate
-    diamond (the sum of its even Betti numbers; the odd ones vanish), its
-    closed form, and the exceptional-collection count."""
-    t0 = time.perf_counter()
-    diamond_euler = sum(fano_even_betti_numbers(EvenFanoParams(g, k)))
-    closed = euler_closed_form(g, k)
-    count = stacky_collection_length(g, k)
-    ok = diamond_euler == closed == count
-    return VerificationReport(
-        identity="stacky-counts",
-        params={"g": g, "k": k},
-        status=VERIFIED if ok else FAILED,
-        lhs=diamond_euler,
-        rhs=closed,
-        observations={"collection_length": str(count)},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-    )
+def _genera(max_g: int) -> list[tuple[int]]:
+    return [(g,) for g in range(2, max_g + 1)]
 
 
-def gessel_suite_report(max_m: int, max_a: int) -> VerificationReport:
-    t0 = time.perf_counter()
-    failures = [
-        [m, a]
-        for m in range(max_m + 1)
-        for a in range(0, max_a + 1, 2)
-        if not gessel_identity_check(m, a)
-    ]
-    instances = (max_m + 1) * (max_a // 2 + 1)
-    return VerificationReport(
-        identity="gessel-identity",
-        params={"max_a": max_a, "max_m": max_m},
-        status=VERIFIED if not failures else FAILED,
-        lhs=None,
-        rhs=None,
-        observations={"failures": failures, "instances": instances},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-    )
+def _planes(max_g: int) -> list[tuple[int, int]]:
+    return [(g, k) for g in range(2, max_g + 1) for k in range(g - 1)]
 
 
-def chu_vandermonde_suite_report(max_n: int) -> VerificationReport:
-    t0 = time.perf_counter()
-    failures = [
-        [n, j, k]
-        for n in range(max_n + 1)
-        for k in range(n + 1)
-        for j in range(k + 1)
-        if not chu_vandermonde_check(n, j, k)
-    ]
-    instances = sum((k + 1) for n in range(max_n + 1) for k in range(n + 1))
-    return VerificationReport(
-        identity="chu-vandermonde",
-        params={"max_n": max_n},
-        status=VERIFIED if not failures else FAILED,
-        lhs=None,
-        rhs=None,
-        observations={"failures": failures, "instances": instances},
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-    )
+class Check(NamedTuple):
+    identity: str  # the identity its reports carry
+    params: tuple[str, ...]  # its parameter names, the flags that give them
+    run: Callable[..., VerificationReport]
+    instances: Callable[[dict], list[tuple]]  # sweep ranges -> its parameters, ascending
 
 
-# ---------------------------------------------------------------------------
-# sweep machinery
-
-def sweep_tasks(max_g, max_g_even, max_m, max_a, max_n) -> list[tuple]:
-    """The sweep's tasks in output order: by identity name, then by
-    parameters, so each report can be written as soon as it completes."""
-    genera = range(2, max_g + 1)
-    planes = [(g, k) for g in genera for k in range(g - 1)]
-    return [
-        *(("bgmn", g, 0) for g in genera),
-        ("chu", max_n, 0),
-        ("gessel", max_m, max_a),
-        *(("hochschild", g, k) for g, k in planes),
-        *(("decomposition", g, k) for g, k in planes),
-        *(("k0", g, 0) for g in genera),
-        *(("stacky", g, k) for g in range(2, max_g_even + 1) for k in range(g - 1)),
-    ]
-
-
-# sweep task kind -> (identity, parameter names, check); the checks look
-# their functions up at call time, so a patched module attribute is used
-SWEEP_CHECKS = {
-    "decomposition": (
-        "hyperelliptic-decomposition", ("g", "k"), lambda g, k: verify_decomposition(g, k)
-    ),
-    "hochschild": ("hochschild-decomposition", ("g", "k"), lambda g, k: verify_hochschild(g, k)),
-    "k0": ("k0-identity", ("g",), lambda g, _: verify_k0_identity(g)),
-    "bgmn": ("bgmn-crosscheck", ("g",), lambda g, _: verify_bgmn_crosscheck(g)),
-    "stacky": ("stacky-counts", ("g", "k"), lambda g, k: stacky_counts_report(g, k)),
-    "gessel": ("gessel-identity", ("max_m", "max_a"), lambda m, a: gessel_suite_report(m, a)),
-    "chu": ("chu-vandermonde", ("max_n",), lambda n, _: chu_vandermonde_suite_report(n)),
+# CLI target -> check.  The checks look their functions up at call time,
+# so a patched module attribute is used.  A target whose parameters are
+# verify flags is a `verify` target, one whose parameters are suite
+# bounds an `identity` suite; the sweep runs every target.
+CHECKS = {
+    "odd": Check("hyperelliptic-decomposition", ("g", "k"),
+                 lambda g, k: verify_decomposition(g, k), lambda r: _planes(r["max_g"])),
+    "even": Check("stacky-counts", ("g", "k"),
+                  lambda g, k: stacky_counts_report(g, k), lambda r: _planes(r["max_g_even"])),
+    "k0": Check("k0-identity", ("g",),
+                lambda g: verify_k0_identity(g), lambda r: _genera(r["max_g"])),
+    "bgmn": Check("bgmn-crosscheck", ("g",),
+                  lambda g: verify_bgmn_crosscheck(g), lambda r: _genera(r["max_g"])),
+    "hochschild": Check("hochschild-decomposition", ("g", "k"),
+                        lambda g, k: verify_hochschild(g, k), lambda r: _planes(r["max_g"])),
+    "gessel": Check("gessel-identity", ("max_m", "max_a"),
+                    lambda m, a: gessel_suite_report(m, a), lambda r: [(r["max_m"], r["max_a"])]),
+    "chu-vandermonde": Check("chu-vandermonde", ("max_n",),
+                             lambda n: chu_vandermonde_suite_report(n), lambda r: [(r["max_n"],)]),
 }
 
+VERIFY_FLAGS = ("g", "k")
+SUITE_FLAGS = ("max_m", "max_a", "max_n")
+DIAMOND_FLAGS = ("g", "k", "n")
 
-def run_sweep_task(task: tuple) -> VerificationReport:
-    """Run one sweep task.  An internal error becomes a report with status
-    "error" and the message in observations["error"], so one broken task
+
+def _targets(flags: tuple[str, ...]) -> tuple[str, ...]:
+    """The CHECKS targets whose parameters are all among `flags`."""
+    return tuple(name for name, check in CHECKS.items() if set(check.params) <= set(flags))
+
+
+def run_check(name: str, args: tuple) -> VerificationReport:
+    """Run the check CHECKS[name] on `args` and stamp the report's
+    elapsed_ms.  An internal error becomes a report with status "error"
+    and the message in observations["error"], so one broken sweep task
     does not discard the others."""
-    kind, a, b = task
-    if kind not in SWEEP_CHECKS:
-        raise ValueError(f"unknown sweep task {kind!r}")
-    identity, names, check = SWEEP_CHECKS[kind]
+    check = CHECKS[name]
     t0 = time.perf_counter()
     try:
-        return check(a, b)
+        report = check.run(*args)
     except (ConsistencyError, InexactDivisionError) as exc:
-        return VerificationReport(
-            identity=identity,
-            params=dict(zip(names, (a, b))),
+        report = VerificationReport(
+            identity=check.identity,
+            params=dict(zip(check.params, args)),
             status=ERROR,
             lhs=None,
             rhs=None,
             observations={"error": str(exc)},
-            elapsed_ms=int((time.perf_counter() - t0) * 1000),
         )
+    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return report
+
+
+def run_sweep_task(task: tuple) -> VerificationReport:
+    """Run one sweep task, a (CHECKS target, parameters) pair."""
+    return run_check(*task)
+
+
+def sweep_tasks(max_g, max_g_even, max_m, max_a, max_n) -> list[tuple]:
+    """The sweep's tasks, (CHECKS target, parameters) pairs, in output
+    order: by identity name, then by parameters, so each report can be
+    written as soon as it completes."""
+    ranges = dict(max_g=max_g, max_g_even=max_g_even, max_m=max_m, max_a=max_a, max_n=max_n)
+    by_identity = sorted(CHECKS.items(), key=lambda item: item[1].identity)
+    return [(name, args) for name, check in by_identity for args in check.instances(ranges)]
+
+
+# diamond target -> (parameter names, builder); like the checks, the
+# builders look their functions up at call time
+DIAMONDS = {
+    "fano-odd": (("g", "k"), lambda g, k: fano_odd_diamond(OddFanoParams(g, k))),
+    "fano-even": (("g", "k"), lambda g, k: fano_even_diamond(EvenFanoParams(g, k))),
+    "sym": (("g", "n"), lambda g, n: sym_curve_diamond(g, n)),
+    "jac": (("g",), lambda g: jacobian_diamond(g)),
+}
 
 
 def worker_count(jobs: int, n_tasks: int) -> int:
@@ -340,18 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("diamond", parents=[common], help="print a Hodge diamond")
-    p.add_argument("target", choices=("fano-odd", "fano-even", "sym", "jac"))
+    p.add_argument("target", choices=tuple(DIAMONDS))
     p.add_argument("--g", type=int, help="genus parameter of the associated curve")
     p.add_argument("--k", type=int, help="dimension of the linear subspaces (fano targets)")
     p.add_argument("--n", type=int, help="symmetric-power index (sym target)")
 
     p = sub.add_parser("verify", parents=[common], help="verify one identity instance")
-    p.add_argument("target", choices=("odd", "even", "k0", "bgmn", "hochschild"))
+    p.add_argument("target", choices=_targets(VERIFY_FLAGS))
     p.add_argument("--g", type=int, help="genus parameter of the associated curve")
     p.add_argument("--k", type=int, help="dimension of the linear subspaces")
 
     p = sub.add_parser("identity", parents=[common], help="run a combinatorial identity suite")
-    p.add_argument("name", choices=("gessel", "chu-vandermonde"))
+    p.add_argument("name", choices=_targets(SUITE_FLAGS))
     p.add_argument("--max-m", type=int, default=30, help="gessel: largest m (default 30)")
     p.add_argument("--max-a", type=int, default=60, help="gessel: largest even a (default 60)")
     p.add_argument("--max-n", type=int, default=40, help="chu-vandermonde: largest n (default 40)")
@@ -370,63 +350,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, flag: str):
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if value is None:
-        raise CliUsageError(f"{flag} is required for this command")
-    return value
-
-
-def _reject(args, flag: str):
-    if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
-        raise CliUsageError(f"{flag} is not accepted by this command")
-
-
-def _emit_report(args, write, report: VerificationReport) -> None:
-    write(report_json(report) if args.format == "json" else report_to_text(report) + "\n")
+def _flags(args, names: tuple[str, ...], flags: tuple[str, ...]) -> tuple:
+    """The values of the flags `names`, in order: each of them is
+    required, and every other flag of `flags` (those of the subcommand)
+    must be absent."""
+    for flag in flags:
+        given = getattr(args, flag) is not None
+        if given and flag not in names:
+            raise CliUsageError(f"--{flag} is not accepted by this command")
+        if not given and flag in names:
+            raise CliUsageError(f"--{flag} is required for this command")
+    return tuple(getattr(args, name) for name in names)
 
 
 def _cmd_diamond(args, write) -> int:
-    target = args.target
-    g = _require(args, "--g")
-    if target == "fano-odd":
-        _reject(args, "--n")
-        dia = fano_odd_diamond(OddFanoParams(g, _require(args, "--k")))
-    elif target == "fano-even":
-        _reject(args, "--n")
-        dia = fano_even_diamond(EvenFanoParams(g, _require(args, "--k")))
-    elif target == "sym":
-        _reject(args, "--k")
-        dia = sym_curve_diamond(g, _require(args, "--n"))
-    else:
-        _reject(args, "--k")
-        _reject(args, "--n")
-        dia = jacobian_diamond(g)
+    names, build = DIAMONDS[args.target]
+    dia = build(*_flags(args, names, DIAMOND_FLAGS))
     write(canonical_json(dia.to_json_obj()) if args.format == "json" else dia.to_text() + "\n")
     return 0
 
 
-def _cmd_verify(args, write) -> int:
-    g = _require(args, "--g")
-    target = args.target
-    if target == "odd":
-        report = verify_decomposition(g, _require(args, "--k"))
-    elif target == "even":
-        report = stacky_counts_report(g, _require(args, "--k"))
-    elif target == "k0":
-        _reject(args, "--k")
-        report = verify_k0_identity(g)
-    elif target == "bgmn":
-        _reject(args, "--k")
-        report = verify_bgmn_crosscheck(g)
-    else:
-        report = verify_hochschild(g, _require(args, "--k"))
-    _emit_report(args, write, report)
+def _emit_check(args, write, name: str, params: tuple) -> int:
+    """Run one check and write its report; an internal error is raised
+    again, so nothing is written and main exits 3."""
+    report = run_check(name, params)
+    if report.status == ERROR:
+        raise InternalError(report.observations["error"])
+    write(report_json(report) if args.format == "json" else report_to_text(report) + "\n")
     return 0 if report.verified else 1
 
 
+def _cmd_verify(args, write) -> int:
+    names = CHECKS[args.target].params
+    return _emit_check(args, write, args.target, _flags(args, names, VERIFY_FLAGS))
+
+
 def _check_suite_ranges(args) -> None:
-    for flag in ("max_m", "max_a", "max_n"):
+    for flag in SUITE_FLAGS:
         if getattr(args, flag) < 0:
             raise CliUsageError(f"--{flag.replace('_', '-')} must be non-negative")
     if args.max_a % 2:
@@ -435,12 +395,8 @@ def _check_suite_ranges(args) -> None:
 
 def _cmd_identity(args, write) -> int:
     _check_suite_ranges(args)
-    if args.name == "gessel":
-        report = gessel_suite_report(args.max_m, args.max_a)
-    else:
-        report = chu_vandermonde_suite_report(args.max_n)
-    _emit_report(args, write, report)
-    return 0 if report.verified else 1
+    params = tuple(getattr(args, name) for name in CHECKS[args.name].params)
+    return _emit_check(args, write, args.name, params)
 
 
 def _cmd_sweep(args, write) -> int:
@@ -554,7 +510,7 @@ def main(argv=None) -> int:
     except (CliUsageError, ValueError, OutputError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, InexactDivisionError) as exc:
+    except (ConsistencyError, InexactDivisionError, InternalError) as exc:
         print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -166,10 +166,6 @@ class LaurentPoly(_SparsePoly):
     __mul__ = __rmul__ = _SparsePoly._product
 
     @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls._raw({0: 1})
-
-    @classmethod
     def power_sum(cls, exponents: Iterable[int]) -> "LaurentPoly":
         """Sum of monomials q^e over `exponents`, with multiplicity."""
         return cls((e, 1) for e in exponents)
@@ -222,19 +218,6 @@ class BiPoly(_SparsePoly):
         return (a[0] + b[0], a[1] + b[1])
 
     __mul__ = __rmul__ = _SparsePoly._product
-
-    @classmethod
-    def from_diagonal(cls, p: LaurentPoly) -> "BiPoly":
-        """Substitute the Laurent variable by x*y (each L^e becomes x^e y^e)."""
-        return cls._raw({(e, e): c for e, c in p._coeffs.items()})
-
-    def evaluate(self, x: int, y: int) -> int:
-        total = 0
-        for (p, q), c in self._coeffs.items():
-            if p < 0 or q < 0:
-                raise ValueError("evaluate requires non-negative exponents")
-            total += c * x**p * y**q
-        return total
 
     def pretty(self, x: str = "x", y: str = "y") -> str:
         return self._pretty(lambda k: "*".join(filter(None, (_power(x, k[0]), _power(y, k[1])))))

@@ -110,10 +110,6 @@ class HodgeDiamond:
         self._dim = d
         self._h = rows
 
-    @classmethod
-    def point(cls) -> "HodgeDiamond":
-        return cls(((1,),))
-
     @property
     def dimension(self) -> int:
         return self._dim
@@ -163,21 +159,6 @@ class HodgeDiamond:
         return LaurentPoly(
             (q - p, h) for p, row in enumerate(self._h) for q, h in enumerate(row) if h
         )
-
-    def kunneth(self, other: "HodgeDiamond") -> "HodgeDiamond":
-        """Diamond of a product variety (Kunneth convolution of tables)."""
-        da, db = self._dim, other._dim
-        d = da + db
-        out = [[0] * (d + 1) for _ in range(d + 1)]
-        for p1, row1 in enumerate(self._h):
-            for q1, h1 in enumerate(row1):
-                if not h1:
-                    continue
-                for p2, row2 in enumerate(other._h):
-                    for q2, h2 in enumerate(row2):
-                        if h2:
-                            out[p1 + p2][q1 + q2] += h1 * h2
-        return HodgeDiamond(out)
 
     def to_text(self) -> str:
         """Centered diamond layout: row m holds h^{p,q} with p + q = m,

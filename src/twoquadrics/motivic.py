@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import time
 from typing import Any
 
 from .curves import (
@@ -229,7 +228,8 @@ class VerificationReport:
 
     Carries both sides so that a mismatch is diagnosable; status is
     "verified" exactly when the sides agree and every effectivity check
-    passes.  Two reports are equal when every field is.
+    passes.  Two reports are equal when every field is.  The builders
+    leave elapsed_ms at 0; the CLI's runner (cli.run_check) stamps it.
     """
 
     _FIELDS = (
@@ -280,10 +280,6 @@ def _status(equal: bool, effectivity=()) -> str:
     return VERIFIED if equal and all(ok for _, ok in effectivity) else FAILED
 
 
-def _elapsed_ms(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
-
-
 def _block_sum(vectors) -> list[tuple[int, int, tuple[int, ...]]]:
     """The formal sum of (r, low, coeffs) block vectors, distinct r, as
     (r, lowest exponent, coefficients up to the highest) in ascending r,
@@ -311,7 +307,6 @@ def verify_decomposition(g: int, k: int) -> VerificationReport:
     the report are those of measuring both sides, with no appeal to the
     measure being injective on block vectors.
     """
-    t0 = time.perf_counter()
     terms = []
     for i in range(k + 2):
         base, coeffs = multiplicity_coefficients(g, k, i)
@@ -331,7 +326,6 @@ def verify_decomposition(g: int, k: int) -> VerificationReport:
         rhs=rhs,
         effectivity=effectivity,
         observations={"multiplicity_spans": spans},
-        elapsed_ms=_elapsed_ms(t0),
     )
 
 
@@ -342,7 +336,6 @@ def verify_k0_identity(g: int) -> VerificationReport:
     the polynomial ring has no zero divisors)."""
     if g < 2:
         raise ValueError(f"g = {g}: need g >= 2")
-    t0 = time.perf_counter()
     lhs = fano_odd_diamond(OddFanoParams(g, 0)).e_polynomial()
     shift = BiPoly({(g - 1, g - 1): 1})
     rhs = (
@@ -356,7 +349,6 @@ def verify_k0_identity(g: int) -> VerificationReport:
         status=_status(lhs == rhs),
         lhs=lhs,
         rhs=rhs,
-        elapsed_ms=_elapsed_ms(t0),
     )
 
 
@@ -365,7 +357,6 @@ def verify_bgmn_crosscheck(g: int) -> VerificationReport:
     BGMN multiplicities, as polynomials in L."""
     if g < 2:
         raise ValueError(f"g = {g}: need g >= 2")
-    t0 = time.perf_counter()
     lhs = tuple((i, multiplicity_polynomial(g, g - 2, i)) for i in range(g))
     rhs = tuple((i, bgmn_multiplicity(g, i)) for i in range(g))
     return VerificationReport(
@@ -374,7 +365,6 @@ def verify_bgmn_crosscheck(g: int) -> VerificationReport:
         status=_status(lhs == rhs),
         lhs=lhs,
         rhs=rhs,
-        elapsed_ms=_elapsed_ms(t0),
     )
 
 
@@ -388,7 +378,6 @@ def verify_hochschild(g: int, k: int) -> VerificationReport:
     Macdonald the sum side weighs r by sum_{i >= r} M_i(1) (i - r + 1),
     accumulated from the top i down.
     """
-    t0 = time.perf_counter()
     blocks = fano_odd_blocks(OddFanoParams(g, k))
     lhs = block_hochschild(g, enumerate(map(sum, blocks)))
     weights = []
@@ -404,5 +393,4 @@ def verify_hochschild(g: int, k: int) -> VerificationReport:
         status=_status(lhs == rhs),
         lhs=lhs,
         rhs=rhs,
-        elapsed_ms=_elapsed_ms(t0),
     )

@@ -6,14 +6,20 @@ quadrics is built from stacky symmetric powers of the associated stacky
 curve (root stacks over projective space); each admits a full
 exceptional collection whose length is an explicit binomial sum, and the
 total count matches the Euler characteristic of the Fano scheme.  The
-identities are verified by exact evaluation over finite ranges.
+identities are verified by exact evaluation over finite ranges, and the
+report builders at the end package the stacky count and the two suites
+as VerificationReports.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+
+from .fano_even import EvenFanoParams, euler_closed_form, fano_even_betti_numbers
+from .motivic import FAILED, VERIFIED, VerificationReport
 
 
 def fonarev_rank(g: int, k: int) -> int:
@@ -57,28 +63,14 @@ def gessel_identity_check(m: int, a: int) -> bool:
     return lhs == rhs
 
 
-def gessel_series_check(m: int, a: int) -> bool:
-    """Second route to the same identity: the coefficient of x^m in the
-    truncated power series (1-4x)^{-(a/2+1)}, expanded by repeated
-    convolution of the geometric series, must equal the binomial sum."""
-    if m < 0:
-        raise ValueError(f"m = {m}: need m >= 0")
-    if a < 0 or a % 2:
-        raise ValueError(f"a = {a}: need a >= 0 even")
-    geometric = [4**j for j in range(m + 1)]
-    series = [1] + [0] * m
-    for _ in range(a // 2 + 1):
-        series = [
-            sum(series[j] * geometric[i - j] for j in range(i + 1)) for i in range(m + 1)
-        ]
-    rhs = sum(math.comb(m + a - i, a) * math.comb(2 * m + a + 1, i) for i in range(m + 1))
-    return series[m] == rhs
-
-
-# _columns[j][i] = C(i+j, j) for i <= n-j, j <= n: the Pascal columns up
-# to the largest n requested, O(n^2) entries.  Growth builds a new tuple
-# and replaces the old one whole, so a reader never sees a short column.
-_columns: tuple[tuple[int, ...], ...] = ()
+@functools.cache
+def _column_table() -> list[tuple[tuple[int, ...], ...]]:
+    """One-slot holder of the shared Pascal columns: slot 0 holds column
+    j, entries C(i+j, j) for i <= n-j, j <= n, up to the largest n
+    requested, O(n^2) entries.  Growth builds a new tuple and swaps it
+    into the slot whole, so a reader never sees a short column; clearing
+    the cache empties the table."""
+    return [()]
 
 
 def pascal_columns(n: int) -> tuple[tuple[int, ...], ...]:
@@ -87,8 +79,8 @@ def pascal_columns(n: int) -> tuple[tuple[int, ...], ...]:
     shared and only grows, to the largest n requested.  Each column is
     the running sum of the one before, C(i+j, j) = sum_{t<=i} C(t+j-1, j-1),
     so the table is built by additions alone, with no recursion."""
-    global _columns
-    columns = _columns
+    holder = _column_table()
+    columns = holder[0]
     if len(columns) <= n:
         grown = [(1,) * (n + 1)]
         for j in range(1, n + 1):
@@ -97,7 +89,7 @@ def pascal_columns(n: int) -> tuple[tuple[int, ...], ...]:
             if old:
                 tail[0] += old[-1]
             grown.append(old + tuple(itertools.accumulate(tail)))
-        columns = _columns = tuple(grown)
+        columns = holder[0] = tuple(grown)
     return columns
 
 
@@ -115,3 +107,56 @@ def chu_vandermonde_check(n: int, j: int, k: int) -> bool:
     length = n - k + 1
     lhs = sum(map(operator.mul, columns[j][:length], columns[k - j][length - 1 :: -1]))
     return lhs == math.comb(n + 1, k + 1)
+
+
+# ---------------------------------------------------------------------------
+# report builders
+
+def stacky_counts_report(g: int, k: int) -> VerificationReport:
+    """Three-way agreement: Euler characteristic of the Hodge-Tate
+    diamond (the sum of its even Betti numbers; the odd ones vanish), its
+    closed form, and the exceptional-collection count."""
+    diamond_euler = sum(fano_even_betti_numbers(EvenFanoParams(g, k)))
+    closed = euler_closed_form(g, k)
+    count = stacky_collection_length(g, k)
+    ok = diamond_euler == closed == count
+    return VerificationReport(
+        identity="stacky-counts",
+        params={"g": g, "k": k},
+        status=VERIFIED if ok else FAILED,
+        lhs=diamond_euler,
+        rhs=closed,
+        observations={"collection_length": str(count)},
+    )
+
+
+def _suite_report(identity: str, params: dict, check, cases) -> VerificationReport:
+    """Run `check` on every case of `cases`, counting the instances while
+    collecting the cases that fail."""
+    failures = []
+    instances = 0
+    for instances, case in enumerate(cases, 1):
+        if not check(*case):
+            failures.append(list(case))
+    return VerificationReport(
+        identity=identity,
+        params=params,
+        status=VERIFIED if not failures else FAILED,
+        lhs=None,
+        rhs=None,
+        observations={"failures": failures, "instances": instances},
+    )
+
+
+def gessel_suite_report(max_m: int, max_a: int) -> VerificationReport:
+    """gessel_identity_check for every m <= max_m and even a <= max_a."""
+    cases = ((m, a) for m in range(max_m + 1) for a in range(0, max_a + 1, 2))
+    return _suite_report(
+        "gessel-identity", {"max_a": max_a, "max_m": max_m}, gessel_identity_check, cases
+    )
+
+
+def chu_vandermonde_suite_report(max_n: int) -> VerificationReport:
+    """chu_vandermonde_check for every 0 <= j <= k <= n <= max_n."""
+    cases = ((n, j, k) for n in range(max_n + 1) for k in range(n + 1) for j in range(k + 1))
+    return _suite_report("chu-vandermonde", {"max_n": max_n}, chu_vandermonde_check, cases)

@@ -1,7 +1,8 @@
 """Test oracles: the dense routes the library ran on lists of ints before
 its dense polynomials were packed into single ints.  Each is the former
 library code, kept whole, so the packed routes can be compared with it
-and their widths with the values it forms.
+and their widths with the values it forms.  `kunneth`, the former
+HodgeDiamond.kunneth, is kept here as an oracle for product diamonds.
 
 Every function here can record the largest |value| it forms: pass a
 `seen` list and each intermediate coefficient list is appended to it.
@@ -13,6 +14,7 @@ import math
 import operator
 
 from twoquadrics.exactpoly import InexactDivisionError
+from twoquadrics.hodge import HodgeDiamond
 
 
 def mul_one_minus_power(coeffs, s):
@@ -149,3 +151,19 @@ def list_multiplicity_coefficients(g, k, i, seen=None):
 def max_abs(lists):
     """The largest |entry| over a collection of int lists (0 if none)."""
     return max((abs(c) for values in lists for c in values), default=0)
+
+
+def kunneth(a, b):
+    """Diamond of the product of the varieties of diamonds a and b (the
+    Kunneth convolution of their tables)."""
+    d = a.dimension + b.dimension
+    out = [[0] * (d + 1) for _ in range(d + 1)]
+    for p1, row1 in enumerate(a.rows()):
+        for q1, h1 in enumerate(row1):
+            if not h1:
+                continue
+            for p2, row2 in enumerate(b.rows()):
+                for q2, h2 in enumerate(row2):
+                    if h2:
+                        out[p1 + p2][q1 + q2] += h1 * h2
+    return HodgeDiamond(out)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from twoquadrics import cli, fano_even, fano_odd
+from twoquadrics import cli, fano_even, fano_odd, stacky
 from twoquadrics.exactpoly import BiPoly, InexactDivisionError, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
 from twoquadrics.hodge import ConsistencyError
@@ -71,19 +72,20 @@ def report_sort_key(report):
 
 
 def collected_sweep_tasks(max_g, max_g_even, max_m, max_a, max_n):
-    """The former sweep task list, in generation order."""
+    """The former sweep task list, in generation order, as (check target,
+    parameters) pairs."""
     tasks = []
     for g in range(2, max_g + 1):
-        tasks.append(("k0", g, 0))
-        tasks.append(("bgmn", g, 0))
+        tasks.append(("k0", (g,)))
+        tasks.append(("bgmn", (g,)))
         for k in range(g - 1):
-            tasks.append(("decomposition", g, k))
-            tasks.append(("hochschild", g, k))
+            tasks.append(("odd", (g, k)))
+            tasks.append(("hochschild", (g, k)))
     for g in range(2, max_g_even + 1):
         for k in range(g - 1):
-            tasks.append(("stacky", g, k))
-    tasks.append(("gessel", max_m, max_a))
-    tasks.append(("chu", max_n, 0))
+            tasks.append(("even", (g, k)))
+    tasks.append(("gessel", (max_m, max_a)))
+    tasks.append(("chu-vandermonde", (max_n,)))
     return tasks
 
 
@@ -355,6 +357,160 @@ class TestIdentityCommand:
         assert out == ""
 
 
+def subcommand_choices(command):
+    """The choices of the positional target of a subcommand."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest in ("target", "name"))
+
+
+# target -> the flags it requires; every other flag of its subcommand is refused
+VERIFY_REQUIRED = {
+    "odd": ("g", "k"), "even": ("g", "k"), "k0": ("g",), "bgmn": ("g",), "hochschild": ("g", "k"),
+}
+DIAMOND_REQUIRED = {
+    "fano-odd": ("g", "k"), "fano-even": ("g", "k"), "sym": ("g", "n"), "jac": ("g",),
+}
+FLAG_VALUES = {"g": "3", "k": "1", "n": "2"}
+
+
+def flag_cases():
+    """(argv, message) for each required flag left out and each other flag
+    of the subcommand given, for every verify and diamond target."""
+    cases = []
+    for command, required, flags in (
+        ("verify", VERIFY_REQUIRED, ("g", "k")),
+        ("diamond", DIAMOND_REQUIRED, ("g", "k", "n")),
+    ):
+        for target, names in required.items():
+            for flag in flags:
+                if flag in names:
+                    given = [f for f in names if f != flag]
+                    message = f"--{flag} is required for this command"
+                else:
+                    given = [*names, flag]
+                    message = f"--{flag} is not accepted by this command"
+                argv = [command, target, *(x for f in given for x in (f"--{f}", FLAG_VALUES[f]))]
+                cases.append(pytest.param(argv, message, id=" ".join(argv)))
+    return cases
+
+
+class TestChecksTable:
+    def test_choices_are_the_table_keys(self):
+        verify, identity = subcommand_choices("verify"), subcommand_choices("identity")
+        assert sorted([*verify, *identity]) == sorted(cli.CHECKS)
+        assert set(verify) == set(VERIFY_REQUIRED)
+        assert set(identity) == {"gessel", "chu-vandermonde"}
+        assert set(subcommand_choices("diamond")) == set(cli.DIAMONDS) == set(DIAMOND_REQUIRED)
+
+    @pytest.mark.parametrize("argv,message", flag_cases())
+    def test_flags_of_the_target(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"twoquadrics: error: {message}\n"
+
+    # check target -> (the cli function its check calls, and the identity
+    # and params of its reports over the ranges of ERROR_ARGS)
+    PLANTED = {
+        "odd": ("verify_decomposition", "hyperelliptic-decomposition",
+                [{"g": 2, "k": 0}, {"g": 3, "k": 0}, {"g": 3, "k": 1}]),
+        "even": ("stacky_counts_report", "stacky-counts",
+                 [{"g": 2, "k": 0}, {"g": 3, "k": 0}, {"g": 3, "k": 1}]),
+        "k0": ("verify_k0_identity", "k0-identity", [{"g": 2}, {"g": 3}]),
+        "bgmn": ("verify_bgmn_crosscheck", "bgmn-crosscheck", [{"g": 2}, {"g": 3}]),
+        "hochschild": ("verify_hochschild", "hochschild-decomposition",
+                       [{"g": 2, "k": 0}, {"g": 3, "k": 0}, {"g": 3, "k": 1}]),
+        "gessel": ("gessel_suite_report", "gessel-identity", [{"max_a": 2, "max_m": 1}]),
+        "chu-vandermonde": ("chu_vandermonde_suite_report", "chu-vandermonde", [{"max_n": 2}]),
+    }
+    ERROR_ARGS = [
+        "sweep", "--max-g", "3", "--max-g-even", "3", "--max-m", "1", "--max-a", "2",
+        "--max-n", "2", "--format", "json",
+    ]
+
+    def test_every_check_is_planted(self):
+        assert set(self.PLANTED) == set(cli.CHECKS)
+
+    @pytest.mark.parametrize("target", sorted(PLANTED))
+    def test_planted_error_in_a_sweep(self, capsys, monkeypatch, target):
+        attr, identity, params = self.PLANTED[target]
+
+        def broken(*args):
+            raise ConsistencyError("planted inconsistency")
+
+        monkeypatch.setattr(cli, attr, broken)
+        assert cli.main(self.ERROR_ARGS) == 3
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        errored = [r for r in doc["reports"] if r["status"] != "verified"]
+        assert [(r["identity"], r["params"], r["status"], r["observations"]) for r in errored] == [
+            (identity, p, "error", {"error": "planted inconsistency"}) for p in params
+        ]
+        assert doc["summary"] == {"failed": len(params), "total": 15, "verified": 15 - len(params)}
+        assert captured.err == "".join(
+            f"twoquadrics: internal error: {identity} "
+            + " ".join(f"{k}={v}" for k, v in sorted(p.items()))
+            + ": planted inconsistency\n"
+            for p in params
+        )
+
+    def test_library_reports_carry_no_time(self):
+        # the runner stamps elapsed_ms; the builders leave it at 0
+        assert verify_decomposition(3, 1).elapsed_ms == 0
+        assert stacky.gessel_suite_report(2, 2).elapsed_ms == 0
+
+
+class TestFailedTextReport:
+    """A report that is not verified lists every observation in text, one
+    line each in key order; verified text and JSON are unchanged."""
+
+    def test_failed_stacky_count_names_the_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(stacky, "stacky_collection_length", lambda g, k: 49)
+        code, out = run(capsys, ["verify", "even", "--g", "3", "--k", "1"])
+        assert code == 1
+        assert zero_elapsed(out) == (
+            "FAIL stacky-counts g=3 k=1 (0 ms)\n"
+            "  lhs: 48\n"
+            "  rhs: 48\n"
+            "  collection_length: 49\n"
+        )
+
+    def test_failed_suite_lists_its_failures(self, capsys, monkeypatch):
+        check = stacky.gessel_identity_check
+        monkeypatch.setattr(
+            stacky, "gessel_identity_check", lambda m, a: (m, a) != (1, 2) and check(m, a)
+        )
+        code, out = run(capsys, ["identity", "gessel", "--max-m", "2", "--max-a", "2"])
+        assert code == 1
+        assert zero_elapsed(out) == (
+            "FAIL gessel-identity max_a=2 max_m=2 (0 ms)\n"
+            "  lhs: -\n"
+            "  rhs: -\n"
+            "  failures: [[1, 2]]\n"
+            "  instances: 6\n"
+        )
+        argv = ["identity", "gessel", "--max-m", "2", "--max-a", "2", "--format", "json"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert zero_elapsed(out) == (
+            '{"effectivity":[],"elapsed_ms":0,"identity":"gessel-identity","lhs":null,'
+            '"observations":{"failures":[[1,2]],"instances":6},"params":{"max_a":2,"max_m":2},'
+            '"rhs":null,"status":"failed"}\n'
+        )
+
+    def test_failed_decomposition_lists_its_spans(self, capsys, plant_kernel):
+        plant_kernel(3, {6: 1, -6: 1})
+        code, out = run(capsys, ["verify", "odd", "--g", "3", "--k", "1"])
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "  lhs", "  rhs", "  multiplicity_spans",
+        ]
+        spans = [[i, base, top] for i, base, top in json.loads(lines[-1].split(": ", 1)[1])]
+        assert spans == verify_decomposition(3, 1).observations["multiplicity_spans"]
+
+
 class TestSweepCommand:
     ARGS = [
         "--max-g", "4", "--max-g-even", "4",
@@ -414,9 +570,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("ranges", [(4, 4, 4, 4, 5), (7, 2, 0, 0, 0), (2, 9, 3, 2, 1)])
     def test_tasks_are_in_output_order(self, ranges):
         keys = []
-        for kind, a, b in cli.sweep_tasks(*ranges):
-            identity, names, _ = cli.SWEEP_CHECKS[kind]
-            keys.append((identity, tuple(sorted(zip(names, (a, b))))))
+        for name, args in cli.sweep_tasks(*ranges):
+            check = cli.CHECKS[name]
+            assert len(args) == len(check.params)
+            keys.append((check.identity, tuple(sorted(zip(check.params, args)))))
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         assert sorted(cli.sweep_tasks(*ranges)) == sorted(collected_sweep_tasks(*ranges))
@@ -453,7 +610,7 @@ class TestInternalErrors:
         def broken(*args):
             raise error("planted inconsistency")
 
-        monkeypatch.setattr(cli, target, broken)
+        monkeypatch.setattr(stacky, target, broken)
         assert cli.main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -3,6 +3,7 @@ import operator
 
 import pytest
 from hypothesis import example, given, strategies as st
+from list_routes import kunneth
 
 from twoquadrics.curves import (
     block_diamond,
@@ -243,7 +244,7 @@ class TestCurveDiamond:
 class TestSymCurveDiamond:
     @pytest.mark.parametrize("g", [0, 1, 3])
     def test_zeroth_power_is_point(self, g):
-        assert sym_curve_diamond(g, 0) == HodgeDiamond.point()
+        assert sym_curve_diamond(g, 0) == HodgeDiamond(((1,),))
 
     @pytest.mark.parametrize("g", [0, 2, 5])
     def test_first_power_is_curve(self, g):
@@ -305,15 +306,15 @@ class TestJacobianDiamond:
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_kunneth_power_of_elliptic_curve(self, g):
-        power = HodgeDiamond.point()
+        power = HodgeDiamond(((1,),))
         for _ in range(g):
-            power = power.kunneth(curve_diamond(1))
+            power = kunneth(power, curve_diamond(1))
         assert jacobian_diamond(g) == power
 
 
 class TestProjectiveSpaceDiamond:
     def test_point(self):
-        assert projective_space_diamond(0) == HodgeDiamond.point()
+        assert projective_space_diamond(0) == HodgeDiamond(((1,),))
 
     def test_line(self):
         assert projective_space_diamond(1).rows() == ((1, 0), (0, 1))

@@ -70,7 +70,7 @@ def kernel_by_division(a, b):
     num = LaurentPoly({0: 1, 4 * b: -1})
     for ell in range(b - a + 2, a + b - 1):
         num = num * LaurentPoly({0: 1, 2 * ell: -1})
-    den = LaurentPoly.one()
+    den = LaurentPoly({0: 1})
     for ell in range(1, 2 * a - 1):
         den = den * LaurentPoly({0: 1, 2 * ell: -1})
     return exact_divide(num, den).shift(-(b - a + 1) * (2 * a - 1))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 from hypothesis import given, strategies as st
+from list_routes import kunneth
 
 from twoquadrics.curves import curve_diamond, sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
@@ -30,7 +31,7 @@ def betti_by_antidiagonal(dia):
 
 
 P1 = curve(0)
-POINT = HodgeDiamond.point()
+POINT = HodgeDiamond(((1,),))
 
 
 @st.composite
@@ -120,7 +121,7 @@ class TestHochschild:
         assert curve(2).hochschild_polynomial() == LaurentPoly({-1: 2, 0: 2, 1: 2})
 
     def test_point(self):
-        assert POINT.hochschild_polynomial() == LaurentPoly.one()
+        assert POINT.hochschild_polynomial() == LaurentPoly({0: 1})
 
     def test_hodge_tate_diamond_is_constant(self):
         dia = HodgeDiamond(
@@ -160,7 +161,7 @@ class TestBettiEuler:
 
     @given(small_diamonds())
     def test_euler_equals_e_polynomial_at_one_one(self, dia):
-        assert dia.euler() == dia.e_polynomial().evaluate(1, 1)
+        assert dia.euler() == sum(c for _, c in dia.e_polynomial().items())
 
     @given(small_diamonds())
     def test_even_diamonds_match_hochschild_euler(self, dia):
@@ -172,23 +173,23 @@ class TestBettiEuler:
 class TestKunneth:
     def test_point_is_identity(self):
         x = curve(3)
-        assert POINT.kunneth(x) == x
-        assert x.kunneth(POINT) == x
+        assert kunneth(POINT, x) == x
+        assert kunneth(x, POINT) == x
 
     def test_quadric_surface(self):
-        quadric = P1.kunneth(P1)
+        quadric = kunneth(P1, P1)
         assert quadric.rows() == ((1, 0, 0), (0, 2, 0), (0, 0, 1))
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_curve_square(self, g):
-        square = curve(g).kunneth(curve(g))
+        square = kunneth(curve(g), curve(g))
         assert square.hodge_number(1, 0) == 2 * g
         assert square.hodge_number(1, 1) == 2 * g**2 + 2
         assert square.e_polynomial() == curve(g).e_polynomial() * curve(g).e_polynomial()
 
     @given(small_diamonds(), small_diamonds())
     def test_e_polynomial_is_multiplicative(self, a, b):
-        assert a.kunneth(b).e_polynomial() == a.e_polynomial() * b.e_polynomial()
+        assert kunneth(a, b).e_polynomial() == a.e_polynomial() * b.e_polynomial()
 
 
 class TestRendering:

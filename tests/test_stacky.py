@@ -3,13 +3,12 @@ import math
 import pytest
 
 from twoquadrics import stacky
-from twoquadrics.cli import chu_vandermonde_suite_report
 from twoquadrics.fano_even import euler_closed_form
 from twoquadrics.stacky import (
     chu_vandermonde_check,
+    chu_vandermonde_suite_report,
     fonarev_rank,
     gessel_identity_check,
-    gessel_series_check,
     pascal_columns,
     stacky_collection_length,
 )
@@ -27,11 +26,32 @@ def collection_length_by_ranks(g, k):
     return sum(math.comb(2 * g - 3 - k - i, k + 1 - i) * fonarev_rank(g, i) for i in range(k + 2))
 
 
+def gessel_series_check(m, a):
+    """Oracle, the former stacky.gessel_series_check: a second route to
+    Gessel's identity.  The coefficient of x^m in the truncated power
+    series (1-4x)^{-(a/2+1)}, expanded by repeated convolution of the
+    geometric series, must equal the binomial sum."""
+    if m < 0:
+        raise ValueError(f"m = {m}: need m >= 0")
+    if a < 0 or a % 2:
+        raise ValueError(f"a = {a}: need a >= 0 even")
+    geometric = [4**j for j in range(m + 1)]
+    series = [1] + [0] * m
+    for _ in range(a // 2 + 1):
+        series = [
+            sum(series[j] * geometric[i - j] for j in range(i + 1)) for i in range(m + 1)
+        ]
+    rhs = sum(math.comb(m + a - i, a) * math.comb(2 * m + a + 1, i) for i in range(m + 1))
+    return series[m] == rhs
+
+
 @pytest.fixture
-def fresh_columns(monkeypatch):
-    """An empty Pascal table for the test; the shared one is restored
-    after it, so a planted entry never outlives the test."""
-    monkeypatch.setattr(stacky, "_columns", ())
+def fresh_columns():
+    """An empty Pascal table for the test: the cached holder is cleared
+    before it and after it, so a planted entry never outlives the test."""
+    stacky._column_table.cache_clear()
+    yield
+    stacky._column_table.cache_clear()
 
 
 class TestFonarevRank:
@@ -168,12 +188,12 @@ class TestPascalColumns:
         assert [len(c) for c in small] == [6, 5, 4, 3, 2, 1]
         # C(m, 0) for m <= 9 reaches past the cached column of length 6
         assert chu_vandermonde_check(9, 0, 0)
-        grown = stacky._columns
+        grown = stacky._column_table()[0]
         assert [len(c) for c in grown] == list(range(10, 0, -1))
         for j, column in enumerate(grown):
             assert column == tuple(math.comb(i + j, j) for i in range(10 - j)), j
         assert all(chu_vandermonde_check(12, j, k) for k in range(13) for j in range(k + 1))
-        assert pascal_columns(3) is pascal_columns(12) is stacky._columns
+        assert pascal_columns(3) is pascal_columns(12) is stacky._column_table()[0]
 
     @staticmethod
     def plant(n, j, i):
@@ -182,7 +202,7 @@ class TestPascalColumns:
         column = list(columns[j])
         column[i] += 1
         columns[j] = tuple(column)
-        stacky._columns = tuple(columns)
+        stacky._column_table()[0] = tuple(columns)
 
     def test_planted_entry_fails_the_check(self, fresh_columns):
         assert chu_vandermonde_check(5, 2, 2)
