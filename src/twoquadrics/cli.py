@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from .curves import jacobian_diamond, sym_curve_diamond
 from .exactpoly import BiPoly, InexactDivisionError, LaurentPoly
@@ -212,11 +212,12 @@ CHECKS = {
 }
 
 VERIFY_FLAGS = ("g", "k")
-SUITE_FLAGS = ("max_m", "max_a", "max_n")
+SUITE_FLAGS = {"max_m": (30, "gessel: largest m"), "max_a": (60, "gessel: largest even a"),
+               "max_n": (40, "chu-vandermonde: largest n")}  # flag -> (default, help)
 DIAMOND_FLAGS = ("g", "k", "n")
 
 
-def _targets(flags: tuple[str, ...]) -> tuple[str, ...]:
+def _targets(flags: Collection[str]) -> tuple[str, ...]:
     """The CHECKS targets whose parameters are all among `flags`."""
     return tuple(name for name, check in CHECKS.items() if set(check.params) <= set(flags))
 
@@ -332,16 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", parents=[common], help="run a combinatorial identity suite")
     p.add_argument("name", choices=_targets(SUITE_FLAGS))
-    p.add_argument("--max-m", type=int, default=30, help="gessel: largest m (default 30)")
-    p.add_argument("--max-a", type=int, default=60, help="gessel: largest even a (default 60)")
-    p.add_argument("--max-n", type=int, default=40, help="chu-vandermonde: largest n (default 40)")
+    for flag, (default, text) in SUITE_FLAGS.items():
+        p.add_argument(_option(flag), type=int, help=f"{text} (default {default})")
 
     p = sub.add_parser("sweep", parents=[common], help="verify everything over parameter ranges")
     p.add_argument("--max-g", type=int, default=12, help="largest genus, hyperelliptic checks")
     p.add_argument("--max-g-even", type=int, default=20, help="largest genus, stacky counts")
-    p.add_argument("--max-m", type=int, default=30, help="gessel suite bound")
-    p.add_argument("--max-a", type=int, default=60, help="gessel suite bound (even)")
-    p.add_argument("--max-n", type=int, default=40, help="chu-vandermonde suite bound")
+    for flag, (default, text) in SUITE_FLAGS.items():
+        p.add_argument(_option(flag), type=int, default=default, help=text)
     p.add_argument(
         "--jobs", type=int, default=1,
         help="parallel worker processes (capped at the task and core counts)",
@@ -350,17 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flags(args, names: tuple[str, ...], flags: tuple[str, ...]) -> tuple:
-    """The values of the flags `names`, in order: each of them is
-    required, and every other flag of `flags` (those of the subcommand)
-    must be absent."""
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _flags(args, names: tuple[str, ...], flags: Collection[str], defaults={}) -> tuple:
+    """The values of the flags `names`, in order, each required unless
+    `defaults` maps it to a (default, help) pair; every other flag of
+    `flags` must be absent."""
     for flag in flags:
         given = getattr(args, flag) is not None
         if given and flag not in names:
-            raise CliUsageError(f"--{flag} is not accepted by this command")
-        if not given and flag in names:
-            raise CliUsageError(f"--{flag} is required for this command")
-    return tuple(getattr(args, name) for name in names)
+            raise CliUsageError(f"{_option(flag)} is not accepted by this command")
+        if not given and flag in names and flag not in defaults:
+            raise CliUsageError(f"{_option(flag)} is required for this command")
+    return tuple(defaults[n][0] if getattr(args, n) is None else getattr(args, n) for n in names)
 
 
 def _cmd_diamond(args, write) -> int:
@@ -385,17 +388,18 @@ def _cmd_verify(args, write) -> int:
     return _emit_check(args, write, args.target, _flags(args, names, VERIFY_FLAGS))
 
 
-def _check_suite_ranges(args) -> None:
-    for flag in SUITE_FLAGS:
-        if getattr(args, flag) < 0:
-            raise CliUsageError(f"--{flag.replace('_', '-')} must be non-negative")
-    if args.max_a % 2:
+def _check_suite_ranges(bounds: dict) -> None:
+    for flag, value in bounds.items():
+        if value < 0:
+            raise CliUsageError(f"{_option(flag)} must be non-negative")
+    if bounds.get("max_a", 0) % 2:
         raise CliUsageError("--max-a must be even")
 
 
 def _cmd_identity(args, write) -> int:
-    _check_suite_ranges(args)
-    params = tuple(getattr(args, name) for name in CHECKS[args.name].params)
+    names = CHECKS[args.name].params
+    params = _flags(args, names, SUITE_FLAGS, SUITE_FLAGS)  # each has a default
+    _check_suite_ranges(dict(zip(names, params)))
     return _emit_check(args, write, args.name, params)
 
 
@@ -406,10 +410,10 @@ def _cmd_sweep(args, write) -> int:
     its own canonical dump without the trailing newline."""
     for flag in ("max_g", "max_g_even"):
         if getattr(args, flag) < 2:
-            raise CliUsageError(f"--{flag.replace('_', '-')} must be at least 2")
+            raise CliUsageError(f"{_option(flag)} must be at least 2")
     if args.jobs < 1:
         raise CliUsageError("--jobs must be at least 1")
-    _check_suite_ranges(args)
+    _check_suite_ranges({flag: getattr(args, flag) for flag in SUITE_FLAGS})
     as_json = args.format == "json"
     total = failed = errors = 0
     if as_json:

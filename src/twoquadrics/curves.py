@@ -1,44 +1,37 @@
 """Hodge diamonds of the building blocks: curves, their symmetric powers,
-Jacobians and projective spaces; the expansion of Tate-twisted
-cohomology blocks of a curve into Hodge numbers, and the E-polynomial
-and Hochschild measures read straight from block vectors."""
+Jacobians and projective spaces; block_e_polynomial, the one expansion
+of Tate-twisted cohomology blocks of a curve into Hodge numbers, which
+block_diamond reads back as a diamond; and the Hochschild measure."""
 
 from __future__ import annotations
 
 import functools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .exactpoly import BiPoly, LaurentPoly
 from .hodge import ConsistencyError, HodgeDiamond
 
+Blocks = Iterable[tuple[int, int, Sequence[int]]]  # (r, low, coeffs) block vectors
 
-def block_diamond(g: int, d: int, blocks: Iterable[tuple[int, int, int]]) -> HodgeDiamond:
-    """Diamond of dimension d whose cohomology is the sum of blocks
-    mult * wedge^r H^1(C)(-t), C a curve of genus g.
 
-    Each block (r, t, mult) adds mult * C(g, p-t) C(g, q-t) to h^{p,q}
-    for every p + q = r + 2t.  A block that does not fit in the table, or
-    a table that fails the diamond checks, raises ConsistencyError.
-    """
-    comb_g = [math.comb(g, a) for a in range(g + 1)]
-    h = [[0] * (d + 1) for _ in range(d + 1)]
-    for r, t, mult in blocks:
-        if r < 0 or t < 0 or t + min(r, g) > d:
-            raise ConsistencyError(
-                f"block (r, t) = ({r}, {t}) of genus {g} does not fit in dimension {d}"
-            )
-        # wedge^r H^1 has h^{a, r-a} = C(g, a) C(g, r-a), shifted by (t, t)
-        for a in range(max(0, r - g), min(g, r) + 1):
-            h[t + a][t + r - a] += mult * comb_g[a] * comb_g[r - a]
+def block_diamond(g: int, d: int, vectors: Blocks) -> HodgeDiamond:
+    """Diamond of dimension d of the blocks of block_e_polynomial, read back
+    by HodgeDiamond.from_e_polynomial: wedge^r H^1 L^s lies in degree
+    r + 2s with the sign (-1)^r, so non-negative multiplicities never
+    cancel.  A block with r < 0, a term outside the table or a failed
+    diamond check raises ConsistencyError; blocks with r > 2g vanish."""
+    vectors = list(vectors)
+    if any(r < 0 for r, _, _ in vectors):
+        raise ConsistencyError(f"a block with r < 0 does not fit in dimension {d}")
     try:
-        return HodgeDiamond(h)
+        return HodgeDiamond.from_e_polynomial(block_e_polynomial(g, vectors), d)
     except ValueError as exc:
         raise ConsistencyError(str(exc)) from exc
 
 
-def block_e_polynomial(g: int, vectors: Iterable[tuple[int, int, list[int]]]) -> BiPoly:
+def block_e_polynomial(g: int, vectors: Blocks) -> BiPoly:
     """E-polynomial of the sum of blocks coeffs[e] * wedge^r H^1(C) L^{low+e}
     over (r, low, coeffs) in `vectors`, C a curve of genus g.
 
@@ -100,17 +93,12 @@ def curve_diamond(g: int) -> HodgeDiamond:
 
 @functools.cache
 def sym_curve_diamond(g: int, n: int) -> HodgeDiamond:
-    """Diamond of the n-th symmetric power of a genus-g curve.
-
-    By Macdonald, [Sym^n C] is the sum over r <= n of
-    wedge^r H^1(C) (1 + L + ... + L^{n-r}): one block (r, t, 1) for each
-    r <= min(n, 2g) and t <= n - r.
-    """
+    """Diamond of the n-th symmetric power of a genus-g curve: by
+    Macdonald, [Sym^n C] is the sum of the blocks
+    wedge^r H^1(C) (1 + L + ... + L^{n-r}) over r <= min(n, 2g)."""
     if g < 0 or n < 0:
         raise ValueError("genus and power must be non-negative")
-    return block_diamond(
-        g, n, ((r, t, 1) for r in range(min(n, 2 * g) + 1) for t in range(n - r + 1))
-    )
+    return block_diamond(g, n, [(r, 0, (1,) * (n - r + 1)) for r in range(min(n, 2 * g) + 1)])
 
 
 @functools.cache
@@ -119,7 +107,7 @@ def jacobian_diamond(g: int) -> HodgeDiamond:
     r = 0..2g, so h^{p,q} = C(g,p) C(g,q)."""
     if g < 0:
         raise ValueError("genus must be non-negative")
-    return block_diamond(g, g, ((r, 0, 1) for r in range(2 * g + 1)))
+    return block_diamond(g, g, [(r, 0, (1,)) for r in range(2 * g + 1)])
 
 
 @functools.cache

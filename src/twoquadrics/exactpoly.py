@@ -5,8 +5,8 @@ variables, and Gaussian (q-)binomial coefficients.  The two polynomial
 classes share one sparse core for their arithmetic, comparison and
 printing.  Coefficients are arbitrary-precision Python ints, so every
 operation is exact and downstream identity checks are literal
-polynomial equalities; the constructors take int exponents and
-coefficients only and raise TypeError on anything else.  Dense
+polynomial equalities; the constructors take plain int exponents and
+int coefficients only and raise TypeError on anything else.  Dense
 polynomials on the hot paths are packed into single ints (see the
 packed section below).
 
@@ -158,7 +158,7 @@ class LaurentPoly(_SparsePoly):
 
     @staticmethod
     def _key(e) -> int:
-        if not isinstance(e, int):
+        if type(e) is not int:  # a bool or other int subclass could print unlike an int
             raise TypeError(f"LaurentPoly exponents must be ints, got {e!r}")
         return e
 
@@ -209,7 +209,7 @@ class BiPoly(_SparsePoly):
     @staticmethod
     def _key(key) -> tuple[int, int]:
         p, q = key
-        if not (isinstance(p, int) and isinstance(q, int)):
+        if not (type(p) is int and type(q) is int):  # as in LaurentPoly._key
             raise TypeError(f"BiPoly exponents must be ints, got {key!r}")
         return (p, q)
 

@@ -81,9 +81,9 @@ def fano_even_betti(params: EvenFanoParams, p: int) -> int:
 
 def fano_even_diamond(params: EvenFanoParams) -> HodgeDiamond:
     """Hodge-Tate diamond: h^{p,p} = b_{2p}, all off-diagonal entries 0,
-    built from the blocks L^p with b_{2p} copies."""
+    read back from the block vector (0, 0, betti): b_{2p} copies of L^p."""
     betti = fano_even_betti_numbers(params)
-    return block_diamond(params.g, params.dimension, ((0, p, b) for p, b in enumerate(betti)))
+    return block_diamond(params.g, params.dimension, [(0, 0, betti)])
 
 
 def euler_closed_form(g: int, k: int) -> int:

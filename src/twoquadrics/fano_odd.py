@@ -7,7 +7,7 @@ of copies is the coefficient of an explicit Laurent kernel, and the
 twist offset is forced by weight bookkeeping.  The kernels are built
 as packed ints (exactpoly.pack), each from its neighbour, and cached;
 the block vector (copies of each wedge^r H^1(-t)) is sliced from them,
-and the dense diamond is derived from the vector on request.
+and the dense diamond is read back from its E-polynomial on request.
 """
 
 from __future__ import annotations
@@ -201,11 +201,6 @@ def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, ...], ...]:
 @functools.cache
 def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
     """Hodge diamond of the k-plane Fano scheme in the hyperelliptic case,
-    expanded by block_diamond from the block vector fano_odd_blocks."""
-    blocks = (
-        (r, t, mult)
-        for r, v in enumerate(fano_odd_blocks(params))
-        for t, mult in enumerate(v)
-        if mult
-    )
-    return block_diamond(params.g, params.dimension, blocks)
+    read back by block_diamond from the block vector fano_odd_blocks."""
+    vectors = [(r, 0, v) for r, v in enumerate(fano_odd_blocks(params))]
+    return block_diamond(params.g, params.dimension, vectors)

@@ -110,6 +110,18 @@ class HodgeDiamond:
         self._dim = d
         self._h = rows
 
+    @classmethod
+    def from_e_polynomial(cls, e: BiPoly, d: int) -> "HodgeDiamond":
+        """The diamond of pure cohomology with E-polynomial e: h^{p,q} =
+        (-1)^{p+q} e_{p,q}, so a term of the wrong sign is a negative entry,
+        and a term outside 0..d is a ValueError."""
+        h = [[0] * (d + 1) for _ in range(d + 1)]
+        for (p, q), c in e.items():
+            if not (0 <= p <= d and 0 <= q <= d):
+                raise ValueError(f"term x^{p} y^{q} does not fit in dimension {d}")
+            h[p][q] = -c if (p + q) % 2 else c
+        return cls(h)
+
     @property
     def dimension(self) -> int:
         return self._dim

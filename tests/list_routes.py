@@ -2,7 +2,9 @@
 its dense polynomials were packed into single ints.  Each is the former
 library code, kept whole, so the packed routes can be compared with it
 and their widths with the values it forms.  `kunneth`, the former
-HodgeDiamond.kunneth, is kept here as an oracle for product diamonds.
+HodgeDiamond.kunneth, is kept here as an oracle for product diamonds,
+and `loop_block_diamond`, the former per-block loop of
+curves.block_diamond, as the oracle for every diamond built from blocks.
 
 Every function here can record the largest |value| it forms: pass a
 `seen` list and each intermediate coefficient list is appended to it.
@@ -14,7 +16,7 @@ import math
 import operator
 
 from twoquadrics.exactpoly import InexactDivisionError
-from twoquadrics.hodge import HodgeDiamond
+from twoquadrics.hodge import ConsistencyError, HodgeDiamond
 
 
 def mul_one_minus_power(coeffs, s):
@@ -167,3 +169,35 @@ def kunneth(a, b):
                     if h2:
                         out[p1 + p2][q1 + q2] += h1 * h2
     return HodgeDiamond(out)
+
+
+def loop_block_diamond(g, d, blocks):
+    """Diamond of dimension d whose cohomology is the sum of blocks
+    mult * wedge^r H^1(C)(-t), C a curve of genus g.
+
+    Each block (r, t, mult) adds mult * C(g, p-t) C(g, q-t) to h^{p,q}
+    for every p + q = r + 2t.  A block that does not fit in the table, or
+    a table that fails the diamond checks, raises ConsistencyError.
+    """
+    comb_g = [math.comb(g, a) for a in range(g + 1)]
+    h = [[0] * (d + 1) for _ in range(d + 1)]
+    for r, t, mult in blocks:
+        if r < 0 or t < 0 or t + min(r, g) > d:
+            raise ConsistencyError(
+                f"block (r, t) = ({r}, {t}) of genus {g} does not fit in dimension {d}"
+            )
+        # wedge^r H^1 has h^{a, r-a} = C(g, a) C(g, r-a), shifted by (t, t)
+        for a in range(max(0, r - g), min(g, r) + 1):
+            h[t + a][t + r - a] += mult * comb_g[a] * comb_g[r - a]
+    try:
+        return HodgeDiamond(h)
+    except ValueError as exc:
+        raise ConsistencyError(str(exc)) from exc
+
+
+def block_triples(vectors):
+    """(r, low, coeffs) block vectors as the (r, t, mult) blocks of
+    loop_block_diamond, one per nonzero coefficient."""
+    return [
+        (r, low + e, mult) for r, low, coeffs in vectors for e, mult in enumerate(coeffs) if mult
+    ]

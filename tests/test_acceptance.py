@@ -7,6 +7,8 @@ Run via pytest, or standalone with `python tests/test_acceptance.py`.
 import math
 import time
 
+from list_routes import block_triples, loop_block_diamond
+
 from twoquadrics.curves import curve_diamond, projective_space_diamond, sym_curve_diamond
 from twoquadrics.exactpoly import (
     BiPoly,
@@ -17,7 +19,7 @@ from twoquadrics.exactpoly import (
     gauss_coefficients,
 )
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
-from twoquadrics.fano_odd import OddFanoParams, fano_odd_diamond, multiplicity
+from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond, multiplicity
 from twoquadrics.motivic import multiplicity_polynomial, verify_decomposition
 from twoquadrics.stacky import (
     chu_vandermonde_check,
@@ -84,8 +86,11 @@ def test_criterion_03_decomposition_sweep():
                 report = verify_decomposition(g, k)
                 assert report.verified, (g, k, report.status)
                 assert report.lhs == report.rhs
-                # the block route against the dense diamond
-                assert report.lhs == fano_odd_diamond(OddFanoParams(g, k)).e_polynomial(), (g, k)
+                # the block route against the former per-block loop's dense diamond
+                params = OddFanoParams(g, k)
+                vectors = [(r, 0, v) for r, v in enumerate(fano_odd_blocks(params))]
+                oracle = loop_block_diamond(g, params.dimension, block_triples(vectors))
+                assert report.lhs == oracle.e_polynomial(), (g, k)
                 assert all(ok for _, ok in report.effectivity), (g, k)
                 count += 1
         assert count == 66

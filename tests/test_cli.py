@@ -356,6 +356,34 @@ class TestIdentityCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["identity", "chu-vandermonde", "--max-n", "3", "--max-a", "7"], "--max-a"),
+            (["identity", "chu-vandermonde", "--max-m", "2"], "--max-m"),
+            (["identity", "gessel", "--max-n", "3", "--max-m", "1", "--max-a", "2"], "--max-n"),
+            (["identity", "gessel", "--max-m", "2", "--max-a", "2", "--max-n", "-1"], "--max-n"),
+        ],
+    )
+    def test_flag_of_the_other_suite_is_usage_error(self, capsys, argv, flag):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {flag} is not accepted by this command\n")
+
+    @pytest.mark.parametrize(
+        "argv,params",
+        [
+            (["identity", "gessel", "--max-m", "2"], {"max_a": 60, "max_m": 2}),
+            (["identity", "gessel", "--max-a", "4"], {"max_a": 4, "max_m": 30}),
+            (["identity", "chu-vandermonde"], {"max_n": 40}),
+        ],
+    )
+    def test_missing_bound_takes_its_default(self, capsys, argv, params):
+        code, out = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["params"] == params
+
 
 def subcommand_choices(command):
     """The choices of the positional target of a subcommand."""

@@ -3,7 +3,7 @@ import operator
 
 import pytest
 from hypothesis import example, given, strategies as st
-from list_routes import kunneth
+from list_routes import block_triples, kunneth, loop_block_diamond
 
 from twoquadrics.curves import (
     block_diamond,
@@ -15,7 +15,8 @@ from twoquadrics.curves import (
     sym_curve_diamond,
 )
 from twoquadrics.exactpoly import BiPoly, LaurentPoly
-from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks
+from twoquadrics.fano_even import EvenFanoParams, fano_even_betti_numbers, fano_even_diamond
+from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
 from twoquadrics.motivic import _block_sum, macdonald_vectors, multiplicity_coefficients
 
@@ -97,6 +98,16 @@ def block_e_polynomial_full(g, vectors):
     })
 
 
+def dense_vectors(blocks):
+    """(r, t, mult) blocks gathered into one dense vector over t per r."""
+    dense = {}
+    for r, t, mult in blocks:
+        v = dense.setdefault(r, [])
+        v.extend([0] * (t + 1 - len(v)))
+        v[t] += mult
+    return [(r, 0, v) for r, v in sorted(dense.items())]
+
+
 @st.composite
 def serre_paired_blocks(draw):
     """(g, d, blocks): each block (r, t, mult) with r + t <= d comes with
@@ -143,50 +154,87 @@ class TestBlockDiamond:
         expected = [0] * (2 * d + 1)
         for r, t, mult in blocks:
             expected[r + 2 * t] += mult * math.comb(2 * g, r)
-        assert block_diamond(g, d, blocks).betti_numbers() == tuple(expected)
+        assert block_diamond(g, d, dense_vectors(blocks)).betti_numbers() == tuple(expected)
 
-    @pytest.mark.parametrize("block", [(-1, 0, 1), (0, -1, 1), (2, 2, 1), (0, 4, 1)])
+    @given(serre_paired_blocks())
+    def test_matches_the_block_loop(self, case):
+        g, d, blocks = case
+        assert block_diamond(g, d, dense_vectors(blocks)) == loop_block_diamond(g, d, blocks)
+
+    @pytest.mark.parametrize("block", [(-1, 0, [1]), (0, -1, [1]), (2, 2, [1]), (0, 4, [1])])
     def test_block_outside_the_table_is_inconsistent(self, block):
         with pytest.raises(ConsistencyError, match="does not fit in dimension 3"):
             block_diamond(2, 3, [block])
 
     def test_failed_diamond_check_is_inconsistent(self):
         with pytest.raises(ConsistencyError, match=r"^Serre duality fails: h\^\{0,0\} = 1 but"):
-            block_diamond(1, 1, [(0, 0, 1)])
+            block_diamond(1, 1, [(0, 0, [1])])
+
+    def test_negative_multiplicity_is_inconsistent(self):
+        with pytest.raises(ConsistencyError, match=r"h\^\{0,0\} = -1 is not a non-negative"):
+            block_diamond(1, 0, [(0, 0, [-1])])
+
+    def test_blocks_past_the_top_exterior_power_are_not_fit_checked(self):
+        # they vanish: the E-polynomial has no term for them
+        assert block_diamond(1, 0, [(0, 0, [1]), (3, 9, [2])]) == HodgeDiamond(((1,),))
+
+
+class TestLibraryDiamondsMatchTheBlockLoop:
+    """Every diamond the library builds from blocks equals the former
+    per-block loop (list_routes.loop_block_diamond) on the same blocks."""
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_fano_odd(self, g):
+        for k in range(g - 1):
+            params = OddFanoParams(g, k)
+            vectors = [(r, 0, v) for r, v in enumerate(fano_odd_blocks(params))]
+            oracle = loop_block_diamond(g, params.dimension, block_triples(vectors))
+            assert fano_odd_diamond(params) == oracle, k
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_fano_even(self, g):
+        for k in range(g - 1):
+            params = EvenFanoParams(g, k)
+            blocks = [(0, p, b) for p, b in enumerate(fano_even_betti_numbers(params)) if b]
+            assert fano_even_diamond(params) == loop_block_diamond(g, params.dimension, blocks), k
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_sym_curve(self, g):
+        for n in range(13):
+            blocks = [(r, t, 1) for r in range(min(n, 2 * g) + 1) for t in range(n - r + 1)]
+            assert sym_curve_diamond(g, n) == loop_block_diamond(g, n, blocks), n
+
+    @pytest.mark.parametrize("g", range(9))
+    def test_jacobian(self, g):
+        blocks = [(r, 0, 1) for r in range(2 * g + 1)]
+        assert jacobian_diamond(g) == loop_block_diamond(g, g, blocks)
 
 
 class TestBlockMeasures:
     """block_e_polynomial and block_hochschild against the diamond that
-    block_diamond builds from the same blocks."""
-
-    @staticmethod
-    def vectors(g, blocks):
-        """The blocks gathered into one dense vector over t per r."""
-        dense = {}
-        for r, t, mult in blocks:
-            v = dense.setdefault(r, [])
-            v.extend([0] * (t + 1 - len(v)))
-            v[t] += mult
-        return [(r, 0, v) for r, v in sorted(dense.items())]
+    the former per-block loop (list_routes.loop_block_diamond) builds from
+    the same blocks."""
 
     @given(serre_paired_blocks())
     def test_e_polynomial_matches_the_diamond(self, case):
         g, d, blocks = case
         assert (
-            block_e_polynomial(g, self.vectors(g, blocks))
-            == block_diamond(g, d, blocks).e_polynomial()
+            block_e_polynomial(g, dense_vectors(blocks))
+            == loop_block_diamond(g, d, blocks).e_polynomial()
         )
 
     @given(serre_paired_blocks())
     def test_hochschild_matches_the_diamond(self, case):
         g, d, blocks = case
         weights = [(r, mult) for r, _, mult in blocks]
-        assert block_hochschild(g, weights) == block_diamond(g, d, blocks).hochschild_polynomial()
+        assert (
+            block_hochschild(g, weights) == loop_block_diamond(g, d, blocks).hochschild_polynomial()
+        )
 
     @given(serre_paired_blocks(), st.integers(-5, 5))
     def test_offset_multiplies_by_a_power_of_xy(self, case, s):
         g, _, blocks = case
-        vectors = self.vectors(g, blocks)
+        vectors = dense_vectors(blocks)
         shifted = [(r, low + s, v) for r, low, v in vectors]
         assert block_e_polynomial(g, shifted) == BiPoly({(s, s): 1}) * block_e_polynomial(
             g, vectors

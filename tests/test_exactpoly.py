@@ -425,7 +425,8 @@ class TestSharedCore:
                 with pytest.raises(TypeError):
                     op(x, y)
 
-    BAD_EXPONENTS = [1.5, 2.0, "2", Fraction(3, 1), None]
+    # a bool is an int, but would be stored and written to JSON as True
+    BAD_EXPONENTS = [1.5, 2.0, "2", Fraction(3, 1), None, True, False]
     BAD_COEFFICIENTS = [0.5, 1.0, 0.0, Fraction(1, 2), Fraction(2, 1), "1"]
 
     @staticmethod

@@ -107,6 +107,22 @@ class TestEPolynomial:
     def test_point(self):
         assert POINT.e_polynomial() == BiPoly({(0, 0): 1})
 
+    @given(st.one_of(small_diamonds(), geometric_diamonds()))
+    def test_diamond_is_read_back_from_its_e_polynomial(self, dia):
+        assert HodgeDiamond.from_e_polynomial(dia.e_polynomial(), dia.dimension) == dia
+
+    @pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 1), (1, -1)])
+    def test_reader_rejects_a_term_outside_the_table(self, key):
+        e = curve(2).e_polynomial() + BiPoly({key: 1})
+        with pytest.raises(ValueError, match=r"does not fit in dimension 1"):
+            HodgeDiamond.from_e_polynomial(e, 1)
+
+    def test_reader_rejects_a_term_of_the_wrong_sign(self):
+        # x and y have odd degree, so their coefficients must be <= 0
+        e = BiPoly({(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 1})
+        with pytest.raises(ValueError, match=r"h\^\{0,1\} = -2 is not a non-negative"):
+            HodgeDiamond.from_e_polynomial(e, 1)
+
     @pytest.mark.parametrize("g", [0, 1, 2, 5])
     def test_curve(self, g):
         expected = BiPoly({(0, 0): 1, (1, 0): -g, (0, 1): -g, (1, 1): 1})
