@@ -7,8 +7,10 @@ printing.  Coefficients are arbitrary-precision Python ints, so every
 operation is exact and downstream identity checks are literal
 polynomial equalities; the constructors take plain int exponents and
 int coefficients only and raise TypeError on anything else.  Dense
-polynomials on the hot paths are packed into single ints (see the
-packed section below).
+polynomials on the hot paths are packed into single ints, and this
+module is the only one that knows the packed form: every caller sums
+shifted Gaussian binomials through gauss_sum and reads back plain
+coefficient lists (see the packed section below).
 
 All values are immutable after construction and all operations are pure;
 the Gaussian-binomial tables are safe for concurrent use under the GIL
@@ -208,7 +210,10 @@ class BiPoly(_SparsePoly):
 
     @staticmethod
     def _key(key) -> tuple[int, int]:
-        p, q = key
+        try:
+            p, q = key
+        except (TypeError, ValueError):  # not a pair
+            p = q = None
         if not (type(p) is int and type(q) is int):  # as in LaurentPoly._key
             raise TypeError(f"BiPoly exponents must be ints, got {key!r}")
         return (p, q)
@@ -257,11 +262,11 @@ def binomial(n: int, m: int) -> int:
 # generally P(2^S) = 0 forces P = 0 whenever every |P_e| < 2^S (the
 # lowest nonzero coefficient would be a nonzero multiple of 2^S).
 #
-# Exactness therefore rests on the width, and every caller derives it
-# with packed_width from an a priori bound on every |coefficient| and
-# every partial sum it forms, proved where the width is chosen; a digit
-# in the top half of its range then reads back as a negative
-# coefficient, never as a carry.
+# Exactness therefore rests on the width, derived by packed_width from
+# an a priori bound on every |coefficient| and every partial sum formed;
+# a digit in the top half of its range then reads back as a negative
+# coefficient, never as a carry.  gauss_sum is the one caller that picks
+# a width, and proves its bound once.
 
 _LIMB_BITS = 64
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -294,32 +299,16 @@ def _digits_holding(x: int, width: int) -> int:
     return (abs(x).bit_length() + _LIMB_BITS + width) // width
 
 
-def pack(coeffs, width: int) -> int:
-    """sum_e coeffs[e] 2^(width e): the packed form of the dense
-    polynomial `coeffs` (entry e is the coefficient of X^e).  Every
-    coefficient must lie in [-2^(width-1), 2^(width-1)); OverflowError
-    otherwise.
-
-    Each coefficient becomes `width` bits of two's complement, and the
-    bytes are read as one unsigned int z; flipping the top bit of every
-    digit turns two's complement into offset form, so (z ^ H) - H, H the
-    half digits, is the balanced value.  Only repacking and the tests
-    pack; the hot paths build packed values by shifts and adds."""
-    size = width // 8
-    data = b"".join(c.to_bytes(size, "little", signed=True) for c in coeffs)
-    half = _half_digits(width, len(coeffs))
-    return (int.from_bytes(data, "little") ^ half) - half
-
-
 def unpack(x: int, width: int, length: int | None = None) -> list[int]:
     """The dense coefficients of the packed polynomial x: `length` of
     them, or, when length is None, up to the highest nonzero one (none
     for x = 0).  OverflowError when x has no `length`-digit form.
 
-    The inverse of pack, at C level: x + H makes every digit
-    non-negative and ^ H flips each digit's top bit back to two's
-    complement; the bytes are cast to 64-bit limbs, the top limb of each
-    digit read signed, and lower limbs, if any, are shifted in by maps."""
+    At C level, with H the half digits (each 2^(width-1)): x + H makes
+    every digit non-negative and ^ H flips each digit's top bit back to
+    two's complement; the bytes are cast to 64-bit limbs, the top limb of
+    each digit read signed, and lower limbs, if any, are shifted in by
+    maps."""
     trim = length is None
     if trim:
         length = _digits_holding(x, width)
@@ -338,38 +327,6 @@ def unpack(x: int, width: int, length: int | None = None) -> list[int]:
         while digits and not digits[-1]:
             digits.pop()
     return digits
-
-
-def packed_divide_one_minus(x: int, s: int, width: int) -> int:
-    """The packed quotient of the packed polynomial x by 1 - X^s, s >= 1,
-    which must be exact (InexactDivisionError otherwise).
-
-    The quotient series is the stride-s running sum of the coefficients,
-    formed by doubling shifts: after y += y << (w s width) for
-    w = 1, 2, 4, ..., digit i of y sums x_{i-js} over j < 2w, so once
-    2w s reaches the n digits of x, the low n digits of y are the series.
-    They are kept as q, and the division is exact exactly when
-    q (1 - X^s) == x: then q is the quotient, and otherwise no quotient
-    exists, since an exact quotient has degree below n - s and would be
-    q itself.
-
-    The caller's width must satisfy 3A < 2^(width-1), A the sum of the
-    |coefficients| of x: every digit of y is a window sum, at most A, as
-    is every digit of q; q (1 - X^s) has digits at most 2A, so the
-    compared polynomials differ by at most 3A per coefficient, and equal
-    packed values mean equal polynomials."""
-    n = _digits_holding(x, width)
-    total = n * width
-    y = x
-    shift = s * width
-    while shift < total:
-        y += y << shift
-        shift <<= 1
-    half = _half_digits(width, n)
-    q = ((y + half) & ((1 << total) - 1)) - half
-    if q - (q << s * width) != x:
-        raise InexactDivisionError(f"polynomial division by 1 - q^{s} is not exact")
-    return q
 
 
 @functools.cache
@@ -421,17 +378,45 @@ def gauss_packed(n: int, m: int, width: int) -> int:
     return diagonal[m]
 
 
+def gauss_sum(groups) -> tuple[int, list[int]]:
+    """sum over the groups (w, n, m, shifts) of
+    w [n, m]_X (X^{s_1} + X^{s_2} + ...), as a dense (low, coeffs): the
+    polynomial sum_e coeffs[e] X^{low+e}, with nonzero ends ((0, []) for
+    the zero polynomial).  A group whose binomial vanishes (m < 0, or
+    0 <= n < m) adds nothing, and only its shifts may be negative.
+
+    Summed as one packed int, one shift and add per shifted binomial, and
+    unpacked once; this is the one place that picks a width.  It comes
+    from the bound B = sum |w| len(shifts) C(n, m): each [n, m] has
+    non-negative coefficients summing to C(n, m), so every coefficient of
+    every partial sum is at most B in absolute value, and so is every
+    Pascal entry the table forms (each at most C(n, m), see gauss_packed).
+    packed_width(B) leaves every such value a balanced digit, so the
+    packed sum is exact.
+    """
+    groups = [(w, n, m, shifts, binomial(n, m)) for w, n, m, shifts in groups]
+    width = packed_width(sum(abs(w) * len(shifts) * c for w, _, _, shifts, c in groups))
+    acc = 0
+    for w, n, m, shifts, c in groups:
+        if c:
+            value = w * gauss_packed(n, m, width)
+            for s in shifts:
+                acc += value << (s * width)
+    if not acc:
+        return 0, []
+    # the lowest set bit lies in the lowest nonzero digit
+    low = ((acc & -acc).bit_length() - 1) // width
+    return low, unpack(acc >> (low * width), width)
+
+
 @functools.cache
 def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
-    """Dense coefficient tuple of the Gaussian binomial [n, m]_q, the
-    unpacked view of gauss_packed at the width C(n, m) needs.
+    """Dense coefficient tuple of the Gaussian binomial [n, m]_q: the
+    gauss_sum of that one binomial, cached.
 
     Entry e is the coefficient of q^e; the empty tuple encodes 0.
     """
-    if m < 0:
-        return ()
-    width = packed_width(binomial(n, m))
-    return tuple(unpack(gauss_packed(n, m, width), width))
+    return tuple(gauss_sum([(1, n, m, (0,))])[1])
 
 
 def gauss_binomial(n: int, m: int) -> LaurentPoly:

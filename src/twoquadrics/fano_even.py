@@ -15,7 +15,7 @@ import functools
 import math
 
 from .curves import block_diamond
-from .exactpoly import gauss_packed, packed_width, unpack
+from .exactpoly import gauss_sum
 from .hodge import ConsistencyError, FanoParams, HodgeDiamond
 
 
@@ -34,12 +34,7 @@ class EvenFanoParams(FanoParams):
 def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
     """Even Betti numbers (b_0, b_2, ..., b_{2d}), d = dimension: the
     coefficients of sum_{j=0..k+1} C(2g+1, j) q^{j(g-k-1)} [2g-k-j-1, k+1-j]_q,
-    summed as one packed int (exactpoly.pack) and unpacked once.
-
-    The packing width comes from the bound sum_j C(2g+1, j) C(n_j, m_j),
-    (n_j, m_j) = (2g-k-j-1, k+1-j), computed by math.comb: the
-    coefficients of [n_j, m_j] are non-negative and sum to C(n_j, m_j),
-    so every coefficient of every partial sum is at most the bound.
+    summed by exactpoly.gauss_sum.
 
     The vector is checked as stored: no block runs past index d, its
     entries are non-negative, and it is a palindrome (Serre duality).  A
@@ -47,24 +42,23 @@ def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
     """
     g, k = params.g, params.k
     d = params.dimension
-    blocks = [(j, math.comb(2 * g + 1, j), 2 * g - k - j - 1, k + 1 - j) for j in range(k + 2)]
-    width = packed_width(sum(w * math.comb(n, m) for _, w, n, m in blocks))
-    total = 0
-    for j, w, n, m in blocks:
-        total += w * gauss_packed(n, m, width) << (j * (g - k - 1) * width)
-    try:
-        b = unpack(total, width, d + 1)
-    except OverflowError:
+    blocks = [
+        (math.comb(2 * g + 1, j), 2 * g - k - j - 1, k + 1 - j, (j * (g - k - 1),))
+        for j in range(k + 2)
+    ]
+    low, coeffs = gauss_sum(blocks)
+    top = low + len(coeffs) - 1
+    if top > d:
         # some block has a nonzero coefficient past degree d; name the first
-        for j, w, n, m in blocks:
-            e = j * (g - k - 1) + len(unpack(gauss_packed(n, m, width), width))
-            if e > d + 1:
+        for j, (_, n, m, shifts) in enumerate(blocks):
+            start, block = gauss_sum([(1, n, m, shifts)])
+            if start + len(block) - 1 > d:
                 raise ConsistencyError(
-                    f"block j = {j} of (g, k) = ({g}, {k}) ends at degree {e - 1} > {d}"
-                ) from None
-        raise ConsistencyError(
-            f"Betti vector of (g, k) = ({g}, {k}) exceeds its coefficient bound"
-        ) from None
+                    f"block j = {j} of (g, k) = ({g}, {k}) ends at degree "
+                    f"{start + len(block) - 1} > {d}"
+                )
+        raise ConsistencyError(f"Betti vector of (g, k) = ({g}, {k}) ends at degree {top} > {d}")
+    b = [0] * low + coeffs + [0] * (d - top)
     if min(b) < 0:
         raise ConsistencyError(f"negative Betti number for (g, k) = ({g}, {k})")
     if b != b[::-1]:

@@ -4,26 +4,19 @@ intersections of two quadrics (the hyperelliptic case).
 The cohomology in degree m is a direct sum of Tate twists of exterior
 powers of H^1 of the associated genus-g hyperelliptic curve; the number
 of copies is the coefficient of an explicit Laurent kernel, and the
-twist offset is forced by weight bookkeeping.  The kernels are built
-as packed ints (exactpoly.pack), each from its neighbour, and cached;
-the block vector (copies of each wedge^r H^1(-t)) is sliced from them,
-and the dense diamond is read back from its E-polynomial on request.
+twist offset is forced by weight bookkeeping.  Each kernel is a sum of
+two shifted Gaussian binomials (exactpoly.gauss_sum), cached as a dense
+tuple; the block vector (copies of each wedge^r H^1(-t)) is sliced from
+the kernels, and the dense diamond is read back from its E-polynomial
+on request.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 from .curves import block_diamond
-from .exactpoly import (
-    LaurentPoly,
-    _nonzero_ends,
-    pack,
-    packed_divide_one_minus,
-    packed_width,
-    unpack,
-)
+from .exactpoly import LaurentPoly, _nonzero_ends, gauss_sum
 from .hodge import ConsistencyError, FanoParams, HodgeDiamond
 
 
@@ -39,77 +32,30 @@ class OddFanoParams(FanoParams):
 
 
 @functools.cache
-def _kernel_chain(a: int) -> dict[int, int]:
-    """The kernels of kernel_coefficients for this a, by b, each packed at
-    _kernel_width(a, b); filled on demand, seeded with K(a, a-1) = 1.
-    Entries are only ever added, each with its one value, so concurrent
-    fills cannot disagree."""
-    return {a - 1: 1}
-
-
-def _kernel_width(a: int, b: int) -> int:
-    """The packed width of the step to K(a, b) and of K(a, b) itself: from
-    the bound 12 K(a, b)(1), where K(a, b)(1) = b C(a+b-2, 2a-3) / (a-1)
-    (each of the 2a-2 factors 1-u^l of numerator and denominator is
-    l (1-u) to first order at u = 1).
-
-    The bound covers every value the step forms.  With K1 = K(a, b-1)(1)
-    <= K2 = K(a, b)(1), and the coefficients of a kernel non-negative:
-    the two multiplications leave coefficients summing in absolute value
-    to at most 4 K1, so the first division (see
-    exactpoly.packed_divide_one_minus) needs 3 * 4 K1 <= 12 K2; its
-    quotient K(a, b) (1-u^{b-a+1}) has absolute sum at most 2 K2, so the
-    second needs 6 K2, and K(a, b) itself has coefficients at most K2."""
-    kernel_sum = b * math.comb(a + b - 2, 2 * a - 3) // (a - 1)
-    return packed_width(12 * kernel_sum)
-
-
-def _kernel_step(a: int, b: int, previous: int) -> int:
-    """K(a, b) from K(a, b-1), both packed: times (1-u^{2b})(1-u^{a+b-2}),
-    each a shift and a subtraction, then divided by (1-u^{2b-2}) and
-    (1-u^{b-a+1}), each division checked for exactness.  The predecessor
-    is repacked first when the step needs wider digits than it has."""
-    width = _kernel_width(a, b)
-    before = _kernel_width(a, b - 1)
-    x = previous if width == before else pack(unpack(previous, before), width)
-    x -= x << (2 * b * width)
-    x -= x << ((a + b - 2) * width)
-    x = packed_divide_one_minus(x, 2 * b - 2, width)
-    return packed_divide_one_minus(x, b - a + 1, width)
-
-
-@functools.cache
 def kernel_coefficients(a: int, b: int) -> tuple[int, tuple[int, ...]]:
     """The multiplicity kernel as (shift, coeffs): its q^{shift+2e}
-    coefficient is coeffs[e]; the unpacked, cached view of the packed
-    chain, since fano_odd_blocks reads each kernel for many (g, k).
+    coefficient is coeffs[e]; cached, since fano_odd_blocks reads each
+    kernel for many (g, k).
 
-    In u = q^2 the kernel is K(a, b) = (1-u^{2b})
+    In u = q^2 the kernel is K(a, b) = (1-u^{2b}) P, P =
     prod_{l=b-a+2}^{a+b-2} (1-u^l) / prod_{l=1}^{2a-2} (1-u^l), with
-    shift -(b-a+1)(2a-1).  K(a, a-1) = 1, and the factors of K(a, b) and
-    K(a, b-1) differ by four, so
-    K(a, b-1) (1-u^{2b}) (1-u^{a+b-2}) = K(a, b) (1-u^{2b-2}) (1-u^{b-a+1}),
-    and the shift drops by 2a-1 per step.  Each kernel is made from its
-    neighbour by two multiplications and two divisions, on packed ints
-    (see _kernel_step).  K(a, b) is a power series in u that counts
-    summands, so a polynomial; dividing the left side by 1-u^{2b-2}
-    therefore leaves the polynomial K(a, b) (1-u^{b-a+1}), and dividing
-    that by 1-u^{b-a+1} leaves K(a, b): both divisions are exact, and each
-    checks itself by multiplying back (InexactDivisionError otherwise).
-    The chain is walked upwards from the highest cached b, with no
-    recursion.
+    shift -(b-a+1)(2a-1).  Split the one factor outside P:
+    1-u^{2b} = (1-u^{a+b-1}) + u^{a+b-1} (1-u^{b-a+1}), and
+    (1-u^{a+b-1}) P = [a+b-1, 2a-2]_u, (1-u^{b-a+1}) P = [a+b-2, 2a-2]_u,
+    so K(a, b) = [a+b-1, 2a-2]_u + u^{a+b-1} [a+b-2, 2a-2]_u, a sum of two
+    Gaussian binomials with no division, summed by exactpoly.gauss_sum in
+    the symmetric form [a+b-1, b-a+1] + u^{a+b-1} [a+b-2, b-a].  At
+    b = a-1 it gives [2a-2, 0] + 0 = 1.  At u = 1 the two binomials sum to
+    C(a+b-1, 2a-2) + C(a+b-2, 2a-2) = b C(a+b-2, 2a-3) / (a-1), the
+    summand count of the product form (each of the 2a-2 factors 1-u^l of
+    numerator and denominator is l (1-u) to first order).
     """
     if a < 2:
         raise ValueError(f"a = {a}: need a >= 2")
     if b < a - 1:
         raise ValueError(f"b = {b}: need b >= a-1 = {a - 1}")
-    chain = _kernel_chain(a)
-    known = b
-    while known not in chain:
-        known -= 1
-    for step in range(known + 1, b + 1):
-        chain.setdefault(step, _kernel_step(a, step, chain[step - 1]))
-    return -(b - a + 1) * (2 * a - 1), tuple(unpack(chain[b], _kernel_width(a, b)))
+    low, coeffs = gauss_sum([(1, a + b - 1, b - a + 1, (0,)), (1, a + b - 2, b - a, (a + b - 1,))])
+    return 2 * low - (b - a + 1) * (2 * a - 1), tuple(coeffs)
 
 
 @functools.cache

@@ -22,15 +22,7 @@ from .curves import (
     curve_diamond,
     projective_space_diamond,
 )
-from .exactpoly import (
-    BiPoly,
-    LaurentPoly,
-    _nonzero_ends,
-    binomial,
-    gauss_packed,
-    packed_width,
-    unpack,
-)
+from .exactpoly import BiPoly, LaurentPoly, _nonzero_ends, binomial, gauss_sum
 from .fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 
 VERIFIED = "verified"
@@ -53,44 +45,28 @@ def multiplicity_coefficients(g: int, k: int, i: int) -> tuple[int, list[int]]:
     sum_e coeffs[e] L^{base+e}, with nonzero ends (no coefficients for
     the zero polynomial).
 
-    L^{i(g-k-1)} times a five-term bracket of Gaussian binomials in L,
-    every contributing shift non-negative.  The bracket is summed as one
-    packed int (exactpoly.pack), one shift and add per shifted Gaussian
-    binomial, then unpacked once, signed, from its lowest nonzero
-    coefficient to its highest.  The packing width comes from the
-    bound sum over the groups of (number of shifts) C(n, m): each [n, m]
-    has non-negative coefficients summing to C(n, m), so every
-    coefficient of every partial sum is at most that in absolute value.
+    L^{i(g-k-1)} times a five-term bracket of shifted Gaussian binomials
+    in L, every contributing shift non-negative, summed by
+    exactpoly.gauss_sum.
     """
     _check_gki(g, k, i)
-    groups = (
-        ((0,), 2 * g - k - i, k + 1 - i, 1),
-        ((g - k - 1, g + 2 * k - 3 * i), 2 * g - k - i - 4, k - i, -1),
+    n = 2 * g - k - i - 4
+    low, coeffs = gauss_sum((
+        (1, 2 * g - k - i, k + 1 - i, (0,)),
+        (-1, n, k - i, (g - k - 1, g + 2 * k - 3 * i)),
         (
+            -1, n, k - i - 1,
             (g - k, g - i, g + k - 2 * i, 3 * g - 3 * k - 4, 3 * g - 2 * k - 4 - i,
              3 * g - k - 2 * i - 4),
-            2 * g - k - i - 4, k - i - 1, -1,
         ),
         (
+            -1, n, k - i - 2,
             (3 * (g - k - 1), 3 * (g - k - 1) + 1, 3 * g - 2 * k - i - 3,
              3 * g - 2 * k - i - 2),
-            2 * g - k - i - 4, k - i - 2, -1,
         ),
-        ((4 * (g - k) - 2,), 2 * g - k - i - 4, k - i - 3, -1),
-    )
-    width = packed_width(sum(len(shifts) * binomial(n, m) for shifts, n, m, _ in groups))
-    acc = 0
-    for shifts, n, m, sign in groups:
-        value = sign * gauss_packed(n, m, width)
-        if value:  # a vanishing group may have negative shifts
-            for s in shifts:
-                acc += value << (s * width)
-    base = i * (g - k - 1)
-    if not acc:
-        return base, []
-    # the lowest set bit lies in the lowest nonzero digit
-    lo = ((acc & -acc).bit_length() - 1) // width
-    return base + lo, unpack(acc >> (lo * width), width)
+        (-1, n, k - i - 3, (4 * (g - k) - 2,)),
+    ))
+    return i * (g - k - 1) + low, coeffs
 
 
 def multiplicity_polynomial(g: int, k: int, i: int) -> LaurentPoly:

@@ -1,9 +1,11 @@
 """Fixtures that corrupt the multiplicity kernels on purpose, shared by
-the tests of the odd block vector, the decomposition report and the CLI."""
+the tests of the odd block vector, the decomposition report and the CLI,
+and the recorder of the widths gauss_sum picks, shared by the width
+tests of its callers."""
 
 import pytest
 
-from twoquadrics import fano_odd
+from twoquadrics import exactpoly, fano_odd
 from twoquadrics.exactpoly import LaurentPoly
 
 
@@ -23,7 +25,6 @@ _kernel_coefficients = fano_odd.kernel_coefficients
 
 
 def _clear_odd_caches():
-    fano_odd._kernel_chain.cache_clear()
     _kernel_coefficients.cache_clear()
     fano_odd.multiplicity_kernel.cache_clear()
     fano_odd.fano_odd_diamond.cache_clear()
@@ -31,8 +32,8 @@ def _clear_odd_caches():
 
 @pytest.fixture
 def fresh_odd_caches():
-    """Empty the kernel chain and the odd caches around a test that
-    corrupts a kernel, so no corrupted value outlives it."""
+    """Empty the odd caches around a test that corrupts a kernel, so no
+    corrupted value outlives it."""
     _clear_odd_caches()
     yield
     _clear_odd_caches()
@@ -42,9 +43,8 @@ def fresh_odd_caches():
 def plant_kernel(monkeypatch, fresh_odd_caches):
     """install(j, extra) adds the Laurent terms `extra` to the dense
     kernel of j = b, as fano_odd_blocks reads it through
-    fano_odd.kernel_coefficients.  The chain steps each kernel from the
-    cached one before it, not through that seam, so the plant corrupts
-    only the block of j."""
+    fano_odd.kernel_coefficients.  Each kernel is summed on its own, so
+    the plant corrupts only the block of j."""
     kernel = fano_odd.kernel_coefficients
 
     def install(j, extra):
@@ -54,3 +54,18 @@ def plant_kernel(monkeypatch, fresh_odd_caches):
         monkeypatch.setattr(fano_odd, "kernel_coefficients", planted)
 
     return install
+
+
+@pytest.fixture
+def gauss_sum_widths(monkeypatch):
+    """The list of the digit widths exactpoly.gauss_sum picks, one per
+    call, in call order, recorded while the test runs."""
+    widths = []
+    packed_width = exactpoly.packed_width
+
+    def recorded(bound):
+        widths.append(packed_width(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(exactpoly, "packed_width", recorded)
+    return widths

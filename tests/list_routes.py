@@ -8,6 +8,9 @@ curves.block_diamond, as the oracle for every diamond built from blocks.
 
 Every function here can record the largest |value| it forms: pass a
 `seen` list and each intermediate coefficient list is appended to it.
+`pack`, the former library encoder of packed polynomials, is kept as the
+inverse of `exactpoly.unpack` for round-trip tests and for planting
+corrupted packed values.
 """
 
 import functools
@@ -15,7 +18,7 @@ import itertools
 import math
 import operator
 
-from twoquadrics.exactpoly import InexactDivisionError
+from twoquadrics.exactpoly import InexactDivisionError, binomial
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
 
 
@@ -73,6 +76,47 @@ def list_gauss_coefficients(n, m):
                 diagonal.setdefault(i, tuple(out))
             below = diagonal
     return diagonal[m]
+
+
+def pack(coeffs, width):
+    """sum_e coeffs[e] 2^(width e): the packed form of the dense
+    polynomial `coeffs` (entry e is the coefficient of X^e).  Every
+    coefficient must lie in [-2^(width-1), 2^(width-1)); OverflowError
+    otherwise.
+
+    Each coefficient becomes `width` bits of two's complement, and the
+    bytes are read as one unsigned int z; flipping the top bit of every
+    digit turns two's complement into offset form, so (z ^ H) - H, H the
+    half digits, is the balanced value."""
+    size = width // 8
+    data = b"".join(c.to_bytes(size, "little", signed=True) for c in coeffs)
+    half = int.from_bytes((bytes(size - 1) + b"\x80") * len(coeffs), "little")
+    return (int.from_bytes(data, "little") ^ half) - half
+
+
+def list_gauss_sum(groups, seen=None):
+    """sum over (w, n, m, shifts) of w [n, m]_q (q^{s_1} + ...) as a dense
+    (low, coeffs) with nonzero ends, one slice update per shifted
+    binomial; a group whose binomial vanishes adds nothing."""
+    acc = []
+    for w, n, m, shifts in groups:
+        if not binomial(n, m):
+            continue
+        coeffs = [w * c for c in list_gauss_coefficients(n, m)]
+        for s in shifts:
+            end = s + len(coeffs)
+            if end > len(acc):
+                acc.extend([0] * (end - len(acc)))
+            acc[s:end] = map(operator.add, acc[s:end], coeffs)
+            if seen is not None:
+                seen.append(list(acc))
+    hi = len(acc)
+    while hi and not acc[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not acc[lo]:
+        lo += 1
+    return (lo, acc[lo:hi]) if lo < hi else (0, [])
 
 
 def list_kernel_step(a, b, previous, seen=None):

@@ -717,11 +717,13 @@ class TestInternalErrors:
             "multiplicity 2 but wedge^0 H^1(-6) has 1\n"
         )
 
-    def test_inexact_kernel_step_is_internal(self, capsys, fresh_odd_caches):
-        # K(3, 3) replaced by the packed polynomial 1 in the chain: the step
-        # to K(3, 4), which verify odd --g 4 --k 1 reads, divides
-        # (1-u^8)(1-u^5) by 1-u^6
-        fano_odd._kernel_chain(3)[3] = 1
+    def test_inexact_kernel_step_is_internal(self, capsys, monkeypatch, fresh_odd_caches):
+        # no kernel divides any more; an inexact division planted in the
+        # kernel's route is still reported as itself
+        def inexact(groups):
+            raise InexactDivisionError("polynomial division by 1 - q^6 is not exact")
+
+        monkeypatch.setattr(fano_odd, "gauss_sum", inexact)
         assert cli.main(["verify", "odd", "--g", "4", "--k", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

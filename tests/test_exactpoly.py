@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
-from list_routes import div_one_minus_power, list_gauss_coefficients, mul_one_minus_power
+from list_routes import list_gauss_coefficients, list_gauss_sum, max_abs, pack
 
-from twoquadrics import fano_odd, stacky
+from twoquadrics import exactpoly, fano_odd, stacky
 from twoquadrics.exactpoly import (
     BiPoly,
     InexactDivisionError,
@@ -21,8 +21,7 @@ from twoquadrics.exactpoly import (
     gauss_binomial,
     gauss_coefficients,
     gauss_packed,
-    pack,
-    packed_divide_one_minus,
+    gauss_sum,
     packed_width,
     unpack,
 )
@@ -206,8 +205,8 @@ class TestGaussBinomial:
 
 
 class TestPackedCore:
-    """pack/unpack, the width rule, the packed Pascal table and the packed
-    division by 1 - X^s, against the former list routes."""
+    """pack/unpack, the width rule and the packed Pascal table, against
+    the former list routes."""
 
     @pytest.mark.parametrize("width", [64, 128, 192])
     def test_round_trip_at_the_digit_extremes(self, width):
@@ -269,19 +268,6 @@ class TestPackedCore:
             gauss_packed(70, 35, 64)
         assert unpack(gauss_packed(70, 35, 128), 128) == list(list_gauss_coefficients(70, 35))
 
-    def test_division_matches_list_route(self):
-        for coeffs in ([3, -1, 0, 2], [1], [5, 0, 0, 0, -7, 1], [1 << 40, -(1 << 40)]):
-            for s in (1, 2, 3, 5, 8):
-                product = list(coeffs)
-                mul_one_minus_power(product, s)
-                x = pack(product, 64)
-                assert x == pack(coeffs, 64) - (pack(coeffs, 64) << (64 * s))
-                quotient = list(product)
-                div_one_minus_power(quotient, s)
-                assert unpack(packed_divide_one_minus(x, s, 64), 64) == unpack(
-                    pack(quotient, 64), 64
-                )
-
     def test_clearing_the_package_caches_empties_the_packed_tables(self):
         # the benchmark's per-layer pass clears every functools cache of the
         # package between calls; a packed table or Pascal-column table that
@@ -294,15 +280,69 @@ class TestPackedCore:
         gauss_packed(70, 35, 128)
         fano_odd.kernel_coefficients(5, 9)
         stacky.chu_vandermonde_check(40, 3, 7)
-        assert _pascal_table(64) and fano_odd._kernel_chain(5)
+        assert _pascal_table(64) and fano_odd.kernel_coefficients.cache_info().currsize
         assert len(stacky._column_table()[0]) > 40
         tracing.clear_caches()
         assert _pascal_table.cache_info().currsize == 0
-        assert fano_odd._kernel_chain.cache_info().currsize == 0
+        assert fano_odd.kernel_coefficients.cache_info().currsize == 0
         assert stacky._column_table.cache_info().currsize == 0
         assert _pascal_table(64) == {} and _pascal_table(128) == {}
         assert stacky._column_table() == [()]
-        assert fano_odd._kernel_chain(5) == {4: 1}
+
+
+# groups (w, n, m, shifts) of gauss_sum: n down to -1, where only m <= 0
+# is defined, and m from -1 (a vanishing binomial, whose shifts may be
+# negative) up past n (vanishing too)
+gauss_groups = st.lists(
+    st.integers(-1, 14).flatmap(
+        lambda n: st.tuples(
+            st.integers(-(1 << 70), 1 << 70),
+            st.just(n),
+            st.integers(-1, 0) if n < 0 else st.integers(-1, n + 1),
+            st.lists(st.integers(0, 12), max_size=4),
+        )
+    ).map(lambda g: g if binomial(g[1], g[2]) else (*g[:3], tuple(s - 5 for s in g[3]))),
+    max_size=6,
+)
+
+
+class TestGaussSum:
+    """gauss_sum against the list-route sum of list_gauss_coefficients,
+    and its width against every partial sum that route forms."""
+
+    @given(gauss_groups)
+    def test_matches_list_route(self, groups):
+        assert gauss_sum(groups) == list_gauss_sum(groups)
+
+    @given(gauss_groups)
+    def test_width_exceeds_every_partial_sum(self, groups):
+        widths = []
+
+        def recorded(bound):
+            widths.append(packed_width(bound))
+            return widths[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactpoly, "packed_width", recorded)
+            gauss_sum(groups)
+        seen = []
+        list_gauss_sum(groups, seen)
+        assert max_abs(seen).bit_length() + 1 <= widths[0]
+
+    def test_ends_are_trimmed(self):
+        # 1 - q^2 [2, 1] - q^5 = 1 - q^2 - q^3 - q^5: ends and interior zeros
+        assert gauss_sum([(1, 0, 0, (0,)), (-1, 2, 1, (2,)), (-1, 5, 0, (5,))]) == (
+            0, [1, 0, -1, -1, 0, -1]
+        )
+        # q^3 [3, 1] - q^3 [3, 1] + q^4 [1, 1]: the zero low digits are dropped
+        assert gauss_sum([(1, 3, 1, (3,)), (-1, 3, 1, (3,)), (2, 1, 1, (4,))]) == (4, [2])
+        assert gauss_sum([(1, 3, 1, (0,)), (-1, 3, 1, (0,))]) == (0, [])
+        assert gauss_sum([]) == (0, [])
+
+    def test_vanishing_groups_may_have_negative_shifts(self):
+        assert gauss_sum([(1, 4, -1, (-3,)), (5, 2, 3, (-1,)), (1, 2, 1, (1,))]) == (1, [1, 1])
+        with pytest.raises(ValueError):
+            gauss_sum([(1, 2, 1, (-1,))])
 
 
 class TestExactDivide:
@@ -442,6 +482,14 @@ class TestSharedCore:
         if cls is BiPoly:
             with pytest.raises(TypeError, match="exponents must be ints"):
                 cls([((0, bad), 1)])
+
+    # BiPoly keys that are not (p, q) pairs at all
+    @pytest.mark.parametrize("key", [(1, 2, 3), (1,), (), 7], ids=repr)
+    def test_bipoly_key_that_is_not_a_pair_rejected(self, key):
+        with pytest.raises(TypeError, match=r"^BiPoly exponents must be ints, got "):
+            BiPoly({key: 1})
+        with pytest.raises(TypeError, match=r"^BiPoly exponents must be ints, got "):
+            BiPoly([((0, 0), 1), (key, 1)])
 
     @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
     @pytest.mark.parametrize("bad", BAD_COEFFICIENTS, ids=bad_id)

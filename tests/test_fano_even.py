@@ -2,17 +2,10 @@ import math
 
 import pytest
 
-from list_routes import list_betti_numbers, max_abs
+from list_routes import list_betti_numbers, max_abs, pack
 
-from twoquadrics import fano_even
-from twoquadrics.exactpoly import (
-    eval_at_one,
-    gauss_coefficients,
-    gauss_packed,
-    pack,
-    packed_width,
-    unpack,
-)
+from twoquadrics import exactpoly, fano_even
+from twoquadrics.exactpoly import eval_at_one, gauss_coefficients, gauss_packed, unpack
 from twoquadrics.fano_even import (
     EvenFanoParams,
     euler_closed_form,
@@ -96,14 +89,7 @@ class TestBettiVector:
         for k in range(g - 1):
             assert fano_even_betti_numbers(EvenFanoParams(g, k)) == list_betti_numbers(g, k)
 
-    def test_width_exceeds_every_partial_sum(self, monkeypatch):
-        widths = []
-
-        def recorded(bound):
-            widths.append(packed_width(bound))
-            return widths[-1]
-
-        monkeypatch.setattr(fano_even, "packed_width", recorded)
+    def test_width_exceeds_every_partial_sum(self, gauss_sum_widths):
         fano_even_betti_numbers.cache_clear()
         try:
             for g in range(2, 41):
@@ -111,11 +97,11 @@ class TestBettiVector:
                     fano_even_betti_numbers(EvenFanoParams(g, k))
                     seen = []
                     list_betti_numbers(g, k, seen)
-                    assert max_abs(seen).bit_length() + 1 <= widths[-1], (g, k)
+                    assert max_abs(seen).bit_length() + 1 <= gauss_sum_widths[-1], (g, k)
         finally:
             fano_even_betti_numbers.cache_clear()
         # at g <= 30 the bound reaches 68 bits: two limbs per coefficient
-        assert set(widths) == {64, 128}
+        assert set(gauss_sum_widths) == {64, 128}
 
     def test_betti_reads_the_vector(self):
         params = EvenFanoParams(5, 2)
@@ -141,7 +127,7 @@ class TestBettiVectorGuards:
                     return value
                 return pack(edit(unpack(value, width, m * (n - m) + 1)), width)
 
-            monkeypatch.setattr(fano_even, "gauss_packed", patched)
+            monkeypatch.setattr(exactpoly, "gauss_packed", patched)
 
         yield install
         fano_even_betti_numbers.cache_clear()
@@ -171,6 +157,22 @@ class TestBettiVectorGuards:
         corrupt(lambda c: c + [1])
         with pytest.raises(ConsistencyError, match="ends at degree 9 > 8"):
             fano_even_betti_numbers(self.PARAMS)
+
+    def test_sum_past_top_degree_is_inconsistent(self, monkeypatch):
+        # a sum that ends past d while each block, summed alone, does not
+        gauss_sum = fano_even.gauss_sum
+
+        def planted(groups):
+            low, coeffs = gauss_sum(groups)
+            return (low, coeffs + [0, 1]) if len(groups) > 1 else (low, coeffs)
+
+        fano_even_betti_numbers.cache_clear()
+        monkeypatch.setattr(fano_even, "gauss_sum", planted)
+        with pytest.raises(
+            ConsistencyError, match=r"^Betti vector of \(g, k\) = \(4, 1\) ends at degree 10 > 8$"
+        ):
+            fano_even_betti_numbers(self.PARAMS)
+        fano_even_betti_numbers.cache_clear()
 
     def test_cache_holds_no_corrupted_vector(self, corrupt):
         corrupt(lambda c: c + [1])

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from list_routes import (
     div_one_minus_power,
+    list_gauss_sum,
     list_kernel_coefficients,
-    list_kernel_step,
     max_abs,
     mul_one_minus_power,
 )
@@ -18,15 +18,7 @@ from list_routes import (
 import twoquadrics
 from twoquadrics import fano_odd
 from twoquadrics.curves import curve_diamond, projective_space_diamond
-from twoquadrics.exactpoly import (
-    BiPoly,
-    InexactDivisionError,
-    LaurentPoly,
-    exact_divide,
-    pack,
-    packed_divide_one_minus,
-    unpack,
-)
+from twoquadrics.exactpoly import BiPoly, LaurentPoly, _pascal_table, binomial, exact_divide
 from twoquadrics.fano_even import EvenFanoParams
 from twoquadrics.fano_odd import (
     OddFanoParams,
@@ -257,67 +249,66 @@ class TestKernelOracle:
         assert multiplicity_kernel(a, b) == kernel_by_products(a, b)
 
     def test_cold_chain_has_no_deep_recursion(self, fresh_odd_caches):
-        # the chain of a = 2 is walked from b = 1 to 1200 in one call
+        # K(2, 1200) from cold caches in one call: its Pascal entries are
+        # filled diagonal by diagonal, with no recursion in b
+        _pascal_table.cache_clear()
         assert multiplicity_kernel(2, 1200) == kernel_by_products(2, 1200)
 
-    def test_corrupted_predecessor_makes_a_step_inexact(self, fresh_odd_caches):
-        # K(3, 3) replaced by the packed polynomial 1: the step to b = 4
-        # multiplies by (1-u^8)(1-u^5), which 1-u^6 does not divide
-        fano_odd._kernel_chain(3)[3] = 1
-        with pytest.raises(InexactDivisionError, match=r"1 - q\^6 is not exact"):
-            kernel_coefficients(3, 4)
 
-    def test_dropped_tail_rejects_inexact_division(self):
-        # (1 + q) / (1 - q^2): the running sum leaves 1 + q in the tail
-        with pytest.raises(InexactDivisionError, match=r"1 - q\^2 is not exact"):
-            packed_divide_one_minus(pack([1, 1], 64), 2, 64)
-        # (1 - q^3 + q^4) / (1 - q^3): the tail q^2..q^4 holds a nonzero
-        with pytest.raises(InexactDivisionError, match=r"1 - q\^3 is not exact"):
-            packed_divide_one_minus(pack([1, 0, 0, -1, 1], 64), 3, 64)
-
-    def test_divide_undoes_multiply(self):
-        x = pack([3, -1, 0, 2], 128)
-        for s in (1, 2, 5):
-            x -= x << (128 * s)
-        for s in (5, 1, 2):
-            x = packed_divide_one_minus(x, s, 128)
-        assert unpack(x, 128) == [3, -1, 0, 2]
+def kernel_groups(a, b):
+    """The kernel K(a, b) as gauss_sum groups, in u = q^2:
+    [a+b-1, b-a+1]_u + u^{a+b-1} [a+b-2, b-a]_u."""
+    return [(1, a + b - 1, b - a + 1, (0,)), (1, a + b - 2, b - a, (a + b - 1,))]
 
 
 class TestPackedKernelChain:
-    """The packed chain against the former list steps, and its widths
-    against the values the list steps form."""
+    """The kernels, each one packed Gaussian sum, against the former
+    chain of list steps and the product formula, and the width of each
+    sum against the values the list route of that sum forms."""
 
-    @pytest.mark.parametrize("a", range(2, 21))
+    @pytest.mark.parametrize("a", range(2, 41))
     def test_matches_list_steps(self, a):
-        for b in range(a - 1, 61):
+        for b in range(a - 1, 81):
             shift, coeffs = kernel_coefficients(a, b)
             assert shift == -(b - a + 1) * (2 * a - 1)
             assert coeffs == list_kernel_coefficients(a, b), (a, b)
 
+    @pytest.mark.parametrize("a", range(2, 41))
+    def test_matches_product_formula(self, a):
+        # the oracle expands 2a-2 factors at each b; past a = 11 every
+        # ninth b, and b = 80, keep the suite's time down
+        for b in sorted({*range(a - 1, 81, 1 if a < 12 else 9), 80}):
+            assert multiplicity_kernel(a, b) == kernel_by_products(a, b), (a, b)
+
     @pytest.mark.parametrize("a", range(2, 21))
-    def test_width_exceeds_every_value_a_step_forms(self, a):
-        for b in range(a, 61):
-            seen = [list(list_kernel_coefficients(a, b - 1))]
-            list_kernel_step(a, b, seen[0], seen)
-            # the comparison in an exact division reaches 3 times the
-            # absolute sum of its dividend (see packed_divide_one_minus);
-            # seen: K(a, b-1), the two products, the two quotients
-            worst = max(max_abs(seen), 3 * sum(map(abs, seen[2])), 3 * sum(map(abs, seen[3])))
-            assert worst.bit_length() + 1 <= fano_odd._kernel_width(a, b), (a, b)
+    def test_width_exceeds_every_value_a_step_forms(
+        self, a, fresh_odd_caches, gauss_sum_widths
+    ):
+        # each step of the sum is one shift and add of a binomial
+        for b in range(a - 1, 61):
+            kernel_coefficients(a, b)
+            seen = []
+            assert list_gauss_sum(kernel_groups(a, b), seen) == (
+                0, list(list_kernel_coefficients(a, b))
+            )
+            assert max_abs(seen).bit_length() + 1 <= gauss_sum_widths[-1], (a, b)
 
     def test_width_rests_on_the_kernel_value_at_one(self):
-        # K(a, b)(1) = b C(a+b-2, 2a-3) / (a-1), the sum _kernel_width bounds
+        # the width bound C(a+b-1, b-a+1) + C(a+b-2, b-a) is K(a, b)(1),
+        # which the product form gives as b C(a+b-2, 2a-3) / (a-1)
         for a in range(2, 21):
             for b in range(a - 1, 61):
                 total = sum(list_kernel_coefficients(a, b))
+                bound = sum(len(s) * binomial(n, m) for _, n, m, s in kernel_groups(a, b))
+                assert bound == total, (a, b)
                 assert total * (a - 1) == b * math.comb(a + b - 2, 2 * a - 3), (a, b)
 
-    def test_wide_digits_are_exercised(self):
-        # K(20, 60)(1) is about 2^78, so the chain of a = 20 crosses from
+    def test_wide_digits_are_exercised(self, fresh_odd_caches, gauss_sum_widths):
+        # K(20, 60)(1) is about 2^75, so the kernels of a = 20 cross from
         # one limb per coefficient to two
-        widths = {fano_odd._kernel_width(20, b) for b in range(19, 61)}
-        assert widths == {64, 128}
+        for b in range(19, 61):
+            kernel_coefficients(20, b)
+        assert set(gauss_sum_widths) == {64, 128}
 
 
 class TestFanoOddDiamond:

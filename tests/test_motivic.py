@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 from list_routes import list_multiplicity_coefficients, max_abs
 
-from twoquadrics import motivic
 from twoquadrics.curves import sym_curve_diamond
-from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one, packed_width
+from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.motivic import (
     MotivicExpression,
@@ -163,14 +162,8 @@ class TestMultiplicityPolynomial:
                     g, k, i
                 ), (g, k, i)
 
-    def test_width_exceeds_every_partial_sum(self, monkeypatch):
-        widths = []
-
-        def recorded(bound):
-            widths.append(packed_width(bound))
-            return widths[-1]
-
-        monkeypatch.setattr(motivic, "packed_width", recorded)
+    def test_width_exceeds_every_partial_sum(self, gauss_sum_widths):
+        widths = gauss_sum_widths
         # every bracket at g <= 40 fits one limb; (47, 24, 0) is the first
         # that needs two
         for g, k, i in itertools.chain(admissible(40), [(47, 24, 0)]):
