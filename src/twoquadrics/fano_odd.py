@@ -6,9 +6,10 @@ powers of H^1 of the associated genus-g hyperelliptic curve; the number
 of copies is the coefficient of an explicit Laurent kernel, and the
 twist offset is forced by weight bookkeeping.  Each kernel is a sum of
 two shifted Gaussian binomials (exactpoly.gauss_sum), cached as a dense
-tuple; the block vector (copies of each wedge^r H^1(-t)) is sliced from
-the kernels, and the dense diamond is read back from its E-polynomial
-on request.
+tuple; the block vectors (r, low, coeffs), the copies of each
+wedge^r H^1(-t) with zero ends trimmed, are reversed slices of the
+kernels, and the dense diamond is read back from their E-polynomial on
+request.
 """
 
 from __future__ import annotations
@@ -95,30 +96,34 @@ def _check_kernel_term(g: int, k: int, j: int, d: int, c: int) -> None:
         )
 
 
-def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, ...], ...]:
-    """Block vector of the k-plane Fano scheme in the hyperelliptic case:
-    entry r = 0..k+1 is the dense tuple, over t = 0..d-r, of the number of
-    copies of wedge^r H^1(C)(-t) in its cohomology.
+def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Block vectors of the k-plane Fano scheme in the hyperelliptic case:
+    (r, low, coeffs) for r ascending in 0..k+1, coeffs[e] the number of
+    copies of wedge^r H^1(C)(-low-e) in its cohomology, with nonzero ends;
+    an r with no copies has no entry.
 
     For each j = g-k-1..g and each term mult * q^c of the kernel
     (g-k, j), the block wedge^r H^1(C), r = g-j, enters degree m = d-c
-    with mult copies, Tate-twisted by t = (m-r)/2.  So v_r is the dense
-    kernel reversed: coeffs[e] (the term q^{shift+2e}) lands at
-    t = (d-shift-r)/2 - e.  The parity of that offset is checked once
-    per kernel, degree and fit on its nonzero ends (a failure names the
-    first offending term, lowest c first).  The vector is checked as
-    returned: every entry is non-negative, and v_r[t] == v_r[d-r-t] (Serre
-    duality).  A failure raises ConsistencyError.
+    with mult copies, Tate-twisted by t = (m-r)/2.  The kernel term
+    q^{shift+2e} lands at t = (d-shift-r)/2 - e, so coeffs is the
+    kernel's nonzero span lo..hi-1 reversed, from low = (d-shift-r)/2 -
+    (hi-1).  The parity of that offset is checked once per kernel, degree
+    and fit on its nonzero ends (a failure names the first offending term,
+    lowest c first).  Then each block, r ascending, must have no negative
+    entry and obey Serre duality: as many copies at t as at d-r-t.  As
+    coeffs has nonzero ends, the vector over t = 0..d-r is a palindrome
+    exactly when coeffs is one and is centred, 2 low + len(coeffs) - 1 ==
+    d - r; only a failure builds that vector, to name its first
+    asymmetric t.  A failure raises ConsistencyError.
     """
     g, k = params.g, params.k
     d = params.dimension
-    vectors = [()] * (k + 2)
+    blocks = []
     for j in range(g - k - 1, g + 1):
         r = g - j
         shift, coeffs = kernel_coefficients(g - k, j)
         lo, hi = _nonzero_ends(coeffs)
         if lo == hi:
-            vectors[r] = (0,) * (d - r + 1)
             continue
         # every term fits exactly when the offset is even and the ends
         # satisfy r-d <= c <= d-r; otherwise the term scan below raises
@@ -126,27 +131,25 @@ def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, ...], ...]:
             for e in range(lo, hi):
                 if coeffs[e]:
                     _check_kernel_term(g, k, j, d, shift + 2 * e)
-        offset = (d - shift - r) // 2
-        vectors[r] = (
-            (0,) * (offset - hi + 1) + coeffs[lo:hi][::-1] + (0,) * (d - r - offset + lo)
-        )
-    for r, v in enumerate(vectors):
-        if min(v) < 0:
+        blocks.append((r, (d - shift - r) // 2 - hi + 1, coeffs[lo:hi][::-1]))
+    blocks.reverse()
+    for r, low, coeffs in blocks:
+        if min(coeffs) < 0:
             raise ConsistencyError(
                 f"negative multiplicity of wedge^{r} H^1 for (g, k) = ({g}, {k})"
             )
-        if v != v[::-1]:
+        if coeffs != coeffs[::-1] or 2 * low + len(coeffs) - 1 != d - r:
+            v = (0,) * low + coeffs + (0,) * (d - r + 1 - low - len(coeffs))
             t = next(t for t in range(len(v)) if v[t] != v[-1 - t])
             raise ConsistencyError(
                 f"Serre duality fails: wedge^{r} H^1(-{t}) has multiplicity {v[t]} "
                 f"but wedge^{r} H^1(-{d - r - t}) has {v[-1 - t]}"
             )
-    return tuple(vectors)
+    return tuple(blocks)
 
 
 @functools.cache
 def fano_odd_diamond(params: OddFanoParams) -> HodgeDiamond:
     """Hodge diamond of the k-plane Fano scheme in the hyperelliptic case,
-    read back by block_diamond from the block vector fano_odd_blocks."""
-    vectors = [(r, 0, v) for r, v in enumerate(fano_odd_blocks(params))]
-    return block_diamond(params.g, params.dimension, vectors)
+    read back by block_diamond from the block vectors fano_odd_blocks."""
+    return block_diamond(params.g, params.dimension, fano_odd_blocks(params))

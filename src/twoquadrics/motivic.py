@@ -100,12 +100,12 @@ def bgmn_multiplicity(g: int, i: int) -> LaurentPoly:
     return LaurentPoly.power_sum((i, 3 * g - 3 - 2 * i))
 
 
-def macdonald_vectors(g: int, terms) -> list[tuple[int, int, list[int]]]:
+def macdonald_vectors(g: int, terms) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The sum over (i, low, coeffs) in `terms` (distinct i >= 0) of
     P_i [Sym^i C], P_i = sum_e coeffs[e] L^{low+e}, C of genus g, as
-    blocks of the curve: (r, low, coeffs) stands for
-    sum_e coeffs[e] wedge^r H^1 L^{low+e}, for r = top index down to 0,
-    r <= 2g.
+    blocks of the curve in the form of fano_odd_blocks: (r, low, coeffs)
+    stands for sum_e coeffs[e] wedge^r H^1 L^{low+e}, for r <= 2g
+    ascending, coeffs with nonzero ends, and no entry for a zero block.
 
     By Macdonald, [Sym^i C] is the sum over r <= min(i, 2g) of
     wedge^r H^1 (1 + L + ... + L^{i-r}), so the sum is
@@ -113,10 +113,10 @@ def macdonald_vectors(g: int, terms) -> list[tuple[int, int, list[int]]]:
     Q_r = T_r + L Q_{r+1}, where T_r = sum_{i >= r} P_i, so each r
     costs two dense vector updates, P_r entering T_r as one slice update.
     Every vector runs from the lowest exponent of any P_i to the highest
-    of any P_i L^i.
+    of any P_i L^i, and is trimmed to its nonzero ends as it is kept.
     """
     if not terms:
-        return []
+        return ()
     low = min(start for _, start, _ in terms)
     size = max(start + len(coeffs) + i for i, start, coeffs in terms) - low
     polys = {i: (start - low, coeffs) for i, start, coeffs in terms}
@@ -130,9 +130,10 @@ def macdonald_vectors(g: int, terms) -> list[tuple[int, int, list[int]]]:
             tail[span] = map(operator.add, tail[span], coeffs)
         # the shift drops only a zero: deg L Q_{r+1} <= max_i deg P_i L^i
         q = list(map(operator.add, tail, itertools.chain((0,), q)))
-        if r <= 2 * g:
-            vectors.append((r, low, q))
-    return vectors
+        lo, hi = _nonzero_ends(q)
+        if r <= 2 * g and lo < hi:
+            vectors.append((r, low + lo, tuple(q[lo:hi])))
+    return tuple(reversed(vectors))
 
 
 class MotivicExpression:
@@ -179,7 +180,7 @@ class MotivicExpression:
             g, {i: multiplicity_polynomial(g, k, i) for i in range(k + 2)}
         )
 
-    def block_vectors(self) -> list[tuple[int, int, list[int]]]:
+    def block_vectors(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         """The expression as blocks of the curve, by macdonald_vectors
         from its terms made dense."""
         dense = []
@@ -256,29 +257,17 @@ def _status(equal: bool, effectivity=()) -> str:
     return VERIFIED if equal and all(ok for _, ok in effectivity) else FAILED
 
 
-def _block_sum(vectors) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The formal sum of (r, low, coeffs) block vectors, distinct r, as
-    (r, lowest exponent, coefficients up to the highest) in ascending r,
-    zero vectors dropped."""
-    out = []
-    for r, low, coeffs in vectors:
-        lo, hi = _nonzero_ends(coeffs)
-        if lo < hi:
-            out.append((r, low + lo, tuple(coeffs[lo:hi])))
-    return sorted(out)
-
-
 def verify_decomposition(g: int, k: int) -> VerificationReport:
     """Check, after the E-polynomial measure, that the class of the
     k-plane Fano scheme equals sum_i M_i(L) [Sym^i C], and that every M_i
-    is effective.  Both sides are measured from their block sums, the
-    block vectors with zero ends trimmed (the measure does not see the
-    trim): the Fano side from fano_odd_blocks, the sum from the dense
-    multiplicities by macdonald_vectors.
+    is effective.  Both sides are measured from their block vectors, in
+    the one trimmed (r, low, coeffs) form: the Fano side from
+    fano_odd_blocks, the sum from the dense multiplicities by
+    macdonald_vectors.
 
-    The sum side is measured only when its block sum differs from the
+    The sum side is measured only when its block vectors differ from the
     Fano side's.  When they agree, both sides are the E-polynomial of the
-    same block sum, so rhs is lhs exactly; when they differ, the E-
+    same blocks, so rhs is lhs exactly; when they differ, the E-
     polynomials are compared as they are.  Either way the verdict and
     the report are those of measuring both sides, with no appeal to the
     measure being injective on block vectors.
@@ -288,9 +277,9 @@ def verify_decomposition(g: int, k: int) -> VerificationReport:
         base, coeffs = multiplicity_coefficients(g, k, i)
         if coeffs:
             terms.append((i, base, coeffs))
-    fano = _block_sum((r, 0, v) for r, v in enumerate(fano_odd_blocks(OddFanoParams(g, k))))
+    fano = fano_odd_blocks(OddFanoParams(g, k))
     lhs = block_e_polynomial(g, fano)
-    sums = _block_sum(macdonald_vectors(g, terms))
+    sums = macdonald_vectors(g, terms)
     rhs = lhs if sums == fano else block_e_polynomial(g, sums)
     effectivity = tuple((i, min(coeffs) >= 0) for i, _, coeffs in terms)
     spans = [[i, base, base + len(coeffs) - 1] for i, base, coeffs in terms]
@@ -350,12 +339,12 @@ def verify_hochschild(g: int, k: int) -> VerificationReport:
     those of the symmetric powers.
 
     Both sides are weighted sums of the blocks wedge^r H^1: the Fano side
-    weighs r by its number of copies at any twist, sum_t v_r[t]; by
+    weighs r by its number of copies at any twist, sum(coeffs); by
     Macdonald the sum side weighs r by sum_{i >= r} M_i(1) (i - r + 1),
     accumulated from the top i down.
     """
     blocks = fano_odd_blocks(OddFanoParams(g, k))
-    lhs = block_hochschild(g, enumerate(map(sum, blocks)))
+    lhs = block_hochschild(g, ((r, sum(coeffs)) for r, _, coeffs in blocks))
     weights = []
     tail = weight = 0
     for r in range(k + 1, -1, -1):

@@ -5,6 +5,9 @@ and their widths with the values it forms.  `kunneth`, the former
 HodgeDiamond.kunneth, is kept here as an oracle for product diamonds,
 and `loop_block_diamond`, the former per-block loop of
 curves.block_diamond, as the oracle for every diamond built from blocks.
+`trim_blocks`, the former block sum of motivic.verify_decomposition,
+turns the dense block vectors of the oracles into the library's one
+trimmed (r, low, coeffs) form.
 
 Every function here can record the largest |value| it forms: pass a
 `seen` list and each intermediate coefficient list is appended to it.
@@ -18,7 +21,7 @@ import itertools
 import math
 import operator
 
-from twoquadrics.exactpoly import InexactDivisionError, binomial
+from twoquadrics.exactpoly import InexactDivisionError, _nonzero_ends, binomial
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
 
 
@@ -245,3 +248,15 @@ def block_triples(vectors):
     return [
         (r, low + e, mult) for r, low, coeffs in vectors for e, mult in enumerate(coeffs) if mult
     ]
+
+
+def trim_blocks(vectors):
+    """(r, low, coeffs) block vectors, distinct r, in the trimmed form of
+    fano_odd_blocks and macdonald_vectors: (r, lowest exponent,
+    coefficients up to the highest) in ascending r, zero vectors dropped."""
+    out = []
+    for r, low, coeffs in vectors:
+        lo, hi = _nonzero_ends(coeffs)
+        if lo < hi:
+            out.append((r, low + lo, tuple(coeffs[lo:hi])))
+    return tuple(sorted(out))

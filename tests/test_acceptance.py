@@ -88,7 +88,7 @@ def test_criterion_03_decomposition_sweep():
                 assert report.lhs == report.rhs
                 # the block route against the former per-block loop's dense diamond
                 params = OddFanoParams(g, k)
-                vectors = [(r, 0, v) for r, v in enumerate(fano_odd_blocks(params))]
+                vectors = fano_odd_blocks(params)
                 oracle = loop_block_diamond(g, params.dimension, block_triples(vectors))
                 assert report.lhs == oracle.e_polynomial(), (g, k)
                 assert all(ok for _, ok in report.effectivity), (g, k)

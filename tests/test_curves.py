@@ -18,7 +18,7 @@ from twoquadrics.exactpoly import BiPoly, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, fano_even_betti_numbers, fano_even_diamond
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
-from twoquadrics.motivic import _block_sum, macdonald_vectors, multiplicity_coefficients
+from twoquadrics.motivic import macdonald_vectors, multiplicity_coefficients
 
 
 def truncated_euler_series_coefficient(g, n):
@@ -187,8 +187,8 @@ class TestLibraryDiamondsMatchTheBlockLoop:
     def test_fano_odd(self, g):
         for k in range(g - 1):
             params = OddFanoParams(g, k)
-            vectors = [(r, 0, v) for r, v in enumerate(fano_odd_blocks(params))]
-            oracle = loop_block_diamond(g, params.dimension, block_triples(vectors))
+            blocks = block_triples(fano_odd_blocks(params))
+            oracle = loop_block_diamond(g, params.dimension, blocks)
             assert fano_odd_diamond(params) == oracle, k
 
     @pytest.mark.parametrize("g", range(2, 13))
@@ -258,13 +258,11 @@ class TestBlockMeasures:
 
     @pytest.mark.parametrize("g", range(2, 13))
     def test_both_decomposition_sides_match_full_diagonals(self, g):
-        # the block sums verify_decomposition measures, for every k
+        # the block vectors verify_decomposition measures, for every k
         for k in range(g - 1):
-            fano = _block_sum(
-                (r, 0, v) for r, v in enumerate(fano_odd_blocks(OddFanoParams(g, k)))
-            )
+            fano = fano_odd_blocks(OddFanoParams(g, k))
             terms = [(i, *multiplicity_coefficients(g, k, i)) for i in range(k + 2)]
-            sums = _block_sum(macdonald_vectors(g, [t for t in terms if t[2]]))
+            sums = macdonald_vectors(g, [t for t in terms if t[2]])
             for side in (fano, sums):
                 assert block_e_polynomial(g, side) == block_e_polynomial_full(g, side), (g, k)
 

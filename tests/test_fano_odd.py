@@ -13,6 +13,7 @@ from list_routes import (
     list_kernel_coefficients,
     max_abs,
     mul_one_minus_power,
+    trim_blocks,
 )
 
 import twoquadrics
@@ -114,6 +115,12 @@ def blocks_by_kernel_terms(params: OddFanoParams) -> tuple[tuple[int, ...], ...]
                 f"but wedge^{r} H^1(-{d - r - t}) has {v[-1 - t]}"
             )
     return tuple(map(tuple, vectors))
+
+
+def trimmed_blocks_by_kernel_terms(params: OddFanoParams):
+    """The dense oracle blocks_by_kernel_terms in the trimmed form of
+    fano_odd_blocks."""
+    return trim_blocks((r, 0, v) for r, v in enumerate(blocks_by_kernel_terms(params)))
 
 
 def diamond_by_degree_scan(g, k):
@@ -354,20 +361,22 @@ class TestFanoOddDiamond:
             d = OddFanoParams(g, k).dimension
             blocks = fano_odd_blocks(OddFanoParams(g, k))
             assert len(blocks) == k + 2
-            for r, v in enumerate(blocks):
-                kernel_terms = (multiplicity(g - k, g - r, d - r - 2 * t) for t in range(d - r + 1))
-                assert v == tuple(kernel_terms), (g, k, r)
+            dense = [
+                (r, 0, [multiplicity(g - k, g - r, d - r - 2 * t) for t in range(d - r + 1)])
+                for r in range(k + 2)
+            ]
+            assert blocks == trim_blocks(dense), (g, k)
 
     @pytest.mark.parametrize("g", range(2, 15))
     def test_blocks_match_kernel_term_scatter(self, g):
         for k in range(g - 1):
             params = OddFanoParams(g, k)
-            assert fano_odd_blocks(params) == blocks_by_kernel_terms(params), k
+            assert fano_odd_blocks(params) == trimmed_blocks_by_kernel_terms(params), k
 
     @pytest.mark.parametrize("g,k", [(30, 14), (34, 16), (40, 19)])
     def test_blocks_match_kernel_term_scatter_deep(self, g, k):
         params = OddFanoParams(g, k)
-        assert fano_odd_blocks(params) == blocks_by_kernel_terms(params)
+        assert fano_odd_blocks(params) == trimmed_blocks_by_kernel_terms(params)
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_valid_structure_all_k(self, g):
@@ -413,6 +422,23 @@ class TestBlockVectorGuards:
             match=r"^Serre duality fails: wedge\^0 H\^1\(-0\) has multiplicity 2 "
             r"but wedge\^0 H\^1\(-6\) has 1$",
         ):
+            fano_odd_blocks(self.PARAMS)
+
+    def test_uncentred_palindrome_is_inconsistent(self, monkeypatch, fresh_odd_caches):
+        # the j = 3 kernel q^-4 alone gives the block (0, 5, (1,)): it fits
+        # and its coefficients are a palindrome, but t = 5 is not t = 1,
+        # its Serre dual in d - r = 6
+        original = fano_odd.kernel_coefficients
+        monkeypatch.setattr(
+            fano_odd, "kernel_coefficients", lambda a, b: (-4, (1,)) if b == 3 else original(a, b)
+        )
+        message = (
+            r"^Serre duality fails: wedge\^0 H\^1\(-1\) has multiplicity 0 "
+            r"but wedge\^0 H\^1\(-5\) has 1$"
+        )
+        with pytest.raises(ConsistencyError, match=message):
+            blocks_by_kernel_terms(self.PARAMS)
+        with pytest.raises(ConsistencyError, match=message):
             fano_odd_blocks(self.PARAMS)
 
     def test_block_that_does_not_fit_is_inconsistent(self, plant):
@@ -471,9 +497,10 @@ class TestBlockVectorGuards:
     def test_zero_kernel_gives_the_zero_vector(
         self, monkeypatch, fresh_odd_caches, j, moved, zeros
     ):
-        expected = list(fano_odd_blocks(self.PARAMS))
-        r = 3 - j
-        expected[r] = (0,) * (self.PARAMS.dimension - r + 1)
+        # the zero vector of r = 3 - j has no entry; no check raises on it
+        expected = fano_odd_blocks(self.PARAMS)
+        assert 3 - j in [r for r, _, _ in expected]
+        expected = tuple(block for block in expected if block[0] != 3 - j)
         original = fano_odd.kernel_coefficients
 
         def zero_at_j(a, b):
@@ -481,7 +508,7 @@ class TestBlockVectorGuards:
             return (shift + moved, zeros) if b == j else (shift, coeffs)
 
         monkeypatch.setattr(fano_odd, "kernel_coefficients", zero_at_j)
-        assert fano_odd_blocks(self.PARAMS) == tuple(expected)
+        assert fano_odd_blocks(self.PARAMS) == expected
 
     def test_cache_holds_no_corrupted_vector(self, plant, monkeypatch):
         kernel = fano_odd.kernel_coefficients

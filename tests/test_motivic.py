@@ -3,8 +3,8 @@ import operator
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
-from list_routes import list_multiplicity_coefficients, max_abs
+from hypothesis import example, given, strategies as st
+from list_routes import list_multiplicity_coefficients, max_abs, trim_blocks
 
 from twoquadrics.curves import sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
@@ -109,6 +109,32 @@ def motivic_expressions(draw):
     polys = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=4).map(LaurentPoly)
     terms = draw(st.dictionaries(st.integers(0, 2 * g + 3), polys, max_size=4))
     return MotivicExpression.from_terms(g, terms)
+
+
+@st.composite
+def signed_terms(draw):
+    """(g, terms, dense, cancelled): signed multiplicities P_i, g <= 4 and
+    i up to 2g + 3, as a dict i -> P_i and as dense (i, low, coeffs) with
+    zero ends drawn in.  For each r in `cancelled`, P_r is drawn as
+    -sum_{i > r} P_i (1 + ... + L^{i-r}), so Q_r cancels to zero."""
+    g = draw(st.integers(0, 4))
+    indices = st.integers(0, 2 * g + 3)
+    polys = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=4).map(LaurentPoly)
+    terms = draw(st.dictionaries(indices, polys, max_size=4))
+    cancelled = draw(st.sets(indices, max_size=2))
+    for r in sorted(cancelled, reverse=True):
+        q = LaurentPoly.zero()
+        for i, poly in terms.items():
+            if i > r:
+                q = q + poly * LaurentPoly.power_sum(range(i - r + 1))
+        terms[r] = -q
+    dense = []
+    for i, poly in terms.items():
+        before, after = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        low, top = (poly.valuation(), poly.degree()) if poly else (0, -1)
+        coeffs = [poly.coefficient(e) for e in range(low - before, top + after + 1)]
+        dense.append((i, low - before, coeffs))
+    return g, terms, dense, cancelled
 
 
 @st.composite
@@ -409,7 +435,12 @@ class TestSharedMeasure:
 
     @given(fano_params())
     def test_block_vectors_are_non_negative_and_serre_symmetric(self, params):
-        for v in fano_odd_blocks(params):
+        d = params.dimension
+        for r, low, coeffs in fano_odd_blocks(params):
+            # the dense vector over t = 0..d-r
+            v = [0] * (d - r + 1)
+            v[low : low + len(coeffs)] = coeffs
+            assert low >= 0 and len(v) == d - r + 1
             assert min(v) >= 0
             assert v == v[::-1]
 
@@ -440,7 +471,7 @@ class TestDenseRoute:
     def test_recursion_matches_the_scatter(self, g):
         for k in range(g - 1):
             expr = MotivicExpression.decomposition(g, k)
-            expected = block_vectors_by_scatter(expr)
+            expected = trim_blocks(block_vectors_by_scatter(expr))
             assert macdonald_vectors(g, dense_terms(g, k)) == expected, (g, k)
             assert expr.block_vectors() == expected, (g, k)
 
@@ -455,8 +486,24 @@ class TestDenseRoute:
 
     @given(motivic_expressions())
     def test_block_vectors_match_the_scatter(self, expr):
-        assert expr.block_vectors() == block_vectors_by_scatter(expr)
+        assert expr.block_vectors() == trim_blocks(block_vectors_by_scatter(expr))
+
+    @given(signed_terms())
+    # P_0 = -(1 + L) cancels Q_0 = P_0 + P_1 (1 + L) to zero
+    @example((2, {0: LaurentPoly({0: -1, 1: -1}), 1: LaurentPoly({0: 1})},
+              [(0, 0, [-1, -1]), (1, 0, [1])], {0}))
+    def test_recursion_keeps_the_block_form(self, case):
+        g, terms, dense, cancelled = case
+        blocks = macdonald_vectors(g, dense)
+        assert type(blocks) is tuple
+        rs = [r for r, _, _ in blocks]
+        assert rs == sorted(set(rs)) and all(0 <= r <= 2 * g for r in rs)
+        assert not cancelled & set(rs)
+        for _, _, coeffs in blocks:
+            assert type(coeffs) is tuple and coeffs and coeffs[0] and coeffs[-1]
+        expr = MotivicExpression.from_terms(g, terms)
+        assert blocks == trim_blocks(block_vectors_by_scatter(expr))
 
     def test_empty_expression_has_no_blocks(self):
-        assert macdonald_vectors(3, []) == []
-        assert MotivicExpression.from_terms(3, {}).block_vectors() == []
+        assert macdonald_vectors(3, []) == ()
+        assert MotivicExpression.from_terms(3, {}).block_vectors() == ()
