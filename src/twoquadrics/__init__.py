@@ -12,9 +12,7 @@ from .exactpoly import (
     InexactDivisionError,
     LaurentPoly,
     binomial,
-    eval_at_one,
     exact_divide,
-    gauss_binomial,
     gauss_coefficients,
 )
 from .fano_even import (
@@ -28,7 +26,6 @@ from .fano_odd import (
     OddFanoParams,
     fano_odd_blocks,
     fano_odd_diamond,
-    multiplicity,
     multiplicity_kernel,
 )
 from .hodge import ConsistencyError, HodgeDiamond
@@ -67,7 +64,6 @@ __all__ = [
     "chu_vandermonde_check",
     "curve_diamond",
     "euler_closed_form",
-    "eval_at_one",
     "exact_divide",
     "fano_even_betti",
     "fano_even_betti_numbers",
@@ -75,11 +71,9 @@ __all__ = [
     "fano_odd_blocks",
     "fano_odd_diamond",
     "fonarev_rank",
-    "gauss_binomial",
     "gauss_coefficients",
     "gessel_identity_check",
     "jacobian_diamond",
-    "multiplicity",
     "multiplicity_at_one",
     "multiplicity_kernel",
     "multiplicity_polynomial",

@@ -53,31 +53,13 @@ class InternalError(Exception):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _payload(value):
-    """JSON payload for a polynomial-like report side.
-
-    Polynomials become sorted arrays of [exponent(s), coefficient] with
-    coefficients as decimal strings (they exceed native integer widths);
-    integers become decimal strings; term lists become [index, payload]
-    pairs.
-    """
-    if value is None:
-        return None
-    if isinstance(value, LaurentPoly):
-        return [[e, str(c)] for e, c in value.items()]
-    if isinstance(value, BiPoly):
-        return [[p, q, str(c)] for (p, q), c in value.items()]
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (tuple, list)):
-        return [[i, _payload(p)] for i, p in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _side_json(value) -> str:
-    """canonical_json(_payload(value)) without the newline, written
-    directly as text: the payload holds only ints, decimal strings and
-    nested arrays, whose canonical forms need no escaping."""
+    """Canonical JSON text of a report side, written directly: a
+    polynomial is its array of [exponent(s), coefficient] terms in key
+    order, an int a decimal string (coefficients exceed native integer
+    widths), a term list its [index, side] pairs.  These hold only ints,
+    decimal strings and nested arrays, whose canonical forms need no
+    escaping."""
     if value is None:
         return "null"
     if isinstance(value, LaurentPoly):
@@ -91,24 +73,9 @@ def _side_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _report_obj(report: VerificationReport, lhs, rhs) -> dict:
-    return {
-        "identity": report.identity,
-        "params": {k: report.params[k] for k in sorted(report.params)},
-        "status": report.status,
-        "lhs": lhs,
-        "rhs": rhs,
-        "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
-        "observations": {k: report.observations[k] for k in sorted(report.observations)},
-        "elapsed_ms": report.elapsed_ms,
-    }
-
-
 def report_to_json_obj(report: VerificationReport) -> dict:
-    """The report as a JSON object; report_json writes its canonical dump."""
-    lhs = _payload(report.lhs)
-    # a side that is the other side (a verified decomposition) is expanded once
-    return _report_obj(report, lhs, lhs if report.rhs is report.lhs else _payload(report.rhs))
+    """The report as a JSON object: report_json parsed back."""
+    return json.loads(report_json(report))
 
 
 def canonical_json(obj) -> str:
@@ -119,10 +86,10 @@ def canonical_json(obj) -> str:
 
 
 def report_json(report: VerificationReport) -> str:
-    """canonical_json(report_to_json_obj(report)), with each side written
-    as text by _side_json and spliced into the dump of the report with
-    both sides null; a side that is the other side (a verified
-    decomposition) is written once.
+    """The canonical dump of the report, with each side written as text by
+    _side_json and spliced into the dump of the report with both sides
+    null; a side that is the other side (a verified decomposition) is
+    written once.
 
     The report object's keys sort as effectivity, elapsed_ms, identity,
     lhs, observations, params, rhs, status.  No value before "lhs" is an
@@ -132,7 +99,17 @@ def report_json(report: VerificationReport) -> str:
     """
     lhs = _side_json(report.lhs)
     rhs = lhs if report.rhs is report.lhs else _side_json(report.rhs)
-    head, _, rest = canonical_json(_report_obj(report, None, None)).partition('"lhs":null')
+    skeleton = {
+        "identity": report.identity,
+        "params": report.params,
+        "status": report.status,
+        "lhs": None,
+        "rhs": None,
+        "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
+        "observations": report.observations,
+        "elapsed_ms": report.elapsed_ms,
+    }
+    head, _, rest = canonical_json(skeleton).partition('"lhs":null')
     middle, _, tail = rest.rpartition('"rhs":null')
     return f'{head}"lhs":{lhs}{middle}"rhs":{rhs}{tail}'
 

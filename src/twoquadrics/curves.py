@@ -83,7 +83,6 @@ def block_hochschild(g: int, weights: Iterable[tuple[int, int]]) -> LaurentPoly:
     return LaurentPoly._raw({i - g: c for i, c in enumerate(hh) if c})
 
 
-@functools.cache
 def curve_diamond(g: int) -> HodgeDiamond:
     """Diamond of a smooth projective curve of genus g."""
     if g < 0:
@@ -101,7 +100,6 @@ def sym_curve_diamond(g: int, n: int) -> HodgeDiamond:
     return block_diamond(g, n, [(r, 0, (1,) * (n - r + 1)) for r in range(min(n, 2 * g) + 1)])
 
 
-@functools.cache
 def jacobian_diamond(g: int) -> HodgeDiamond:
     """Diamond of a g-dimensional Jacobian: the blocks wedge^r H^1(C),
     r = 0..2g, so h^{p,q} = C(g,p) C(g,q)."""
@@ -110,7 +108,6 @@ def jacobian_diamond(g: int) -> HodgeDiamond:
     return block_diamond(g, g, [(r, 0, (1,)) for r in range(2 * g + 1)])
 
 
-@functools.cache
 def projective_space_diamond(n: int) -> HodgeDiamond:
     """Diamond of n-dimensional projective space: h^{p,p} = 1."""
     if n < 0:

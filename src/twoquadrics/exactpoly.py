@@ -190,7 +190,8 @@ class LaurentPoly(_SparsePoly):
         return all(c >= 0 for c in self._coeffs.values())
 
     def shift(self, n: int) -> "LaurentPoly":
-        """Multiply by q^n."""
+        """Multiply by q^n; n must be an int, as an exponent must."""
+        self._key(n)
         if not n:
             return self
         return LaurentPoly._raw({e + n: c for e, c in self._coeffs.items()})
@@ -226,11 +227,6 @@ class BiPoly(_SparsePoly):
 
     def pretty(self, x: str = "x", y: str = "y") -> str:
         return self._pretty(lambda k: "*".join(filter(None, (_power(x, k[0]), _power(y, k[1])))))
-
-
-def eval_at_one(p: LaurentPoly) -> int:
-    """Sum of all coefficients (the value at q = 1)."""
-    return sum(p._coeffs.values())
 
 
 def binomial(n: int, m: int) -> int:
@@ -357,7 +353,7 @@ def gauss_packed(n: int, m: int, width: int) -> int:
     if m == 0:
         return 1
     if n < 0:
-        raise ValueError(f"gauss_binomial({n}, {m}) with n < 0, m >= 1 is undefined here")
+        raise ValueError(f"[{n}, {m}]_q with n < 0, m >= 1 is undefined here")
     if n < m:
         return 0
     if math.comb(n, m).bit_length() >= width:
@@ -417,11 +413,6 @@ def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
     Entry e is the coefficient of q^e; the empty tuple encodes 0.
     """
     return tuple(gauss_sum([(1, n, m, (0,))])[1])
-
-
-def gauss_binomial(n: int, m: int) -> LaurentPoly:
-    """Gaussian binomial coefficient [n, m]_q as a polynomial in q."""
-    return LaurentPoly._raw({e: c for e, c in enumerate(gauss_coefficients(n, m)) if c})
 
 
 def _nonzero_ends(coeffs) -> tuple[int, int]:

@@ -11,7 +11,6 @@ request.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .curves import block_diamond
@@ -30,15 +29,14 @@ class EvenFanoParams(FanoParams):
         return (self.k + 1) * (2 * self.g - 2 * self.k - 2)
 
 
-@functools.cache
 def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
     """Even Betti numbers (b_0, b_2, ..., b_{2d}), d = dimension: the
     coefficients of sum_{j=0..k+1} C(2g+1, j) q^{j(g-k-1)} [2g-k-j-1, k+1-j]_q,
     summed by exactpoly.gauss_sum.
 
-    The vector is checked as stored: no block runs past index d, its
-    entries are non-negative, and it is a palindrome (Serre duality).  A
-    failure raises ConsistencyError.
+    The vector is checked before it is returned: no block runs past index
+    d, its entries are non-negative, and it is a palindrome (Serre
+    duality).  A failure raises ConsistencyError.
     """
     g, k = params.g, params.k
     d = params.dimension

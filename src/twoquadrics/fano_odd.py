@@ -61,15 +61,11 @@ def kernel_coefficients(a: int, b: int) -> tuple[int, tuple[int, ...]]:
 
 @functools.cache
 def multiplicity_kernel(a: int, b: int) -> LaurentPoly:
-    """Laurent polynomial whose q^c coefficient is the summand count
-    multiplicity(a, b, c): the view of kernel_coefficients(a, b)."""
+    """Laurent polynomial whose q^c coefficient is the number of copies of
+    the (a, b) cohomology block in centered degree c: the view of
+    kernel_coefficients(a, b)."""
     shift, coeffs = kernel_coefficients(a, b)
     return LaurentPoly._raw({2 * e + shift: c for e, c in enumerate(coeffs) if c})
-
-
-def multiplicity(a: int, b: int, c: int) -> int:
-    """Number of copies of the (a, b) cohomology block in centered degree c."""
-    return multiplicity_kernel(a, b).coefficient(c)
 
 
 def _check_kernel_term(g: int, k: int, j: int, d: int, c: int) -> None:

@@ -7,7 +7,11 @@ and `loop_block_diamond`, the former per-block loop of
 curves.block_diamond, as the oracle for every diamond built from blocks.
 `trim_blocks`, the former block sum of motivic.verify_decomposition,
 turns the dense block vectors of the oracles into the library's one
-trimmed (r, low, coeffs) form.
+trimmed (r, low, coeffs) form.  `payload` and `report_to_json_obj`, the
+former object encoder of cli, are the oracle of the report text that
+cli.report_json writes directly.  `gauss_binomial`, `eval_at_one` and
+`multiplicity`, former library views of the Gaussian binomials and the
+multiplicity kernel, are kept for the tests that read them.
 
 Every function here can record the largest |value| it forms: pass a
 `seen` list and each intermediate coefficient list is appended to it.
@@ -21,7 +25,15 @@ import itertools
 import math
 import operator
 
-from twoquadrics.exactpoly import InexactDivisionError, _nonzero_ends, binomial
+from twoquadrics.exactpoly import (
+    BiPoly,
+    InexactDivisionError,
+    LaurentPoly,
+    _nonzero_ends,
+    binomial,
+    gauss_coefficients,
+)
+from twoquadrics.fano_odd import multiplicity_kernel
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
 
 
@@ -260,3 +272,55 @@ def trim_blocks(vectors):
         if lo < hi:
             out.append((r, low + lo, tuple(coeffs[lo:hi])))
     return tuple(sorted(out))
+
+
+def gauss_binomial(n, m):
+    """Gaussian binomial coefficient [n, m]_q as a polynomial in q."""
+    return LaurentPoly._raw({e: c for e, c in enumerate(gauss_coefficients(n, m)) if c})
+
+
+def eval_at_one(p):
+    """Sum of all coefficients (the value at q = 1)."""
+    return sum(p._coeffs.values())
+
+
+def multiplicity(a, b, c):
+    """Number of copies of the (a, b) cohomology block in centered degree c."""
+    return multiplicity_kernel(a, b).coefficient(c)
+
+
+def payload(value):
+    """JSON payload for a polynomial-like report side.
+
+    Polynomials become sorted arrays of [exponent(s), coefficient] with
+    coefficients as decimal strings (they exceed native integer widths);
+    integers become decimal strings; term lists become [index, payload]
+    pairs.
+    """
+    if value is None:
+        return None
+    if isinstance(value, LaurentPoly):
+        return [[e, str(c)] for e, c in value.items()]
+    if isinstance(value, BiPoly):
+        return [[p, q, str(c)] for (p, q), c in value.items()]
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [[i, payload(p)] for i, p in value]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def report_to_json_obj(report):
+    """The report as a JSON object, built field by field; its canonical
+    dump is what cli.report_json writes."""
+    lhs = payload(report.lhs)
+    return {
+        "identity": report.identity,
+        "params": {k: report.params[k] for k in sorted(report.params)},
+        "status": report.status,
+        "lhs": lhs,
+        "rhs": lhs if report.rhs is report.lhs else payload(report.rhs),
+        "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
+        "observations": {k: report.observations[k] for k in sorted(report.observations)},
+        "elapsed_ms": report.elapsed_ms,
+    }

@@ -7,19 +7,23 @@ Run via pytest, or standalone with `python tests/test_acceptance.py`.
 import math
 import time
 
-from list_routes import block_triples, loop_block_diamond
+from list_routes import (
+    block_triples,
+    eval_at_one,
+    gauss_binomial,
+    loop_block_diamond,
+    multiplicity,
+)
 
 from twoquadrics.curves import curve_diamond, projective_space_diamond, sym_curve_diamond
 from twoquadrics.exactpoly import (
     BiPoly,
     LaurentPoly,
     binomial,
-    eval_at_one,
-    gauss_binomial,
     gauss_coefficients,
 )
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
-from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond, multiplicity
+from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.motivic import multiplicity_polynomial, verify_decomposition
 from twoquadrics.stacky import (
     chu_vandermonde_check,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from list_routes import payload, report_to_json_obj
 
 from twoquadrics import cli, fano_even, fano_odd, stacky
 from twoquadrics.exactpoly import BiPoly, InexactDivisionError, LaurentPoly
@@ -99,7 +100,7 @@ def collected_sweep_output(ranges, fmt):
     failed = sum(not r.verified for r in reports)
     if fmt == "json":
         return cli.canonical_json({
-            "reports": [cli.report_to_json_obj(r) for r in reports],
+            "reports": [report_to_json_obj(r) for r in reports],
             "summary": {"failed": failed, "total": len(reports), "verified": len(reports) - failed},
         })
     lines = [cli.report_to_text(r) for r in reports]
@@ -206,7 +207,7 @@ class TestVerifyCommand:
         assert code == 1
         obj = json.loads(out)
         assert obj["status"] == "failed"
-        assert obj["rhs"] == cli._payload(MotivicExpression.decomposition(3, 1).e_polynomial())
+        assert obj["rhs"] == payload(MotivicExpression.decomposition(3, 1).e_polynomial())
         assert obj["lhs"] != obj["rhs"]
 
     def test_json_round_trip_is_byte_identical(self, capsys):
@@ -221,22 +222,27 @@ class TestVerifyCommand:
         # container types included
         report = verify_decomposition(g, k)
         assert report.verified and report.rhs is report.lhs
-        assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
+        assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
 
     def test_failed_report_is_the_canonical_dump(self, plant_kernel):
         plant_kernel(3, {6: 1, -6: 1})
         report = verify_decomposition(3, 1)
         assert report.status == "failed" and report.rhs is not report.lhs
-        assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
+        assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
 
     @given(reports())
     def test_report_json_is_the_canonical_dump(self, report):
-        assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
+        assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
+
+    @given(reports())
+    def test_report_object_is_the_oracle_object(self, report):
+        expected = cli.canonical_json(report_to_json_obj(report))
+        assert cli.canonical_json(cli.report_to_json_obj(report)) == expected
 
     @staticmethod
     def sorted_side_json(value):
         """Reference text of a side that sorts its terms itself, so an
-        ordering bug shared by report_json and report_to_json_obj shows."""
+        ordering bug shared by report_json and the payload oracle shows."""
         if isinstance(value, LaurentPoly):
             terms = [f'[{e},"{c}"]' for e, c in sorted(value._coeffs.items())]
         elif isinstance(value, BiPoly):
@@ -250,7 +256,7 @@ class TestVerifyCommand:
     @given(sides)
     def test_side_json_lists_terms_in_sorted_order(self, side):
         assert cli._side_json(side) == self.sorted_side_json(side)
-        assert cli.canonical_json(cli._payload(side)) == self.sorted_side_json(side) + "\n"
+        assert cli.canonical_json(payload(side)) == self.sorted_side_json(side) + "\n"
 
     def test_side_with_an_observation_keyed_rhs(self):
         side = LaurentPoly({-2: -(2**70), 3: 1})
@@ -258,7 +264,7 @@ class TestVerifyCommand:
             identity='a "lhs":null b', params={"g": 2}, status='"rhs":null', lhs=side, rhs=side,
             observations={"rhs": None, "lhs": None},
         )
-        assert cli.report_json(report) == cli.canonical_json(cli.report_to_json_obj(report))
+        assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
 
     def test_bgmn_past_the_recursion_limit(self, capsys):
         # the Gaussian binomials of g = 600 reach m = 599, too deep for a
@@ -289,7 +295,7 @@ class TestVerifyCommand:
         body = json.loads(out)
         del body["elapsed_ms"]
         euler = fano_even_diamond(EvenFanoParams(30, 14)).euler()
-        dense = cli.report_to_json_obj(
+        dense = report_to_json_obj(
             VerificationReport(
                 identity="stacky-counts",
                 params={"g": 30, "k": 14},

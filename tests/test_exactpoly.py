@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
-from list_routes import list_gauss_coefficients, list_gauss_sum, max_abs, pack
+from list_routes import (
+    eval_at_one,
+    gauss_binomial,
+    list_gauss_coefficients,
+    list_gauss_sum,
+    max_abs,
+    pack,
+)
 
 from twoquadrics import exactpoly, fano_odd, stacky
 from twoquadrics.exactpoly import (
@@ -16,9 +23,7 @@ from twoquadrics.exactpoly import (
     _nonzero_ends,
     _pascal_table,
     binomial,
-    eval_at_one,
     exact_divide,
-    gauss_binomial,
     gauss_coefficients,
     gauss_packed,
     gauss_sum,
@@ -482,6 +487,13 @@ class TestSharedCore:
         if cls is BiPoly:
             with pytest.raises(TypeError, match="exponents must be ints"):
                 cls([((0, bad), 1)])
+
+    @pytest.mark.parametrize("bad", BAD_EXPONENTS, ids=bad_id)
+    @pytest.mark.parametrize("poly", [LaurentPoly({1: 2}), LaurentPoly.zero()], ids=repr)
+    def test_non_int_shift_rejected(self, poly, bad):
+        # the shift lands in every exponent, so it obeys the exponents' rule
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            poly.shift(bad)
 
     # BiPoly keys that are not (p, q) pairs at all
     @pytest.mark.parametrize("key", [(1, 2, 3), (1,), (), 7], ids=repr)

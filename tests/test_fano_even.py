@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from list_routes import list_betti_numbers, max_abs, pack
+from list_routes import eval_at_one, list_betti_numbers, max_abs, pack
 
 from twoquadrics import exactpoly, fano_even
-from twoquadrics.exactpoly import eval_at_one, gauss_coefficients, gauss_packed, unpack
+from twoquadrics.exactpoly import gauss_coefficients, gauss_packed, unpack
 from twoquadrics.fano_even import (
     EvenFanoParams,
     euler_closed_form,
@@ -90,16 +90,12 @@ class TestBettiVector:
             assert fano_even_betti_numbers(EvenFanoParams(g, k)) == list_betti_numbers(g, k)
 
     def test_width_exceeds_every_partial_sum(self, gauss_sum_widths):
-        fano_even_betti_numbers.cache_clear()
-        try:
-            for g in range(2, 41):
-                for k in range(g - 1):
-                    fano_even_betti_numbers(EvenFanoParams(g, k))
-                    seen = []
-                    list_betti_numbers(g, k, seen)
-                    assert max_abs(seen).bit_length() + 1 <= gauss_sum_widths[-1], (g, k)
-        finally:
-            fano_even_betti_numbers.cache_clear()
+        for g in range(2, 41):
+            for k in range(g - 1):
+                fano_even_betti_numbers(EvenFanoParams(g, k))
+                seen = []
+                list_betti_numbers(g, k, seen)
+                assert max_abs(seen).bit_length() + 1 <= gauss_sum_widths[-1], (g, k)
         # at g <= 30 the bound reaches 68 bits: two limbs per coefficient
         assert set(gauss_sum_widths) == {64, 128}
 
@@ -118,8 +114,6 @@ class TestBettiVectorGuards:
 
     @pytest.fixture
     def corrupt(self, monkeypatch):
-        fano_even_betti_numbers.cache_clear()
-
         def install(edit):
             def patched(n, m, width):
                 value = gauss_packed(n, m, width)
@@ -129,8 +123,7 @@ class TestBettiVectorGuards:
 
             monkeypatch.setattr(exactpoly, "gauss_packed", patched)
 
-        yield install
-        fano_even_betti_numbers.cache_clear()
+        return install
 
     def test_asymmetric_coefficient_is_inconsistent(self, corrupt):
         def bump_last(c):
@@ -166,13 +159,11 @@ class TestBettiVectorGuards:
             low, coeffs = gauss_sum(groups)
             return (low, coeffs + [0, 1]) if len(groups) > 1 else (low, coeffs)
 
-        fano_even_betti_numbers.cache_clear()
         monkeypatch.setattr(fano_even, "gauss_sum", planted)
         with pytest.raises(
             ConsistencyError, match=r"^Betti vector of \(g, k\) = \(4, 1\) ends at degree 10 > 8$"
         ):
             fano_even_betti_numbers(self.PARAMS)
-        fano_even_betti_numbers.cache_clear()
 
     def test_cache_holds_no_corrupted_vector(self, corrupt):
         corrupt(lambda c: c + [1])

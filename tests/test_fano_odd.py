@@ -13,6 +13,7 @@ from list_routes import (
     list_kernel_coefficients,
     max_abs,
     mul_one_minus_power,
+    multiplicity,
     trim_blocks,
 )
 
@@ -26,7 +27,6 @@ from twoquadrics.fano_odd import (
     fano_odd_blocks,
     fano_odd_diamond,
     kernel_coefficients,
-    multiplicity,
     multiplicity_kernel,
 )
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond

@@ -2,10 +2,10 @@ import json
 
 import pytest
 from hypothesis import given, strategies as st
-from list_routes import kunneth
+from list_routes import eval_at_one, kunneth
 
 from twoquadrics.curves import curve_diamond, sym_curve_diamond
-from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
+from twoquadrics.exactpoly import BiPoly, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, fano_even_diamond
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_diamond
 from twoquadrics.hodge import (

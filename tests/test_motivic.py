@@ -4,10 +4,10 @@ import pickle
 
 import pytest
 from hypothesis import example, given, strategies as st
-from list_routes import list_multiplicity_coefficients, max_abs, trim_blocks
+from list_routes import eval_at_one, list_multiplicity_coefficients, max_abs, trim_blocks
 
 from twoquadrics.curves import sym_curve_diamond
-from twoquadrics.exactpoly import BiPoly, LaurentPoly, eval_at_one
+from twoquadrics.exactpoly import BiPoly, LaurentPoly
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.motivic import (
     MotivicExpression,
