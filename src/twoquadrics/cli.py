@@ -1,12 +1,12 @@
 """Command-line front end: compute diamonds, verify identities, sweep
 parameter ranges, and emit deterministic text or JSON reports with
 CI-friendly exit codes (0 verified, 1 any failure, 2 usage error or an
-unwritable --output, 3 internal error: the library caught itself in an
-inconsistency).  One table, CHECKS, drives `verify`, `identity` and the
-sweep, and DIAMONDS drives `diamond`.  A sweep writes each report as it
-completes; a task that hits an internal error becomes a report with
-status "error", the other reports are still emitted and the sweep exits
-3."""
+unwritable --output or stdout, 3 internal error: the library caught
+itself in an inconsistency).  One table, CHECKS, drives `verify`,
+`identity` and the sweep, and DIAMONDS drives `diamond`.  A sweep writes
+each report as it completes; a task that hits an internal error becomes
+a report with status "error", the other reports are still emitted and
+the sweep exits 3."""
 
 from __future__ import annotations
 
@@ -114,15 +114,22 @@ def report_json(report: VerificationReport) -> str:
     return f'{head}"lhs":{lhs}{middle}"rhs":{rhs}{tail}'
 
 
-def _pretty_side(value) -> str:
+# identity -> the variable of its LaurentPoly sides: Hochschild
+# polynomials are in t, the multiplicities M_i in L
+_SIDE_VARIABLES = {"hochschild-decomposition": "t", "bgmn-crosscheck": "L"}
+
+
+def _pretty_side(value, var: str) -> str:
     if value is None:
         return "-"
-    if isinstance(value, (LaurentPoly, BiPoly)):
+    if isinstance(value, LaurentPoly):
+        return value.pretty(var)
+    if isinstance(value, BiPoly):
         return value.pretty()
     if isinstance(value, int):
         return str(value)
     if isinstance(value, (tuple, list)):
-        return "; ".join(f"[{i}] {_pretty_side(p)}" for i, p in value)
+        return "; ".join(f"[{i}] {_pretty_side(p, var)}" for i, p in value)
     return str(value)
 
 
@@ -139,8 +146,9 @@ def report_to_text(report: VerificationReport) -> str:
     if report.verified:
         return lines[0]
     if report.status != ERROR:
-        lines.append(f"  lhs: {_pretty_side(report.lhs)}")
-        lines.append(f"  rhs: {_pretty_side(report.rhs)}")
+        var = _SIDE_VARIABLES.get(report.identity, "q")
+        lines.append(f"  lhs: {_pretty_side(report.lhs, var)}")
+        lines.append(f"  rhs: {_pretty_side(report.rhs, var)}")
         bad = [i for i, ok in report.effectivity if not ok]
         if bad:
             lines.append(f"  non-effective multiplicities at i = {bad}")
@@ -433,6 +441,17 @@ def _cannot_write(path: str, exc: OSError) -> OutputError:
     return OutputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _stdout_failed(exc: OSError) -> OutputError:
+    """The OutputError of a failed write to stdout (a reader that closed
+    the pipe).  stdout is pointed at os.devnull first, so the flush at
+    interpreter exit drops what is left instead of failing again."""
+    with contextlib.suppress(OSError):
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return _cannot_write("stdout", exc)
+
+
 @contextlib.contextmanager
 def _output(path):
     """Yield the write function of a command's output: stdout, or a
@@ -443,9 +462,20 @@ def _output(path):
     before the rename.  An OSError of the file becomes OutputError, and
     a `path` that is empty or a directory is refused at once, not after
     the work at the rename (an empty path would put the temporary file
-    in the parent of the working directory)."""
+    in the parent of the working directory).  An OSError of stdout, which
+    is flushed when the command returns, becomes OutputError too."""
     if path is None:
-        yield sys.stdout.write
+        def write_stdout(text: str) -> None:
+            try:
+                sys.stdout.write(text)
+            except OSError as exc:
+                raise _stdout_failed(exc) from exc
+
+        yield write_stdout
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _stdout_failed(exc) from exc
         return
     if not path:
         raise OutputError(f"cannot write {path!r}: {os.strerror(errno.ENOENT)}")

@@ -1,16 +1,18 @@
 """Hodge diamonds of the building blocks: curves, their symmetric powers,
-Jacobians and projective spaces; block_e_polynomial, the one expansion
-of Tate-twisted cohomology blocks of a curve into Hodge numbers, which
-block_diamond reads back as a diamond; and the Hochschild measure."""
+Jacobians and projective spaces; macdonald_vectors, the one expansion
+of symmetric powers of a curve into Tate-twisted blocks (r, low, coeffs);
+and their two measures: block_e_polynomial, the one expansion into Hodge
+numbers, which block_diamond reads back as a diamond, and block_hochschild."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .exactpoly import BiPoly, LaurentPoly
+from .exactpoly import BiPoly, LaurentPoly, _nonzero_ends
 from .hodge import ConsistencyError, HodgeDiamond
 
 Blocks = Iterable[tuple[int, int, Sequence[int]]]  # (r, low, coeffs) block vectors
@@ -71,16 +73,53 @@ def block_e_polynomial(g: int, vectors: Blocks) -> BiPoly:
     })
 
 
-def block_hochschild(g: int, weights: Iterable[tuple[int, int]]) -> LaurentPoly:
-    """Hochschild polynomial of the sum of weight * wedge^r H^1(C) over
-    (r, weight) in `weights`, at any Tate twists (a twist moves no block
-    off its diagonal): wedge^r H^1 adds C(g, a) C(g, r-a) to t^{r-2a}."""
+def block_hochschild(g: int, vectors: Blocks) -> LaurentPoly:
+    """Hochschild polynomial of the (r, low, coeffs) blocks of
+    block_e_polynomial: a twist moves no block off its diagonal, so
+    wedge^r H^1 adds sum(coeffs) C(g, a) C(g, r-a) to t^{r-2a}."""
     comb_g = [math.comb(g, a) for a in range(g + 1)]
     hh = [0] * (2 * g + 1)
-    for r, weight in weights:
+    for r, _, coeffs in vectors:
+        weight = sum(coeffs)
         for a in range(max(0, r - g), min(g, r) + 1):
             hh[r - 2 * a + g] += weight * comb_g[a] * comb_g[r - a]
     return LaurentPoly._raw({i - g: c for i, c in enumerate(hh) if c})
+
+
+def macdonald_vectors(g: int, terms) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The sum over (i, low, coeffs) in `terms` (distinct i >= 0) of
+    P_i [Sym^i C], P_i = sum_e coeffs[e] L^{low+e}, C of genus g, as
+    blocks of the curve in the form of fano_odd_blocks: (r, low, coeffs)
+    stands for sum_e coeffs[e] wedge^r H^1 L^{low+e}, for r <= 2g
+    ascending, coeffs with nonzero ends, and no entry for a zero block.
+
+    By Macdonald, [Sym^i C] is the sum over r <= min(i, 2g) of
+    wedge^r H^1 (1 + L + ... + L^{i-r}), so the sum is
+    sum_r wedge^r H^1 Q_r with Q_r = sum_{i >= r} P_i (1 + ... + L^{i-r}).
+    Q_r = T_r + L Q_{r+1}, where T_r = sum_{i >= r} P_i, so each r
+    costs two dense vector updates, P_r entering T_r as one slice update.
+    Every vector runs from the lowest exponent of any P_i to the highest
+    of any P_i L^i, and is trimmed to its nonzero ends as it is kept.
+    """
+    if not terms:
+        return ()
+    low = min(start for _, start, _ in terms)
+    size = max(start + len(coeffs) + i for i, start, coeffs in terms) - low
+    polys = {i: (start - low, coeffs) for i, start, coeffs in terms}
+    tail = [0] * size  # T_r
+    q = [0] * size  # Q_r
+    vectors = []
+    for r in range(max(polys), -1, -1):
+        if r in polys:
+            at, coeffs = polys[r]
+            span = slice(at, at + len(coeffs))
+            tail[span] = map(operator.add, tail[span], coeffs)
+        # the shift drops only a zero: deg L Q_{r+1} <= max_i deg P_i L^i
+        q = list(map(operator.add, tail, itertools.chain((0,), q)))
+        lo, hi = _nonzero_ends(q)
+        if r <= 2 * g and lo < hi:
+            vectors.append((r, low + lo, tuple(q[lo:hi])))
+    return tuple(reversed(vectors))
 
 
 def curve_diamond(g: int) -> HodgeDiamond:
@@ -92,12 +131,11 @@ def curve_diamond(g: int) -> HodgeDiamond:
 
 @functools.cache
 def sym_curve_diamond(g: int, n: int) -> HodgeDiamond:
-    """Diamond of the n-th symmetric power of a genus-g curve: by
-    Macdonald, [Sym^n C] is the sum of the blocks
-    wedge^r H^1(C) (1 + L + ... + L^{n-r}) over r <= min(n, 2g)."""
+    """Diamond of the n-th symmetric power of a genus-g curve: the blocks
+    of [Sym^n C] by macdonald_vectors."""
     if g < 0 or n < 0:
         raise ValueError("genus and power must be non-negative")
-    return block_diamond(g, n, [(r, 0, (1,) * (n - r + 1)) for r in range(min(n, 2 * g) + 1)])
+    return block_diamond(g, n, macdonald_vectors(g, ((n, 0, (1,)),)))
 
 
 def jacobian_diamond(g: int) -> HodgeDiamond:

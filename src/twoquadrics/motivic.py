@@ -3,26 +3,25 @@ identity verifiers built on them.
 
 The class of the k-plane Fano scheme in the hyperelliptic case is
 conjectured to decompose as sum_{i=0..k+1} M_i(L) [Sym^i C]; this module
-computes the multiplicity polynomials M_i exactly, reduces them at L = 1,
-and checks the decomposition after the E-polynomial measure (L becomes
-x*y), together with the k = 0 and k = g-2 cross-checks and the
-Hochschild-level reduction.  Failure is data, not an exception: every
-verifier returns a report carrying both sides.
+computes the multiplicity polynomials M_i exactly and at L = 1, and
+checks the decomposition after the E-polynomial and Hochschild measures
+(both sides as blocks, the sum by curves.macdonald_vectors), together
+with the k = 0 and k = g-2 cross-checks.  Failure is data, not an
+exception: every verifier returns a report carrying both sides.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from typing import Any
 
 from .curves import (
     block_e_polynomial,
     block_hochschild,
     curve_diamond,
+    macdonald_vectors,
     projective_space_diamond,
 )
-from .exactpoly import BiPoly, LaurentPoly, _nonzero_ends, binomial, gauss_sum
+from .exactpoly import BiPoly, LaurentPoly, binomial, gauss_sum
 from .fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 
 VERIFIED = "verified"
@@ -98,42 +97,6 @@ def bgmn_multiplicity(g: int, i: int) -> LaurentPoly:
     if i == g - 1:
         return LaurentPoly({g - 1: 1})
     return LaurentPoly.power_sum((i, 3 * g - 3 - 2 * i))
-
-
-def macdonald_vectors(g: int, terms) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The sum over (i, low, coeffs) in `terms` (distinct i >= 0) of
-    P_i [Sym^i C], P_i = sum_e coeffs[e] L^{low+e}, C of genus g, as
-    blocks of the curve in the form of fano_odd_blocks: (r, low, coeffs)
-    stands for sum_e coeffs[e] wedge^r H^1 L^{low+e}, for r <= 2g
-    ascending, coeffs with nonzero ends, and no entry for a zero block.
-
-    By Macdonald, [Sym^i C] is the sum over r <= min(i, 2g) of
-    wedge^r H^1 (1 + L + ... + L^{i-r}), so the sum is
-    sum_r wedge^r H^1 Q_r with Q_r = sum_{i >= r} P_i (1 + ... + L^{i-r}).
-    Q_r = T_r + L Q_{r+1}, where T_r = sum_{i >= r} P_i, so each r
-    costs two dense vector updates, P_r entering T_r as one slice update.
-    Every vector runs from the lowest exponent of any P_i to the highest
-    of any P_i L^i, and is trimmed to its nonzero ends as it is kept.
-    """
-    if not terms:
-        return ()
-    low = min(start for _, start, _ in terms)
-    size = max(start + len(coeffs) + i for i, start, coeffs in terms) - low
-    polys = {i: (start - low, coeffs) for i, start, coeffs in terms}
-    tail = [0] * size  # T_r
-    q = [0] * size  # Q_r
-    vectors = []
-    for r in range(max(polys), -1, -1):
-        if r in polys:
-            at, coeffs = polys[r]
-            span = slice(at, at + len(coeffs))
-            tail[span] = map(operator.add, tail[span], coeffs)
-        # the shift drops only a zero: deg L Q_{r+1} <= max_i deg P_i L^i
-        q = list(map(operator.add, tail, itertools.chain((0,), q)))
-        lo, hi = _nonzero_ends(q)
-        if r <= 2 * g and lo < hi:
-            vectors.append((r, low + lo, tuple(q[lo:hi])))
-    return tuple(reversed(vectors))
 
 
 class MotivicExpression:
@@ -338,20 +301,14 @@ def verify_hochschild(g: int, k: int) -> VerificationReport:
     polynomial of the Fano scheme equals the multiplicity-weighted sum of
     those of the symmetric powers.
 
-    Both sides are weighted sums of the blocks wedge^r H^1: the Fano side
-    weighs r by its number of copies at any twist, sum(coeffs); by
-    Macdonald the sum side weighs r by sum_{i >= r} M_i(1) (i - r + 1),
-    accumulated from the top i down.
+    block_hochschild measures both sides' blocks: fano_odd_blocks, and the
+    multiplicities at L = 1 by macdonald_vectors.  The Fano blocks are
+    built, not summed by the kernel's closed form at one, so that their
+    parity, fit and Serre checks run here too.
     """
-    blocks = fano_odd_blocks(OddFanoParams(g, k))
-    lhs = block_hochschild(g, ((r, sum(coeffs)) for r, _, coeffs in blocks))
-    weights = []
-    tail = weight = 0
-    for r in range(k + 1, -1, -1):
-        tail += multiplicity_at_one(g, k, r)
-        weight += tail
-        weights.append((r, weight))
-    rhs = block_hochschild(g, weights)
+    lhs = block_hochschild(g, fano_odd_blocks(OddFanoParams(g, k)))
+    terms = [(i, 0, (multiplicity_at_one(g, k, i),)) for i in range(k + 2)]
+    rhs = block_hochschild(g, macdonald_vectors(g, terms))
     return VerificationReport(
         identity="hochschild-decomposition",
         params={"g": g, "k": k},

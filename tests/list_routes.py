@@ -7,7 +7,12 @@ and `loop_block_diamond`, the former per-block loop of
 curves.block_diamond, as the oracle for every diamond built from blocks.
 `trim_blocks`, the former block sum of motivic.verify_decomposition,
 turns the dense block vectors of the oracles into the library's one
-trimmed (r, low, coeffs) form.  `payload` and `report_to_json_obj`, the
+trimmed (r, low, coeffs) form.  Two routes that Macdonald's formula
+replaced are kept as its oracles: `sym_blocks`, the former inline block
+list of curves.sym_curve_diamond, and `hochschild_weights` with
+`weighted_hochschild`, the former running weights of the sum side of
+motivic.verify_hochschild and the former (r, weight) form of
+curves.block_hochschild that measured them.  `payload` and `report_to_json_obj`, the
 former object encoder of cli, are the oracle of the report text that
 cli.report_json writes directly.  `gauss_binomial`, `eval_at_one` and
 `multiplicity`, former library views of the Gaussian binomials and the
@@ -35,6 +40,7 @@ from twoquadrics.exactpoly import (
 )
 from twoquadrics.fano_odd import multiplicity_kernel
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
+from twoquadrics.motivic import multiplicity_at_one
 
 
 def mul_one_minus_power(coeffs, s):
@@ -272,6 +278,37 @@ def trim_blocks(vectors):
         if lo < hi:
             out.append((r, low + lo, tuple(coeffs[lo:hi])))
     return tuple(sorted(out))
+
+
+def sym_blocks(g, n):
+    """Blocks of [Sym^n C], C of genus g: by Macdonald, the sum of
+    wedge^r H^1 (1 + L + ... + L^{n-r}) over r <= min(n, 2g)."""
+    return [(r, 0, (1,) * (n - r + 1)) for r in range(min(n, 2 * g) + 1)]
+
+
+def hochschild_weights(g, k):
+    """(r, weight) pairs of the sum side of the (g, k) Hochschild check: by
+    Macdonald r weighs sum_{i >= r} M_i(1) (i - r + 1), accumulated from
+    the top i down."""
+    weights = []
+    tail = weight = 0
+    for r in range(k + 1, -1, -1):
+        tail += multiplicity_at_one(g, k, r)
+        weight += tail
+        weights.append((r, weight))
+    return weights
+
+
+def weighted_hochschild(g, weights):
+    """Hochschild polynomial of the sum of weight * wedge^r H^1(C) over
+    (r, weight) in `weights`: wedge^r H^1 adds C(g, a) C(g, r-a) to
+    t^{r-2a}."""
+    comb_g = [math.comb(g, a) for a in range(g + 1)]
+    hh = [0] * (2 * g + 1)
+    for r, weight in weights:
+        for a in range(max(0, r - g), min(g, r) + 1):
+            hh[r - 2 * a + g] += weight * comb_g[a] * comb_g[r - a]
+    return LaurentPoly._raw({i - g: c for i, c in enumerate(hh) if c})
 
 
 def gauss_binomial(n, m):

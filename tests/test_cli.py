@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from list_routes import payload, report_to_json_obj
 
-from twoquadrics import cli, fano_even, fano_odd, stacky
+from twoquadrics import cli, fano_even, fano_odd, motivic, stacky
 from twoquadrics.exactpoly import BiPoly, InexactDivisionError, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
 from twoquadrics.hodge import ConsistencyError
@@ -535,6 +535,32 @@ class TestFailedTextReport:
             '"rhs":null,"status":"failed"}\n'
         )
 
+    def test_failed_hochschild_is_written_in_t(self, capsys, monkeypatch):
+        at_one = motivic.multiplicity_at_one
+        monkeypatch.setattr(
+            motivic, "multiplicity_at_one", lambda g, k, i: at_one(g, k, i) + (i == 0)
+        )
+        code, out = run(capsys, ["verify", "hochschild", "--g", "3", "--k", "0"])
+        assert code == 1
+        assert zero_elapsed(out) == (
+            "FAIL hochschild-decomposition g=3 k=0 (0 ms)\n"
+            "  lhs: 3*t^-1 + 6 + 3*t\n"
+            "  rhs: 3*t^-1 + 7 + 3*t\n"
+        )
+
+    def test_failed_bgmn_is_written_in_l(self, capsys, monkeypatch):
+        bgmn = motivic.bgmn_multiplicity
+        monkeypatch.setattr(
+            motivic, "bgmn_multiplicity", lambda g, i: bgmn(g, i) + LaurentPoly({0: 1})
+        )
+        code, out = run(capsys, ["verify", "bgmn", "--g", "3"])
+        assert code == 1
+        assert zero_elapsed(out) == (
+            "FAIL bgmn-crosscheck g=3 (0 ms)\n"
+            "  lhs: [0] 1 + L^6; [1] L + L^4; [2] L^2\n"
+            "  rhs: [0] 2 + L^6; [1] 1 + L + L^4; [2] 1 + L^2\n"
+        )
+
     def test_failed_decomposition_lists_its_spans(self, capsys, plant_kernel):
         plant_kernel(3, {6: 1, -6: 1})
         code, out = run(capsys, ["verify", "odd", "--g", "3", "--k", "1"])
@@ -835,6 +861,23 @@ class TestOutputFile:
             cli.main(argv)
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
+
+
+class TestClosedStdout:
+    def test_closed_pipe_is_usage_error(self):
+        # the default JSON sweep is larger than a pipe's buffer, so it is
+        # still writing when the reader goes
+        argv = [sys.executable, "-m", "twoquadrics.cli", "sweep", "--format", "json"]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            assert proc.stdout.read1().startswith(b'{"reports":[')
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=300)
+        assert err == "twoquadrics: error: cannot write stdout: Broken pipe\n"
+        assert code == 2
 
 
 class TestResources:

@@ -3,7 +3,7 @@ import operator
 
 import pytest
 from hypothesis import example, given, strategies as st
-from list_routes import block_triples, kunneth, loop_block_diamond
+from list_routes import block_triples, kunneth, loop_block_diamond, sym_blocks, trim_blocks
 
 from twoquadrics.curves import (
     block_diamond,
@@ -11,6 +11,7 @@ from twoquadrics.curves import (
     block_hochschild,
     curve_diamond,
     jacobian_diamond,
+    macdonald_vectors,
     projective_space_diamond,
     sym_curve_diamond,
 )
@@ -18,7 +19,7 @@ from twoquadrics.exactpoly import BiPoly, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, fano_even_betti_numbers, fano_even_diamond
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.hodge import ConsistencyError, HodgeDiamond
-from twoquadrics.motivic import macdonald_vectors, multiplicity_coefficients
+from twoquadrics.motivic import multiplicity_coefficients
 
 
 def truncated_euler_series_coefficient(g, n):
@@ -226,10 +227,27 @@ class TestBlockMeasures:
     @given(serre_paired_blocks())
     def test_hochschild_matches_the_diamond(self, case):
         g, d, blocks = case
-        weights = [(r, mult) for r, _, mult in blocks]
-        assert (
-            block_hochschild(g, weights) == loop_block_diamond(g, d, blocks).hochschild_polynomial()
-        )
+        expected = loop_block_diamond(g, d, blocks).hochschild_polynomial()
+        assert block_hochschild(g, dense_vectors(blocks)) == expected
+        # twisted: the trimmed vectors start at the lowest t, not at 0
+        assert block_hochschild(g, trim_blocks(dense_vectors(blocks))) == expected
+
+    @pytest.mark.parametrize("g,d,vectors", [
+        (3, 4, [(0, 1, (3, 5, 3)), (2, 1, (4,)), (1, 1, (7, 7))]),
+        (2, 5, [(1, 2, (2,)), (3, 1, (1,)), (0, 1, (6, 0, 0, 6)), (5, 0, (9,))]),
+        (4, 6, [(2, 1, (1, 2, 1)), (4, 1, (5,)), (6, 0, (3,))]),
+    ])
+    def test_hochschild_of_twisted_blocks_matches_the_diamond(self, g, d, vectors):
+        expected = loop_block_diamond(g, d, block_triples(vectors)).hochschild_polynomial()
+        assert block_hochschild(g, vectors) == expected
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_hochschild_of_fano_blocks_matches_the_diamond(self, g):
+        for k in range(g - 1):
+            params = OddFanoParams(g, k)
+            blocks = fano_odd_blocks(params)
+            diamond = loop_block_diamond(g, params.dimension, block_triples(blocks))
+            assert block_hochschild(g, blocks) == diamond.hochschild_polynomial(), k
 
     @given(serre_paired_blocks(), st.integers(-5, 5))
     def test_offset_multiplies_by_a_power_of_xy(self, case, s):
@@ -268,7 +286,7 @@ class TestBlockMeasures:
 
     def test_blocks_past_the_top_exterior_power_vanish(self):
         assert block_e_polynomial(2, [(5, 0, [1, 2]), (0, -1, [])]) == BiPoly.zero()
-        assert block_hochschild(2, [(5, 3)]) == LaurentPoly.zero()
+        assert block_hochschild(2, [(5, 3, [1, 2])]) == LaurentPoly.zero()
         assert block_e_polynomial(2, [(4, 1, [3]), (5, 0, [1])]) == BiPoly({(3, 3): 3})
 
 
@@ -288,6 +306,13 @@ class TestCurveDiamond:
 
 
 class TestSymCurveDiamond:
+    @pytest.mark.parametrize("g", range(13))
+    def test_sym_curve_matches_the_inline_blocks(self, g):
+        # the former inline Macdonald block list of sym_curve_diamond
+        for n in range(41):
+            assert macdonald_vectors(g, ((n, 0, (1,)),)) == tuple(sym_blocks(g, n)), n
+            assert sym_curve_diamond(g, n) == block_diamond(g, n, sym_blocks(g, n)), n
+
     @pytest.mark.parametrize("g", [0, 1, 3])
     def test_zeroth_power_is_point(self, g):
         assert sym_curve_diamond(g, 0) == HodgeDiamond(((1,),))

@@ -566,7 +566,8 @@ class TestCanonicalOrder:
                     assert_canonical(multiplicity_polynomial(g, k, i))
                 expression = MotivicExpression.decomposition(g, k)
                 assert_canonical(expression.e_polynomial())
-                assert_canonical(block_hochschild(g, [(r, r + 1) for r in range(2 * g + 1)]))
+                blocks = [(r, k - r, [r + 1, 1]) for r in range(2 * g + 1)]
+                assert_canonical(block_hochschild(g, blocks))
         assert_canonical(block_e_polynomial(2, [(3, 1, [2, 0, -1]), (0, -2, [1, 4])]))
 
 

@@ -4,16 +4,22 @@ import pickle
 
 import pytest
 from hypothesis import example, given, strategies as st
-from list_routes import eval_at_one, list_multiplicity_coefficients, max_abs, trim_blocks
+from list_routes import (
+    eval_at_one,
+    hochschild_weights,
+    list_multiplicity_coefficients,
+    max_abs,
+    trim_blocks,
+    weighted_hochschild,
+)
 
-from twoquadrics.curves import sym_curve_diamond
+from twoquadrics.curves import macdonald_vectors, sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
 from twoquadrics.motivic import (
     MotivicExpression,
     VerificationReport,
     bgmn_multiplicity,
-    macdonald_vectors,
     multiplicity_at_one,
     multiplicity_coefficients,
     multiplicity_polynomial,
@@ -400,6 +406,16 @@ class TestBlockRoute:
         for k in range(g - 1):
             report = verify_hochschild(g, k)
             assert (report.lhs, report.rhs) == hochschild_by_diamonds(g, k), (g, k)
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_hochschild_sides_match_the_running_weights(self, g):
+        # the former route: the Fano blocks summed to (r, sum(coeffs)), and
+        # the sum side's running weights, in the former (r, weight) measure
+        for k in range(g - 1):
+            report = verify_hochschild(g, k)
+            fano = [(r, sum(coeffs)) for r, _, coeffs in fano_odd_blocks(OddFanoParams(g, k))]
+            assert report.lhs == weighted_hochschild(g, fano), (g, k)
+            assert report.rhs == weighted_hochschild(g, hochschild_weights(g, k)), (g, k)
 
     @given(motivic_expressions())
     def test_e_polynomial_matches_products(self, expr):
