@@ -2,7 +2,8 @@
 Jacobians and projective spaces; macdonald_vectors, the one expansion
 of symmetric powers of a curve into Tate-twisted blocks (r, low, coeffs);
 and their two measures: block_e_polynomial, the one expansion into Hodge
-numbers, which block_diamond reads back as a diamond, and block_hochschild."""
+numbers, which block_diamond reads back as a diamond, and block_hochschild.
+Every g and n of a diamond passes hodge.check_param."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import operator
 from collections.abc import Iterable, Sequence
 
 from .exactpoly import BiPoly, LaurentPoly, _nonzero_ends
-from .hodge import ConsistencyError, HodgeDiamond
+from .hodge import ConsistencyError, HodgeDiamond, check_param
 
 Blocks = Iterable[tuple[int, int, Sequence[int]]]  # (r, low, coeffs) block vectors
 
@@ -124,30 +125,28 @@ def macdonald_vectors(g: int, terms) -> tuple[tuple[int, int, tuple[int, ...]], 
 
 def curve_diamond(g: int) -> HodgeDiamond:
     """Diamond of a smooth projective curve of genus g."""
-    if g < 0:
-        raise ValueError("genus must be non-negative")
+    check_param("g", g, 0)
     return HodgeDiamond(((1, g), (g, 1)))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def sym_curve_diamond(g: int, n: int) -> HodgeDiamond:
     """Diamond of the n-th symmetric power of a genus-g curve: the blocks
-    of [Sym^n C] by macdonald_vectors."""
-    if g < 0 or n < 0:
-        raise ValueError("genus and power must be non-negative")
+    of [Sym^n C] by macdonald_vectors.  The cache is typed, so a float or
+    bool argument never hits an int's entry and reaches the check."""
+    check_param("g", g, 0)
+    check_param("n", n, 0)
     return block_diamond(g, n, macdonald_vectors(g, ((n, 0, (1,)),)))
 
 
 def jacobian_diamond(g: int) -> HodgeDiamond:
     """Diamond of a g-dimensional Jacobian: the blocks wedge^r H^1(C),
     r = 0..2g, so h^{p,q} = C(g,p) C(g,q)."""
-    if g < 0:
-        raise ValueError("genus must be non-negative")
+    check_param("g", g, 0)
     return block_diamond(g, g, [(r, 0, (1,)) for r in range(2 * g + 1)])
 
 
 def projective_space_diamond(n: int) -> HodgeDiamond:
     """Diamond of n-dimensional projective space: h^{p,p} = 1."""
-    if n < 0:
-        raise ValueError("dimension must be non-negative")
+    check_param("n", n, 0)
     return HodgeDiamond([[1 if p == q else 0 for q in range(n + 1)] for p in range(n + 1)])

@@ -15,7 +15,7 @@ import math
 
 from .curves import block_diamond
 from .exactpoly import gauss_sum
-from .hodge import ConsistencyError, FanoParams, HodgeDiamond
+from .hodge import ConsistencyError, FanoParams, HodgeDiamond, check_param
 
 
 class EvenFanoParams(FanoParams):
@@ -84,8 +84,6 @@ def euler_closed_form(g: int, k: int) -> int:
     Also accepts the degenerate k = g-1 (a finite reduced scheme of
     cardinality 4^g), for which the formula still holds.
     """
-    if g < 2:
-        raise ValueError(f"g = {g}: need g >= 2")
-    if not 0 <= k <= g - 1:
-        raise ValueError(f"k = {k}: need 0 <= k <= g-1 = {g - 1}")
+    check_param("g", g, 2)
+    check_param("k", k, 0, g - 1, "g-1")
     return math.comb(g, k + 1) * 4 ** (k + 1)

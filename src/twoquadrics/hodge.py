@@ -5,7 +5,10 @@ smooth projective variety; the constructor enforces Hodge symmetry and
 Serre duality eagerly, so everything computed downstream inherits those
 guarantees.  The measures (E-polynomial, Betti numbers, Euler
 characteristic, Hochschild homology dimensions) are read off the table.
-FanoParams is the (g, k) record that both Fano cases subclass.
+check_param is the one rule for an integer parameter (g, k, i, n) of
+every entry point; Record and FrozenRecord write eq, hash, repr and
+pickling once over a field tuple, and FanoParams is the (g, k)
+FrozenRecord that both Fano cases subclass.
 """
 
 from __future__ import annotations
@@ -20,21 +23,53 @@ class ConsistencyError(RuntimeError):
     """Internal bookkeeping produced an impossible Hodge-theoretic value."""
 
 
-class FanoParams:
-    """Parameters (g, k) of the Fano scheme of k-planes on a smooth
-    intersection of two quadrics, with 2 <= g and 0 <= k <= g-2; each
-    case subclasses it with its dimension.  Immutable; equal, with equal
-    hashes, exactly when the class and (g, k) agree."""
+def check_param(name: str, value, low: int, high: int | None = None, high_text: str = "") -> None:
+    """The one rule for an integer parameter: a plain int (a bool is
+    refused), low <= value, and value <= high when high is given.  A
+    value of another type is a TypeError ("g must be an int, got 2.5");
+    one out of range a ValueError naming the bound, "g = 1: need g >= 2"
+    or, with high_text the bound's formula, "k = 3: need 0 <= k <= g-2 = 2"."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if high is None:
+        if value < low:
+            raise ValueError(f"{name} = {value}: need {name} >= {low}")
+    elif not low <= value <= high:
+        raise ValueError(f"{name} = {value}: need {low} <= {name} <= {high_text} = {high}")
 
-    __slots__ = ("g", "k")
 
-    def __init__(self, g: int, k: int):
-        if g < 2:
-            raise ValueError(f"g = {g}: need g >= 2")
-        if not 0 <= k <= g - 2:
-            raise ValueError(f"k = {k}: need 0 <= k <= g-2 = {g - 2}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "k", k)
+class Record:
+    """A value record over the field names _FIELDS: equal exactly when the
+    class and every field agree, with a repr and pickling that read the
+    fields in that order (each subclass's __init__ takes them so);
+    unhashable, as its fields may be reassigned."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """An immutable Record, hashed as its field tuple; __init__ sets the
+    fields by object.__setattr__."""
+
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -42,29 +77,33 @@ class FanoParams:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.g, self.k) == (other.g, other.k)
-
     def __hash__(self) -> int:
-        return hash((self.g, self.k))
+        return hash(self._values())
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(g={self.g!r}, k={self.k!r})"
 
-    def __reduce__(self):
-        return type(self), (self.g, self.k)
+class FanoParams(FrozenRecord):
+    """Parameters (g, k) of the Fano scheme of k-planes on a smooth
+    intersection of two quadrics, ints with 2 <= g and 0 <= k <= g-2;
+    each case subclasses it with its dimension."""
+
+    __slots__ = _FIELDS = ("g", "k")
+
+    def __init__(self, g: int, k: int):
+        check_param("g", g, 2)
+        check_param("k", k, 0, g - 2, "g-2")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "k", k)
 
 
 def _is_valid_table(rows: tuple[tuple, ...]) -> bool:
     """Every check of HodgeDiamond at C speed: square shape, non-negative
-    int entries, Hodge symmetry (each row equals its column) and Serre
-    duality (each row equals the mirrored row d - p reversed)."""
+    entries of type int (a bool is refused), Hodge symmetry (each row
+    equals its column) and Serre duality (each row equals the mirrored
+    row d - p reversed)."""
     n = len(rows)
     return (
         all(len(row) == n for row in rows)
-        and all(map(isinstance, itertools.chain.from_iterable(rows), itertools.repeat(int)))
+        and {int}.issuperset(map(type, itertools.chain.from_iterable(rows)))
         and min(itertools.chain.from_iterable(rows)) >= 0
         and all(map(operator.eq, rows, zip(*rows)))
         and all(map(operator.eq, rows, (row[::-1] for row in reversed(rows))))
@@ -78,7 +117,7 @@ def _raise_first_violation(rows: tuple[tuple, ...]) -> None:
         if len(row) != d + 1:
             raise ValueError(f"row {p} has length {len(row)}, expected {d + 1}")
         for q, h in enumerate(row):
-            if not isinstance(h, int) or h < 0:
+            if type(h) is not int or h < 0:
                 raise ValueError(f"h^{{{p},{q}}} = {h!r} is not a non-negative integer")
     for p in range(d + 1):
         for q in range(p, d + 1):

@@ -7,7 +7,8 @@ computes the multiplicity polynomials M_i exactly and at L = 1, and
 checks the decomposition after the E-polynomial and Hochschild measures
 (both sides as blocks, the sum by curves.macdonald_vectors), together
 with the k = 0 and k = g-2 cross-checks.  Failure is data, not an
-exception: every verifier returns a report carrying both sides.
+exception: every verifier returns a report carrying both sides.  Every
+g, k and i passes hodge.check_param, (g, k) through FanoParams.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .curves import (
 )
 from .exactpoly import BiPoly, LaurentPoly, binomial, gauss_sum
 from .fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
+from .hodge import FanoParams, FrozenRecord, Record, check_param
 
 VERIFIED = "verified"
 FAILED = "failed"
@@ -30,12 +32,8 @@ ERROR = "error"  # a sweep task that raised an internal error
 
 
 def _check_gki(g: int, k: int, i: int) -> None:
-    if g < 2:
-        raise ValueError(f"g = {g}: need g >= 2")
-    if not 0 <= k <= g - 2:
-        raise ValueError(f"k = {k}: need 0 <= k <= g-2 = {g - 2}")
-    if not 0 <= i <= k + 1:
-        raise ValueError(f"i = {i}: need 0 <= i <= k+1 = {k + 1}")
+    FanoParams(g, k)
+    check_param("i", i, 0, k + 1, "k+1")
 
 
 def multiplicity_coefficients(g: int, k: int, i: int) -> tuple[int, list[int]]:
@@ -90,46 +88,23 @@ def bgmn_multiplicity(g: int, i: int) -> LaurentPoly:
 
     The i = 0 term is included; it is forced by the k = 0 cross-checks.
     """
-    if g < 2:
-        raise ValueError(f"g = {g}: need g >= 2")
-    if not 0 <= i <= g - 1:
-        raise ValueError(f"i = {i}: need 0 <= i <= g-1 = {g - 1}")
+    check_param("g", g, 2)
+    check_param("i", i, 0, g - 1, "g-1")
     if i == g - 1:
         return LaurentPoly({g - 1: 1})
     return LaurentPoly.power_sum((i, 3 * g - 3 - 2 * i))
 
 
-class MotivicExpression:
+class MotivicExpression(FrozenRecord):
     """Formal sum over i of P_i(L) [Sym^i C] for a genus-g curve; the i = 0
     term stands for the point class.  Zero multiplicities are dropped.
-    Immutable; equal, with equal hashes, exactly when genus and terms
-    agree."""
+    An immutable record of (genus, terms)."""
 
-    __slots__ = ("genus", "terms")
+    __slots__ = _FIELDS = ("genus", "terms")
 
     def __init__(self, genus: int, terms: tuple[tuple[int, LaurentPoly], ...]):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.genus, self.terms) == (other.genus, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.genus, self.terms))
-
-    def __repr__(self) -> str:
-        return f"MotivicExpression(genus={self.genus!r}, terms={self.terms!r})"
-
-    def __reduce__(self):
-        return type(self), (self.genus, self.terms)
 
     @classmethod
     def from_terms(cls, genus, mapping) -> "MotivicExpression":
@@ -163,13 +138,14 @@ class MotivicExpression:
         return tuple((i, poly.is_effective()) for i, poly in self.terms)
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """Structured pass/fail record for one identity instance.
 
     Carries both sides so that a mismatch is diagnosable; status is
     "verified" exactly when the sides agree and every effectivity check
-    passes.  Two reports are equal when every field is.  The builders
-    leave elapsed_ms at 0; the CLI's runner (cli.run_check) stamps it.
+    passes.  A mutable Record: two reports are equal when every field
+    is.  The builders leave elapsed_ms at 0; the CLI's runner
+    (cli.run_check) stamps it.
     """
 
     _FIELDS = (
@@ -197,20 +173,6 @@ class VerificationReport:
         self.observations = {} if observations is None else observations
         self.elapsed_ms = elapsed_ms
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
-        return f"VerificationReport({fields})"
-
     @property
     def verified(self) -> bool:
         return self.status == VERIFIED
@@ -235,12 +197,13 @@ def verify_decomposition(g: int, k: int) -> VerificationReport:
     the report are those of measuring both sides, with no appeal to the
     measure being injective on block vectors.
     """
+    params = OddFanoParams(g, k)
     terms = []
     for i in range(k + 2):
         base, coeffs = multiplicity_coefficients(g, k, i)
         if coeffs:
             terms.append((i, base, coeffs))
-    fano = fano_odd_blocks(OddFanoParams(g, k))
+    fano = fano_odd_blocks(params)
     lhs = block_e_polynomial(g, fano)
     sums = macdonald_vectors(g, terms)
     rhs = lhs if sums == fano else block_e_polynomial(g, sums)
@@ -261,9 +224,8 @@ def verify_k0_identity(g: int) -> VerificationReport:
     """Check the k = 0 identity: the E-polynomial of the intersection of
     two quadrics equals E(P^{2g-1}) - L^{g-1} E(P^1) + L^{g-1} E(C) with
     L = x*y (one common factor of L cancelled, which is legitimate since
-    the polynomial ring has no zero divisors)."""
-    if g < 2:
-        raise ValueError(f"g = {g}: need g >= 2")
+    the polynomial ring has no zero divisors).  OddFanoParams(g, 0)
+    checks g."""
     lhs = fano_odd_diamond(OddFanoParams(g, 0)).e_polynomial()
     shift = BiPoly({(g - 1, g - 1): 1})
     rhs = (
@@ -283,8 +245,7 @@ def verify_k0_identity(g: int) -> VerificationReport:
 def verify_bgmn_crosscheck(g: int) -> VerificationReport:
     """Check that the k = g-2 multiplicity polynomials reproduce the known
     BGMN multiplicities, as polynomials in L."""
-    if g < 2:
-        raise ValueError(f"g = {g}: need g >= 2")
+    check_param("g", g, 2)
     lhs = tuple((i, multiplicity_polynomial(g, g - 2, i)) for i in range(g))
     rhs = tuple((i, bgmn_multiplicity(g, i)) for i in range(g))
     return VerificationReport(

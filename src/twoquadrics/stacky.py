@@ -8,7 +8,8 @@ exceptional collection whose length is an explicit binomial sum, and the
 total count matches the Euler characteristic of the Fano scheme.  The
 identities are verified by exact evaluation over finite ranges, and the
 report builders at the end package the stacky count and the two suites
-as VerificationReports.
+as VerificationReports.  The (g, k) of the stacky counts pass
+hodge.check_param.
 """
 
 from __future__ import annotations
@@ -19,16 +20,15 @@ import math
 import operator
 
 from .fano_even import EvenFanoParams, euler_closed_form, fano_even_betti_numbers
+from .hodge import check_param
 from .motivic import FAILED, VERIFIED, VerificationReport
 
 
 def fonarev_rank(g: int, k: int) -> int:
     """Length of the full exceptional collection on the k-th stacky
     symmetric power: sum_{t=0..k} (k+1-t) C(2g+1, t)."""
-    if g < 2:
-        raise ValueError(f"g = {g}: need g >= 2")
-    if k < 0:
-        raise ValueError(f"k = {k}: need k >= 0")
+    check_param("g", g, 2)
+    check_param("k", k, 0)
     return sum((k + 1 - t) * math.comb(2 * g + 1, t) for t in range(k + 1))
 
 
@@ -39,10 +39,7 @@ def stacky_collection_length(g: int, k: int) -> int:
     The ranks come from two running sums, not one fonarev_rank call per
     i: fonarev_rank(g, i) = fonarev_rank(g, i-1) + S_i with
     S_i = sum_{t<=i} C(2g+1, t)."""
-    if g < 2:
-        raise ValueError(f"g = {g}: need g >= 2")
-    if not 0 <= k <= g - 2:
-        raise ValueError(f"k = {k}: need 0 <= k <= g-2 = {g - 2}")
+    EvenFanoParams(g, k)
     total = partial = rank = 0
     for i in range(k + 2):
         partial += math.comb(2 * g + 1, i)

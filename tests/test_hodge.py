@@ -85,8 +85,14 @@ class TestConstructor:
         with pytest.raises(ValueError, match="row 1 has length 1, expected 2"):
             HodgeDiamond(((1, 0), (0,)))
 
-    def test_accepts_bool_entries(self):
-        assert HodgeDiamond(((True, False), (False, True))).betti(0) == 1
+    def test_rejects_bool_entries(self):
+        # a bool is an int, so a table of bools used to pass and reach JSON
+        # as true/false; it is refused like 1.0, by both checks
+        assert not _is_valid_table(((1, True), (True, 1)))
+        with pytest.raises(ValueError, match=r"^h\^\{0,1\} = True is not a non-negative integer$"):
+            HodgeDiamond(((1, True), (True, 1)))
+        with pytest.raises(ValueError, match=r"^h\^\{0,0\} = False is not"):
+            HodgeDiamond(((False,),))
 
     @given(small_diamonds(), st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
     def test_fast_check_agrees_with_entry_loop(self, dia, p, q, delta):
