@@ -3,10 +3,13 @@ parameter ranges, and emit deterministic text or JSON reports with
 CI-friendly exit codes (0 verified, 1 any failure, 2 usage error or an
 unwritable --output or stdout, 3 internal error: the library caught
 itself in an inconsistency).  One table, CHECKS, drives `verify`,
-`identity` and the sweep, and DIAMONDS drives `diamond`.  A sweep writes
-each report as it completes; a task that hits an internal error becomes
-a report with status "error", the other reports are still emitted and
-the sweep exits 3."""
+`identity` and the sweep, and DIAMONDS drives `diamond`.  The library
+functions check their own inputs (hodge.check_param and
+stacky.check_suite_bounds), and a ValueError they raise is a usage
+error; the CLI checks only which flags were given.  A sweep writes each
+report as it completes; a task that hits an internal error becomes a
+report with status "error", the other reports are still emitted and the
+sweep exits 3."""
 
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .curves import jacobian_diamond, sym_curve_diamond
 from .exactpoly import BiPoly, InexactDivisionError, LaurentPoly
 from .fano_even import EvenFanoParams, fano_even_diamond
 from .fano_odd import OddFanoParams, fano_odd_diamond
-from .hodge import ConsistencyError
+from .hodge import ConsistencyError, check_param
 from .motivic import (
     ERROR,
     VERIFIED,
@@ -35,7 +38,12 @@ from .motivic import (
     verify_hochschild,
     verify_k0_identity,
 )
-from .stacky import chu_vandermonde_suite_report, gessel_suite_report, stacky_counts_report
+from .stacky import (
+    check_suite_bounds,
+    chu_vandermonde_suite_report,
+    gessel_suite_report,
+    stacky_counts_report,
+)
 
 
 class CliUsageError(Exception):
@@ -44,10 +52,6 @@ class CliUsageError(Exception):
 
 class OutputError(Exception):
     """The --output target cannot be written."""
-
-
-class InternalError(Exception):
-    """The report of a single check has status "error"."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +211,49 @@ def _targets(flags: Collection[str]) -> tuple[str, ...]:
     return tuple(name for name, check in CHECKS.items() if set(check.params) <= set(flags))
 
 
+def _ms_since(t0: float) -> int:
+    return int((time.perf_counter() - t0) * 1000)
+
+
 def run_check(name: str, args: tuple) -> VerificationReport:
     """Run the check CHECKS[name] on `args` and stamp the report's
-    elapsed_ms.  An internal error becomes a report with status "error"
-    and the message in observations["error"], so one broken sweep task
-    does not discard the others."""
-    check = CHECKS[name]
+    elapsed_ms; the one runner of `verify`, `identity` and the sweep."""
+    t0 = time.perf_counter()
+    report = CHECKS[name].run(*args)
+    report.elapsed_ms = _ms_since(t0)
+    return report
+
+
+def run_sweep_task(task: tuple) -> VerificationReport:
+    """Run one sweep task, a (CHECKS target, parameters) pair, by
+    run_check.  An internal error becomes a report with status "error",
+    the message in observations["error"] and elapsed_ms the time to the
+    error, so one broken task does not discard the others."""
+    name, args = task
     t0 = time.perf_counter()
     try:
-        report = check.run(*args)
+        return run_check(name, args)
     except (ConsistencyError, InexactDivisionError) as exc:
-        report = VerificationReport(
+        check = CHECKS[name]
+        return VerificationReport(
             identity=check.identity,
             params=dict(zip(check.params, args)),
             status=ERROR,
             lhs=None,
             rhs=None,
             observations={"error": str(exc)},
+            elapsed_ms=_ms_since(t0),
         )
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
-
-
-def run_sweep_task(task: tuple) -> VerificationReport:
-    """Run one sweep task, a (CHECKS target, parameters) pair."""
-    return run_check(*task)
 
 
 def sweep_tasks(max_g, max_g_even, max_m, max_a, max_n) -> list[tuple]:
     """The sweep's tasks, (CHECKS target, parameters) pairs, in output
     order: by identity name, then by parameters, so each report can be
-    written as soon as it completes."""
+    written as soon as it completes.  The ranges are checked first: each
+    genus bound an int >= 2, the suite bounds by check_suite_bounds."""
+    check_param("max_g", max_g, 2)
+    check_param("max_g_even", max_g_even, 2)
+    check_suite_bounds(max_m, max_a, max_n)
     ranges = dict(max_g=max_g, max_g_even=max_g_even, max_m=max_m, max_a=max_a, max_n=max_n)
     by_identity = sorted(CHECKS.items(), key=lambda item: item[1].identity)
     return [(name, args) for name, check in by_identity for args in check.instances(ranges)]
@@ -259,13 +275,12 @@ def worker_count(jobs: int, n_tasks: int) -> int:
     return min(jobs, n_tasks, os.cpu_count() or 1)
 
 
-def run_sweep(max_g, max_g_even, max_m, max_a, max_n, jobs=1):
-    """Run the full verification sweep, yielding the reports in task order
-    (by identity and parameters) as they complete, so the output never
-    depends on worker scheduling.  Workers run at most two tasks each
-    ahead of the report being yielded, so at most that many finished
-    reports wait in memory, however large the ranges."""
-    tasks = sweep_tasks(max_g, max_g_even, max_m, max_a, max_n)
+def run_sweep(tasks: list[tuple], jobs: int = 1):
+    """Run the sweep tasks `tasks` (see sweep_tasks), yielding the reports
+    in task order as they complete, so the output never depends on worker
+    scheduling.  Workers run at most two tasks each ahead of the report
+    being yielded, so at most that many finished reports wait in memory,
+    however large the ranges."""
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         yield from map(run_sweep_task, tasks)
@@ -317,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="dimension of the linear subspaces")
 
     p = sub.add_parser("identity", parents=[common], help="run a combinatorial identity suite")
-    p.add_argument("name", choices=_targets(SUITE_FLAGS))
+    p.add_argument("target", choices=_targets(SUITE_FLAGS))
     for flag, (default, text) in SUITE_FLAGS.items():
         p.add_argument(_option(flag), type=int, help=f"{text} (default {default})")
 
@@ -338,17 +353,17 @@ def _option(flag: str) -> str:
     return "--" + flag.replace("_", "-")
 
 
-def _flags(args, names: tuple[str, ...], flags: Collection[str], defaults={}) -> tuple:
+def _flags(args, names: tuple[str, ...], flags: Collection[str]) -> tuple:
     """The values of the flags `names`, in order, each required unless
-    `defaults` maps it to a (default, help) pair; every other flag of
-    `flags` must be absent."""
+    SUITE_FLAGS gives its default; every other flag of `flags` must be
+    absent."""
     for flag in flags:
         given = getattr(args, flag) is not None
         if given and flag not in names:
             raise CliUsageError(f"{_option(flag)} is not accepted by this command")
-        if not given and flag in names and flag not in defaults:
+        if not given and flag in names and flag not in SUITE_FLAGS:
             raise CliUsageError(f"{_option(flag)} is required for this command")
-    return tuple(defaults[n][0] if getattr(args, n) is None else getattr(args, n) for n in names)
+    return tuple(SUITE_FLAGS[n][0] if getattr(args, n) is None else getattr(args, n) for n in names)
 
 
 def _cmd_diamond(args, write) -> int:
@@ -358,54 +373,28 @@ def _cmd_diamond(args, write) -> int:
     return 0
 
 
-def _emit_check(args, write, name: str, params: tuple) -> int:
-    """Run one check and write its report; an internal error is raised
-    again, so nothing is written and main exits 3."""
-    report = run_check(name, params)
-    if report.status == ERROR:
-        raise InternalError(report.observations["error"])
+def _cmd_check(args, write) -> int:
+    """Run one check, a `verify` target or an `identity` suite, and write
+    its report; an internal error reaches main, so nothing is written."""
+    flags = SUITE_FLAGS if args.command == "identity" else VERIFY_FLAGS
+    report = run_check(args.target, _flags(args, CHECKS[args.target].params, flags))
     write(report_json(report) if args.format == "json" else report_to_text(report) + "\n")
     return 0 if report.verified else 1
-
-
-def _cmd_verify(args, write) -> int:
-    names = CHECKS[args.target].params
-    return _emit_check(args, write, args.target, _flags(args, names, VERIFY_FLAGS))
-
-
-def _check_suite_ranges(bounds: dict) -> None:
-    for flag, value in bounds.items():
-        if value < 0:
-            raise CliUsageError(f"{_option(flag)} must be non-negative")
-    if bounds.get("max_a", 0) % 2:
-        raise CliUsageError("--max-a must be even")
-
-
-def _cmd_identity(args, write) -> int:
-    names = CHECKS[args.name].params
-    params = _flags(args, names, SUITE_FLAGS, SUITE_FLAGS)  # each has a default
-    _check_suite_ranges(dict(zip(names, params)))
-    return _emit_check(args, write, args.name, params)
 
 
 def _cmd_sweep(args, write) -> int:
     """Write each report as it completes, then the summary.  The JSON is
     the canonical dump of {"reports": [...], "summary": {...}}, written
     piece by piece: "reports" sorts before "summary", and each report is
-    its own canonical dump without the trailing newline."""
-    for flag in ("max_g", "max_g_even"):
-        if getattr(args, flag) < 2:
-            raise CliUsageError(f"{_option(flag)} must be at least 2")
-    if args.jobs < 1:
-        raise CliUsageError("--jobs must be at least 1")
-    _check_suite_ranges({flag: getattr(args, flag) for flag in SUITE_FLAGS})
+    its own canonical dump without the trailing newline.  The tasks, and
+    with them the ranges, are checked before the first write."""
+    check_param("jobs", args.jobs, 1)
+    tasks = sweep_tasks(args.max_g, args.max_g_even, args.max_m, args.max_a, args.max_n)
     as_json = args.format == "json"
     total = failed = errors = 0
     if as_json:
         write('{"reports":[')
-    for report in run_sweep(
-        args.max_g, args.max_g_even, args.max_m, args.max_a, args.max_n, jobs=args.jobs
-    ):
+    for report in run_sweep(tasks, args.jobs):
         if report.status == ERROR:
             errors += 1
             print(
@@ -431,8 +420,8 @@ def _cmd_sweep(args, write) -> int:
 
 _DISPATCH = {
     "diamond": _cmd_diamond,
-    "verify": _cmd_verify,
-    "identity": _cmd_identity,
+    "verify": _cmd_check,
+    "identity": _cmd_check,
     "sweep": _cmd_sweep,
 }
 
@@ -521,7 +510,7 @@ def main(argv=None) -> int:
     except (CliUsageError, ValueError, OutputError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, InexactDivisionError, InternalError) as exc:
+    except (ConsistencyError, InexactDivisionError) as exc:
         print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
         return 3
 

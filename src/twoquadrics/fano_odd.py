@@ -18,7 +18,7 @@ import functools
 
 from .curves import block_diamond
 from .exactpoly import LaurentPoly, _nonzero_ends, gauss_sum
-from .hodge import ConsistencyError, FanoParams, HodgeDiamond
+from .hodge import ConsistencyError, FanoParams, HodgeDiamond, check_param
 
 
 class OddFanoParams(FanoParams):
@@ -32,7 +32,7 @@ class OddFanoParams(FanoParams):
         return (self.k + 1) * (2 * self.g - 2 * self.k - 1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def kernel_coefficients(a: int, b: int) -> tuple[int, tuple[int, ...]]:
     """The multiplicity kernel as (shift, coeffs): its q^{shift+2e}
     coefficient is coeffs[e]; cached, since fano_odd_blocks reads each
@@ -51,15 +51,13 @@ def kernel_coefficients(a: int, b: int) -> tuple[int, tuple[int, ...]]:
     summand count of the product form (each of the 2a-2 factors 1-u^l of
     numerator and denominator is l (1-u) to first order).
     """
-    if a < 2:
-        raise ValueError(f"a = {a}: need a >= 2")
-    if b < a - 1:
-        raise ValueError(f"b = {b}: need b >= a-1 = {a - 1}")
+    check_param("a", a, 2)
+    check_param("b", b, a - 1)
     low, coeffs = gauss_sum([(1, a + b - 1, b - a + 1, (0,)), (1, a + b - 2, b - a, (a + b - 1,))])
     return 2 * low - (b - a + 1) * (2 * a - 1), tuple(coeffs)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def multiplicity_kernel(a: int, b: int) -> LaurentPoly:
     """Laurent polynomial whose q^c coefficient is the number of copies of
     the (a, b) cohomology block in centered degree c: the view of

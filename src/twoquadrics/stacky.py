@@ -8,8 +8,10 @@ exceptional collection whose length is an explicit binomial sum, and the
 total count matches the Euler characteristic of the Fano scheme.  The
 identities are verified by exact evaluation over finite ranges, and the
 report builders at the end package the stacky count and the two suites
-as VerificationReports.  The (g, k) of the stacky counts pass
-hodge.check_param.
+as VerificationReports.  Every function checks its own integer inputs
+through hodge.check_param: the (g, k) of the stacky counts, the
+parameters of each identity instance, and the bounds of the two suites
+(check_suite_bounds, which the CLI's sweep calls too).
 """
 
 from __future__ import annotations
@@ -51,43 +53,28 @@ def stacky_collection_length(g: int, k: int) -> int:
 def gessel_identity_check(m: int, a: int) -> bool:
     """Exact check of 4^m C(m+a/2, m) = sum_{i=0..m} C(m+a-i, a) C(2m+a+1, i)
     for m >= 0 and even a >= 0."""
-    if m < 0:
-        raise ValueError(f"m = {m}: need m >= 0")
-    if a < 0 or a % 2:
-        raise ValueError(f"a = {a}: need a >= 0 even")
+    check_param("m", m, 0)
+    check_param("a", a, 0)
+    if a % 2:
+        raise ValueError(f"a = {a}: need a even")
     lhs = 4**m * math.comb(m + a // 2, m)
     rhs = sum(math.comb(m + a - i, a) * math.comb(2 * m + a + 1, i) for i in range(m + 1))
     return lhs == rhs
 
 
-@functools.cache
-def _column_table() -> list[tuple[tuple[int, ...], ...]]:
-    """One-slot holder of the shared Pascal columns: slot 0 holds column
-    j, entries C(i+j, j) for i <= n-j, j <= n, up to the largest n
-    requested, O(n^2) entries.  Growth builds a new tuple and swaps it
-    into the slot whole, so a reader never sees a short column; clearing
-    the cache empties the table."""
-    return [()]
-
-
+@functools.lru_cache(maxsize=1, typed=True)
 def pascal_columns(n: int) -> tuple[tuple[int, ...], ...]:
     """Pascal columns covering every C(m, j) with 0 <= j <= m <= n:
-    entry i of column j is C(i+j, j), for i <= n-j at least.  The table is
-    shared and only grows, to the largest n requested.  Each column is
-    the running sum of the one before, C(i+j, j) = sum_{t<=i} C(t+j-1, j-1),
-    so the table is built by additions alone, with no recursion."""
-    holder = _column_table()
-    columns = holder[0]
-    if len(columns) <= n:
-        grown = [(1,) * (n + 1)]
-        for j in range(1, n + 1):
-            old = columns[j] if j < len(columns) else ()
-            tail = list(grown[j - 1][len(old) : n - j + 1])
-            if old:
-                tail[0] += old[-1]
-            grown.append(old + tuple(itertools.accumulate(tail)))
-        columns = holder[0] = tuple(grown)
-    return columns
+    entry i of column j is C(i+j, j), for i <= n-j, O(n^2) entries.  Each
+    column is the running sum of the one before, C(i+j, j) =
+    sum_{t<=i} C(t+j-1, j-1), so the table is built by additions alone, a
+    route independent of math.comb.  Only the last table is cached: a
+    suite asks for each n many times in a row."""
+    check_param("n", n, 0)
+    columns = [(1,) * (n + 1)]
+    for j in range(1, n + 1):
+        columns.append(tuple(itertools.accumulate(columns[-1][: n - j + 1])))
+    return tuple(columns)
 
 
 def chu_vandermonde_check(n: int, j: int, k: int) -> bool:
@@ -98,12 +85,25 @@ def chu_vandermonde_check(n: int, j: int, k: int) -> bool:
     dot product of column j, entries 0..n-k, with column k-j, entries
     n-k..0, of pascal_columns; the right side is math.comb, a route
     independent of the table."""
-    if not 0 <= j <= k <= n:
-        raise ValueError(f"(n, j, k) = ({n}, {j}, {k}): need 0 <= j <= k <= n")
+    check_param("n", n, 0)
+    check_param("k", k, 0, n, "n")
+    check_param("j", j, 0, k, "k")
     columns = pascal_columns(n)
     length = n - k + 1
     lhs = sum(map(operator.mul, columns[j][:length], columns[k - j][length - 1 :: -1]))
     return lhs == math.comb(n + 1, k + 1)
+
+
+def check_suite_bounds(max_m: int = 0, max_a: int = 0, max_n: int = 0) -> None:
+    """The rule for the bounds of the identity suites, which the suites
+    and the sweep's task list share: each bound an int >= 0
+    (hodge.check_param) and max_a even, so a suite never reports more
+    than it checked."""
+    check_param("max_m", max_m, 0)
+    check_param("max_a", max_a, 0)
+    check_param("max_n", max_n, 0)
+    if max_a % 2:
+        raise ValueError(f"max_a = {max_a}: need max_a even")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,7 @@ def _suite_report(identity: str, params: dict, check, cases) -> VerificationRepo
 
 def gessel_suite_report(max_m: int, max_a: int) -> VerificationReport:
     """gessel_identity_check for every m <= max_m and even a <= max_a."""
+    check_suite_bounds(max_m=max_m, max_a=max_a)
     cases = ((m, a) for m in range(max_m + 1) for a in range(0, max_a + 1, 2))
     return _suite_report(
         "gessel-identity", {"max_a": max_a, "max_m": max_m}, gessel_identity_check, cases
@@ -155,5 +156,6 @@ def gessel_suite_report(max_m: int, max_a: int) -> VerificationReport:
 
 def chu_vandermonde_suite_report(max_n: int) -> VerificationReport:
     """chu_vandermonde_check for every 0 <= j <= k <= n <= max_n."""
+    check_suite_bounds(max_n=max_n)
     cases = ((n, j, k) for n in range(max_n + 1) for k in range(n + 1) for j in range(k + 1))
     return _suite_report("chu-vandermonde", {"max_n": max_n}, chu_vandermonde_check, cases)

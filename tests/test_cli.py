@@ -5,6 +5,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -603,6 +604,28 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["identity", "gessel", "--max-a", "5"], "max_a = 5: need max_a even"),
+            (["identity", "gessel", "--max-m", "-1"], "max_m = -1: need max_m >= 0"),
+            (["identity", "chu-vandermonde", "--max-n", "-1"], "max_n = -1: need max_n >= 0"),
+            (["sweep", "--max-g", "1"], "max_g = 1: need max_g >= 2"),
+            (["sweep", "--max-g-even", "1"], "max_g_even = 1: need max_g_even >= 2"),
+            (["sweep", "--max-a", "-2"], "max_a = -2: need max_a >= 0"),
+            (["sweep", "--jobs", "0"], "jobs = 0: need jobs >= 1"),
+            (["verify", "odd", "--g", "1", "--k", "0"], "g = 1: need g >= 2"),
+        ],
+    )
+    def test_bad_input_is_one_line_from_the_library_rule(self, capsys, argv, message):
+        # the library function that owns an input checks it; the CLI
+        # prints its ValueError, writes nothing and exits 2
+        for fmt in ("text", "json"):
+            assert cli.main([*argv, "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"twoquadrics: error: {message}\n"
+
     def test_worker_count_is_clamped(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         assert cli.worker_count(10**9, 10**6) == 4
@@ -714,6 +737,25 @@ class TestInternalErrors:
             r for r in want["reports"] if r["params"] != {"g": 3, "k": 1}
             or r["identity"] != "hyperelliptic-decomposition"
         ]
+
+    def test_sweep_error_report_keeps_the_time_to_the_error(self, monkeypatch):
+        def broken(g, k):
+            time.sleep(0.05)
+            raise ConsistencyError("planted inconsistency")
+
+        monkeypatch.setattr(cli, "verify_hochschild", broken)
+        report = cli.run_sweep_task(("hochschild", (3, 1)))
+        assert report.status == "error"
+        assert report.params == {"g": 3, "k": 1}
+        assert report.elapsed_ms >= 50
+
+    def test_single_check_lets_the_internal_error_through(self, monkeypatch):
+        def broken(g):
+            raise InexactDivisionError("planted inconsistency")
+
+        monkeypatch.setattr(cli, "verify_k0_identity", broken)
+        with pytest.raises(InexactDivisionError, match="^planted inconsistency$"):
+            cli.run_check("k0", (3,))
 
     def test_sweep_error_text_report(self, capsys, monkeypatch):
         def broken(g, k):

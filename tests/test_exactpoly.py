@@ -286,13 +286,12 @@ class TestPackedCore:
         fano_odd.kernel_coefficients(5, 9)
         stacky.chu_vandermonde_check(40, 3, 7)
         assert _pascal_table(64) and fano_odd.kernel_coefficients.cache_info().currsize
-        assert len(stacky._column_table()[0]) > 40
+        assert stacky.pascal_columns.cache_info().currsize == 1
         tracing.clear_caches()
         assert _pascal_table.cache_info().currsize == 0
         assert fano_odd.kernel_coefficients.cache_info().currsize == 0
-        assert stacky._column_table.cache_info().currsize == 0
+        assert stacky.pascal_columns.cache_info().currsize == 0
         assert _pascal_table(64) == {} and _pascal_table(128) == {}
-        assert stacky._column_table() == [()]
 
 
 # groups (w, n, m, shifts) of gauss_sum: n down to -1, where only m <= 0

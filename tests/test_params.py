@@ -1,11 +1,13 @@
 """The one integer rule, hodge.check_param, behind every (g, k, i, n)
-entry point: a value that is not a plain int is a TypeError naming the
-parameter, and one out of range a ValueError with a fixed text."""
+entry point, the identity checks, their suite bounds and the sweep's
+ranges included: a value that is not a plain int is a TypeError naming
+the parameter, and one out of range a ValueError with a fixed text."""
 
 import re
 
 import pytest
 
+from twoquadrics.cli import sweep_tasks
 from twoquadrics.curves import (
     curve_diamond,
     jacobian_diamond,
@@ -13,7 +15,12 @@ from twoquadrics.curves import (
     sym_curve_diamond,
 )
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form
-from twoquadrics.fano_odd import OddFanoParams, fano_odd_diamond
+from twoquadrics.fano_odd import (
+    OddFanoParams,
+    fano_odd_diamond,
+    kernel_coefficients,
+    multiplicity_kernel,
+)
 from twoquadrics.motivic import (
     bgmn_multiplicity,
     multiplicity_at_one,
@@ -24,7 +31,16 @@ from twoquadrics.motivic import (
     verify_hochschild,
     verify_k0_identity,
 )
-from twoquadrics.stacky import fonarev_rank, stacky_collection_length, stacky_counts_report
+from twoquadrics.stacky import (
+    chu_vandermonde_check,
+    chu_vandermonde_suite_report,
+    fonarev_rank,
+    gessel_identity_check,
+    gessel_suite_report,
+    pascal_columns,
+    stacky_collection_length,
+    stacky_counts_report,
+)
 
 # entry point, valid arguments, the names of its parameters
 ENTRY_POINTS = [
@@ -46,6 +62,14 @@ ENTRY_POINTS = [
     (sym_curve_diamond, (3, 2), ("g", "n")),
     (jacobian_diamond, (3,), ("g",)),
     (projective_space_diamond, (3,), ("n",)),
+    (gessel_identity_check, (2, 2), ("m", "a")),
+    (chu_vandermonde_check, (4, 1, 2), ("n", "j", "k")),
+    (pascal_columns, (3,), ("n",)),
+    (kernel_coefficients, (3, 4), ("a", "b")),
+    (multiplicity_kernel, (3, 4), ("a", "b")),
+    (gessel_suite_report, (2, 2), ("max_m", "max_a")),
+    (chu_vandermonde_suite_report, (3,), ("max_n",)),
+    (sweep_tasks, (2, 2, 0, 0, 0), ("max_g", "max_g_even", "max_m", "max_a", "max_n")),
 ]
 
 
@@ -78,6 +102,22 @@ def test_warm_caches_do_not_let_floats_through():
         sym_curve_diamond(3, True)
 
 
+def test_warm_kernel_and_column_caches_do_not_let_floats_through():
+    kernel_coefficients(3, 4)
+    multiplicity_kernel(3, 4)
+    pascal_columns(3)
+    pascal_columns(1)
+    with pytest.raises(TypeError, match="^a must be an int, got 3.0$"):
+        kernel_coefficients(3.0, 4)
+    with pytest.raises(TypeError, match="^b must be an int, got 4.0$"):
+        multiplicity_kernel(3, 4.0)
+    with pytest.raises(TypeError, match="^n must be an int, got True$"):
+        pascal_columns(True)
+    pascal_columns(3)
+    with pytest.raises(TypeError, match="^n must be an int, got 3.0$"):
+        pascal_columns(3.0)
+
+
 @pytest.mark.parametrize(
     "func,args,message",
     [
@@ -105,6 +145,27 @@ def test_warm_caches_do_not_let_floats_through():
         (sym_curve_diamond, (3, -1), "n = -1: need n >= 0"),
         (jacobian_diamond, (-1,), "g = -1: need g >= 0"),
         (projective_space_diamond, (-1,), "n = -1: need n >= 0"),
+        (gessel_identity_check, (-1, 2), "m = -1: need m >= 0"),
+        (gessel_identity_check, (2, -2), "a = -2: need a >= 0"),
+        (gessel_identity_check, (2, 3), "a = 3: need a even"),
+        (chu_vandermonde_check, (-1, 0, 0), "n = -1: need n >= 0"),
+        (chu_vandermonde_check, (2, 0, 3), "k = 3: need 0 <= k <= n = 2"),
+        (chu_vandermonde_check, (3, 2, 1), "j = 2: need 0 <= j <= k = 1"),
+        (chu_vandermonde_check, (3, -1, 1), "j = -1: need 0 <= j <= k = 1"),
+        (pascal_columns, (-1,), "n = -1: need n >= 0"),
+        (kernel_coefficients, (1, 3), "a = 1: need a >= 2"),
+        (kernel_coefficients, (3, 1), "b = 1: need b >= 2"),
+        (multiplicity_kernel, (3, 1), "b = 1: need b >= 2"),
+        # a suite refuses a bound it would not check to the end
+        (gessel_suite_report, (-1, 4), "max_m = -1: need max_m >= 0"),
+        (gessel_suite_report, (2, -2), "max_a = -2: need max_a >= 0"),
+        (gessel_suite_report, (2, 5), "max_a = 5: need max_a even"),
+        (chu_vandermonde_suite_report, (-3,), "max_n = -3: need max_n >= 0"),
+        (sweep_tasks, (1, 2, 0, 0, 0), "max_g = 1: need max_g >= 2"),
+        (sweep_tasks, (2, 1, 0, 0, 0), "max_g_even = 1: need max_g_even >= 2"),
+        (sweep_tasks, (2, 2, -1, 0, 0), "max_m = -1: need max_m >= 0"),
+        (sweep_tasks, (2, 2, 0, 3, 0), "max_a = 3: need max_a even"),
+        (sweep_tasks, (2, 2, 0, 0, -5), "max_n = -5: need max_n >= 0"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )

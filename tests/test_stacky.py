@@ -45,15 +45,6 @@ def gessel_series_check(m, a):
     return series[m] == rhs
 
 
-@pytest.fixture
-def fresh_columns():
-    """An empty Pascal table for the test: the cached holder is cleared
-    before it and after it, so a planted entry never outlives the test."""
-    stacky._column_table.cache_clear()
-    yield
-    stacky._column_table.cache_clear()
-
-
 class TestFonarevRank:
     @pytest.mark.parametrize("g", [2, 3, 7])
     def test_k0_is_one(self, g):
@@ -178,41 +169,54 @@ class TestPascalColumns:
         for j in range(61):
             assert columns[j][: 61 - j] == tuple(math.comb(i + j, j) for i in range(61 - j)), j
 
-    def test_table_has_quadratic_size(self, fresh_columns):
+    def test_table_has_quadratic_size(self):
         columns = pascal_columns(9)
         assert [len(c) for c in columns] == list(range(10, 0, -1))
         assert sum(map(len, columns)) == 10 * 11 // 2
 
-    def test_request_past_the_table_grows_it(self, fresh_columns):
+    def test_only_the_last_table_is_cached(self):
         small = pascal_columns(5)
+        assert pascal_columns(5) is small
         assert [len(c) for c in small] == [6, 5, 4, 3, 2, 1]
-        # C(m, 0) for m <= 9 reaches past the cached column of length 6
+        # C(m, 0) for m <= 9 reaches past the columns of length 6
         assert chu_vandermonde_check(9, 0, 0)
-        grown = stacky._column_table()[0]
-        assert [len(c) for c in grown] == list(range(10, 0, -1))
-        for j, column in enumerate(grown):
+        assert pascal_columns.cache_info().currsize == 1
+        table = pascal_columns(9)
+        assert [len(c) for c in table] == list(range(10, 0, -1))
+        for j, column in enumerate(table):
             assert column == tuple(math.comb(i + j, j) for i in range(10 - j)), j
         assert all(chu_vandermonde_check(12, j, k) for k in range(13) for j in range(k + 1))
-        assert pascal_columns(3) is pascal_columns(12) is stacky._column_table()[0]
+        assert pascal_columns(12) is pascal_columns(12)
+        again = pascal_columns(5)
+        assert again == small and again is not small
 
-    @staticmethod
-    def plant(n, j, i):
-        """Add 1 to C(i+j, j) in the table grown to n."""
-        columns = list(pascal_columns(n))
-        column = list(columns[j])
-        column[i] += 1
-        columns[j] = tuple(column)
-        stacky._column_table()[0] = tuple(columns)
+    @pytest.fixture
+    def plant(self, monkeypatch):
+        """plant(j, i) adds 1 to C(i+j, j), entry i of column j, in every
+        table stacky.pascal_columns returns that holds it; the cached
+        tables stay as they are."""
+        columns = stacky.pascal_columns
 
-    def test_planted_entry_fails_the_check(self, fresh_columns):
+        def install(j, i):
+            def planted(n):
+                table = [list(column) for column in columns(n)]
+                if i <= n - j:
+                    table[j][i] += 1
+                return tuple(map(tuple, table))
+
+            monkeypatch.setattr(stacky, "pascal_columns", planted)
+
+        return install
+
+    def test_planted_entry_fails_the_check(self, plant):
         assert chu_vandermonde_check(5, 2, 2)
-        self.plant(10, 2, 3)  # C(5, 2) = 10 becomes 11
+        plant(2, 3)  # C(5, 2) = 10 becomes 11
         assert not chu_vandermonde_check(5, 2, 2)
         assert not chu_vandermonde_check(7, 1, 3)  # as the reversed column C(., k-j)
         assert chu_vandermonde_check(5, 2, 3)  # reads C(m, 2) only for m <= 4
 
-    def test_planted_entry_fails_the_suite(self, fresh_columns):
-        self.plant(10, 2, 3)
+    def test_planted_entry_fails_the_suite(self, plant):
+        plant(2, 3)
         report = chu_vandermonde_suite_report(10)
         assert report.status == "failed"
         # C(5, 2) is read by every triple with j = 2 or k - j = 2 and n - k >= 3
