@@ -6,11 +6,12 @@ classes share one sparse core for their arithmetic, comparison and
 printing.  Coefficients are arbitrary-precision Python ints, so every
 operation is exact and downstream identity checks are literal
 polynomial equalities; the constructors take plain int exponents and
-int coefficients only and raise TypeError on anything else.  Dense
-polynomials on the hot paths are packed into single ints, and this
-module is the only one that knows the packed form: every caller sums
-shifted Gaussian binomials through gauss_sum and reads back plain
-coefficient lists (see the packed section below).
+int coefficients only and raise TypeError on anything else, and
+check_param, the one rule for an integer parameter, lives here, below
+every module that calls it.  Dense polynomials on the hot paths are
+packed into single ints, and this module is the only one that knows
+the packed form: every caller sums shifted Gaussian binomials through
+gauss_sum and reads back plain coefficient lists (see below).
 
 All values are immutable after construction and all operations are pure;
 the Gaussian-binomial tables are safe for concurrent use under the GIL
@@ -229,20 +230,37 @@ class BiPoly(_SparsePoly):
         return self._pretty(lambda k: "*".join(filter(None, (_power(x, k[0]), _power(y, k[1])))))
 
 
+def check_param(name: str, value, low: int | None = None, high: int | None = None,
+                high_text: str = "") -> None:
+    """The one rule for an integer parameter: a plain int (a bool is
+    refused), low <= value unless low is None, and value <= high when
+    high is given.  A value of another type is a TypeError ("g must be an
+    int, got 2.5"); one out of range a ValueError naming the bound,
+    "g = 1: need g >= 2" or, with high_text the bound's formula,
+    "k = 3: need 0 <= k <= g-2 = 2"."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if high is not None:
+        if not low <= value <= high:
+            raise ValueError(f"{name} = {value}: need {low} <= {name} <= {high_text} = {high}")
+    elif low is not None and value < low:
+        raise ValueError(f"{name} = {value}: need {name} >= {low}")
+
+
 def binomial(n: int, m: int) -> int:
     """Binomial coefficient with the edge conventions used throughout.
 
     m < 0 gives 0 and m = 0 gives 1 for every n, including negative n
     (these conventions are forced by the top symmetric-power multiplicity
-    being 1); 0 <= n < m gives 0.  Negative n with m >= 1 never occurs in
-    any formula here and is rejected.
+    being 1); 0 <= n < m gives 0.  By check_param, m is any int and n an
+    int >= 0 when m >= 1 (no formula here has n < 0 there).
     """
+    check_param("m", m)
+    check_param("n", n, 0 if m >= 1 else None)
     if m < 0:
         return 0
     if m == 0:
         return 1
-    if n < 0:
-        raise ValueError(f"binomial({n}, {m}) with n < 0, m >= 1 is undefined here")
     return math.comb(n, m)
 
 
@@ -335,7 +353,8 @@ def _pascal_table(width: int) -> dict[int, dict[int, int]]:
 
 def gauss_packed(n: int, m: int, width: int) -> int:
     """The Gaussian binomial [n, m]_q packed at X = 2^width, which must
-    satisfy C(n, m) < 2^(width-1) (ValueError otherwise).
+    satisfy C(n, m) < 2^(width-1) (ValueError otherwise).  The edges are
+    binomial's (which checks n and m): c = C(n, m) <= 1 is [n, m] itself.
 
     Its coefficients are non-negative and sum to C(n, m), so each is at
     most C(n, m), and so is every value the table below forms: each is
@@ -348,15 +367,10 @@ def gauss_packed(n: int, m: int, width: int) -> int:
     every diagonal below its own, so it starts above the highest one
     that already reaches m.
     """
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    if n < 0:
-        raise ValueError(f"[{n}, {m}]_q with n < 0, m >= 1 is undefined here")
-    if n < m:
-        return 0
-    if math.comb(n, m).bit_length() >= width:
+    c = binomial(n, m)
+    if c <= 1:  # m < 0 or n < m gives 0; [n, 0] = [n, n] = 1
+        return c
+    if c.bit_length() >= width:
         raise ValueError(f"[{n}, {m}]_q does not fit digits of width {width}")
     table = _pascal_table(width)
     diagonal = table.get(n - m, {})
@@ -405,10 +419,10 @@ def gauss_sum(groups) -> tuple[int, list[int]]:
     return low, unpack(acc >> (low * width), width)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # so 4.0 misses the entry of 4
 def gauss_coefficients(n: int, m: int) -> tuple[int, ...]:
     """Dense coefficient tuple of the Gaussian binomial [n, m]_q: the
-    gauss_sum of that one binomial, cached.
+    gauss_sum of that one binomial, cached; (n, m) pass binomial's rule.
 
     Entry e is the coefficient of q^e; the empty tuple encodes 0.
     """

@@ -65,8 +65,9 @@ def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
 
 
 def fano_even_betti(params: EvenFanoParams, p: int) -> int:
-    """Betti number b_{2p}; any integer p is accepted and p outside
-    0..dimension gives 0."""
+    """Betti number b_{2p}; p may be any int, and p outside 0..dimension
+    gives 0."""
+    check_param("p", p)
     betti = fano_even_betti_numbers(params)
     return betti[p] if 0 <= p < len(betti) else 0
 

@@ -5,10 +5,10 @@ smooth projective variety; the constructor enforces Hodge symmetry and
 Serre duality eagerly, so everything computed downstream inherits those
 guarantees.  The measures (E-polynomial, Betti numbers, Euler
 characteristic, Hochschild homology dimensions) are read off the table.
-check_param is the one rule for an integer parameter (g, k, i, n) of
-every entry point; Record and FrozenRecord write eq, hash, repr and
-pickling once over a field tuple, and FanoParams is the (g, k)
-FrozenRecord that both Fano cases subclass.
+check_param (from exactpoly) is the one rule for an integer parameter
+of every entry point, a diamond's d, p, q and m included; Record and
+FrozenRecord write eq, hash, repr and pickling once over a field
+tuple, and FanoParams is the (g, k) FrozenRecord of both Fano cases.
 """
 
 from __future__ import annotations
@@ -16,26 +16,11 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .exactpoly import BiPoly, LaurentPoly
+from .exactpoly import BiPoly, LaurentPoly, check_param
 
 
 class ConsistencyError(RuntimeError):
     """Internal bookkeeping produced an impossible Hodge-theoretic value."""
-
-
-def check_param(name: str, value, low: int, high: int | None = None, high_text: str = "") -> None:
-    """The one rule for an integer parameter: a plain int (a bool is
-    refused), low <= value, and value <= high when high is given.  A
-    value of another type is a TypeError ("g must be an int, got 2.5");
-    one out of range a ValueError naming the bound, "g = 1: need g >= 2"
-    or, with high_text the bound's formula, "k = 3: need 0 <= k <= g-2 = 2"."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if high is None:
-        if value < low:
-            raise ValueError(f"{name} = {value}: need {name} >= {low}")
-    elif not low <= value <= high:
-        raise ValueError(f"{name} = {value}: need {low} <= {name} <= {high_text} = {high}")
 
 
 class Record:
@@ -154,6 +139,7 @@ class HodgeDiamond:
         """The diamond of pure cohomology with E-polynomial e: h^{p,q} =
         (-1)^{p+q} e_{p,q}, so a term of the wrong sign is a negative entry,
         and a term outside 0..d is a ValueError."""
+        check_param("d", d, 0)
         h = [[0] * (d + 1) for _ in range(d + 1)]
         for (p, q), c in e.items():
             if not (0 <= p <= d and 0 <= q <= d):
@@ -166,8 +152,8 @@ class HodgeDiamond:
         return self._dim
 
     def hodge_number(self, p: int, q: int) -> int:
-        if not (0 <= p <= self._dim and 0 <= q <= self._dim):
-            raise ValueError(f"(p, q) = ({p}, {q}) outside the {self._dim}-dimensional table")
+        check_param("p", p, 0, self._dim, "d")
+        check_param("q", q, 0, self._dim, "d")
         return self._h[p][q]
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -176,8 +162,7 @@ class HodgeDiamond:
     def betti(self, m: int) -> int:
         """m-th Betti number, the sum of h^{p,q} over p + q = m."""
         d = self._dim
-        if not 0 <= m <= 2 * d:
-            raise ValueError(f"Betti index {m} outside 0..{2 * d}")
+        check_param("m", m, 0, 2 * d, "2d")
         return sum(self._h[p][m - p] for p in range(max(0, m - d), min(d, m) + 1))
 
     def betti_numbers(self) -> tuple[int, ...]:

@@ -273,6 +273,19 @@ class TestPackedCore:
             gauss_packed(70, 35, 64)
         assert unpack(gauss_packed(70, 35, 128), 128) == list(list_gauss_coefficients(70, 35))
 
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_edges_agree_with_binomial(self, width):
+        # m < 0, m = 0, n < m, m = n and negative n all occur here
+        for n in range(-2, 10):
+            for m in range(-2, 11):
+                if n < 0 and m >= 1:
+                    with pytest.raises(ValueError, match=f"^n = {n}: need n >= 0$"):
+                        gauss_packed(n, m, width)
+                    continue
+                coeffs = unpack(gauss_packed(n, m, width), width)
+                assert coeffs == list(gauss_coefficients(n, m)), (n, m)
+                assert sum(coeffs) == binomial(n, m), (n, m)
+
     def test_clearing_the_package_caches_empties_the_packed_tables(self):
         # the benchmark's per-layer pass clears every functools cache of the
         # package between calls; a packed table or Pascal-column table that

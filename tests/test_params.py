@@ -1,7 +1,10 @@
-"""The one integer rule, hodge.check_param, behind every (g, k, i, n)
-entry point, the identity checks, their suite bounds and the sweep's
-ranges included: a value that is not a plain int is a TypeError naming
-the parameter, and one out of range a ValueError with a fixed text."""
+"""The one integer rule, exactpoly.check_param (which hodge imports for
+the modules above it), behind every integer parameter of an entry
+point: the (g, k, i, n) of the Fano and curve routes, the identity
+checks, their suite bounds and the sweep's ranges, the (n, m) of
+binomial and gauss_coefficients, and a diamond's p, q, m and d: a value
+that is not a plain int is a TypeError naming the parameter, and one
+out of range a ValueError with a fixed text."""
 
 import re
 
@@ -14,13 +17,15 @@ from twoquadrics.curves import (
     projective_space_diamond,
     sym_curve_diamond,
 )
-from twoquadrics.fano_even import EvenFanoParams, euler_closed_form
+from twoquadrics.exactpoly import BiPoly, binomial, gauss_coefficients
+from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_betti
 from twoquadrics.fano_odd import (
     OddFanoParams,
     fano_odd_diamond,
     kernel_coefficients,
     multiplicity_kernel,
 )
+from twoquadrics.hodge import HodgeDiamond
 from twoquadrics.motivic import (
     bgmn_multiplicity,
     multiplicity_at_one,
@@ -42,7 +47,10 @@ from twoquadrics.stacky import (
     stacky_counts_report,
 )
 
-# entry point, valid arguments, the names of its parameters
+CURVE = curve_diamond(1)
+
+# entry point, valid arguments, the names of its parameters (None for
+# one that is not an integer)
 ENTRY_POINTS = [
     (OddFanoParams, (4, 1), ("g", "k")),
     (EvenFanoParams, (4, 1), ("g", "k")),
@@ -70,6 +78,12 @@ ENTRY_POINTS = [
     (gessel_suite_report, (2, 2), ("max_m", "max_a")),
     (chu_vandermonde_suite_report, (3,), ("max_n",)),
     (sweep_tasks, (2, 2, 0, 0, 0), ("max_g", "max_g_even", "max_m", "max_a", "max_n")),
+    (binomial, (4, 2), ("n", "m")),
+    (gauss_coefficients, (4, 2), ("n", "m")),
+    (CURVE.hodge_number, (1, 0), ("p", "q")),
+    (CURVE.betti, (1,), ("m",)),
+    (HodgeDiamond.from_e_polynomial, (BiPoly({(0, 0): 1}), 0), (None, "d")),
+    (fano_even_betti, (EvenFanoParams(4, 1), 2), (None, "p")),
 ]
 
 
@@ -80,6 +94,7 @@ ENTRY_POINTS = [
         (func, args, position, name)
         for func, args, names in ENTRY_POINTS
         for position, name in enumerate(names)
+        if name
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
@@ -100,6 +115,12 @@ def test_warm_caches_do_not_let_floats_through():
         sym_curve_diamond(3.0, 2)
     with pytest.raises(TypeError, match="^n must be an int, got True$"):
         sym_curve_diamond(3, True)
+    assert gauss_coefficients(4, 2) == (1, 1, 2, 1, 1)
+    assert gauss_coefficients(1, 1) == (1,)
+    with pytest.raises(TypeError, match="^n must be an int, got 4.0$"):
+        gauss_coefficients(4.0, 2)
+    with pytest.raises(TypeError, match="^m must be an int, got True$"):
+        gauss_coefficients(1, True)
 
 
 def test_warm_kernel_and_column_caches_do_not_let_floats_through():
@@ -166,6 +187,13 @@ def test_warm_kernel_and_column_caches_do_not_let_floats_through():
         (sweep_tasks, (2, 2, -1, 0, 0), "max_m = -1: need max_m >= 0"),
         (sweep_tasks, (2, 2, 0, 3, 0), "max_a = 3: need max_a even"),
         (sweep_tasks, (2, 2, 0, 0, -5), "max_n = -5: need max_n >= 0"),
+        # m may be any int, and n must be >= 0 when m >= 1
+        (binomial, (-1, 2), "n = -1: need n >= 0"),
+        (gauss_coefficients, (-2, 1), "n = -2: need n >= 0"),
+        (CURVE.hodge_number, (3, 0), "p = 3: need 0 <= p <= d = 1"),
+        (CURVE.hodge_number, (0, -1), "q = -1: need 0 <= q <= d = 1"),
+        (CURVE.betti, (3,), "m = 3: need 0 <= m <= 2d = 2"),
+        (HodgeDiamond.from_e_polynomial, (BiPoly(), -1), "d = -1: need d >= 0"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
