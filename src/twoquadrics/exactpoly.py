@@ -7,9 +7,10 @@ printing.  Coefficients are arbitrary-precision Python ints, so every
 operation is exact and downstream identity checks are literal
 polynomial equalities; the constructors take plain int exponents and
 int coefficients only and raise TypeError on anything else, and
-check_param, the one rule for an integer parameter, lives here, below
-every module that calls it.  Dense polynomials on the hot paths are
-packed into single ints, and this module is the only one that knows
+check_param, the one rule for an integer parameter, and
+ConsistencyError, the error of an impossible internal value, live here,
+below every module that uses them.  Dense polynomials on the hot paths
+are packed into single ints, and this module is the only one that knows
 the packed form: every caller sums shifted Gaussian binomials through
 gauss_sum and reads back plain coefficient lists (see below).
 
@@ -30,6 +31,12 @@ from typing import Iterable, Mapping
 
 class InexactDivisionError(ArithmeticError):
     """A polynomial division left a nonzero remainder."""
+
+
+class ConsistencyError(RuntimeError):
+    """Internal bookkeeping produced an impossible value: a Hodge number
+    that breaks a symmetry, or a Gaussian binomial that does not fit the
+    digit width gauss_sum proved for it."""
 
 
 def _power(var: str, e: int) -> str:
@@ -346,15 +353,26 @@ def unpack(x: int, width: int, length: int | None = None) -> list[int]:
 @functools.cache
 def _pascal_table(width: int) -> dict[int, dict[int, int]]:
     """Packed Gaussian binomials [m+d, m] at this width, by diagonal d and
-    then m, filled on demand by gauss_packed.  Entries are only ever
+    then m, filled on demand by _gauss_entry.  Entries are only ever
     added, each with its one value, so concurrent fills cannot disagree."""
     return {}
 
 
 def gauss_packed(n: int, m: int, width: int) -> int:
     """The Gaussian binomial [n, m]_q packed at X = 2^width, which must
-    satisfy C(n, m) < 2^(width-1) (ValueError otherwise).  The edges are
-    binomial's (which checks n and m): c = C(n, m) <= 1 is [n, m] itself.
+    satisfy C(n, m) < 2^(width-1) (ValueError otherwise); n and m pass
+    binomial's rule.  The checked entry to _gauss_entry."""
+    c = binomial(n, m)
+    if c.bit_length() >= width:
+        raise ValueError(f"[{n}, {m}]_q does not fit digits of width {width}")
+    return _gauss_entry(n, m, c, width)
+
+
+def _gauss_entry(n: int, m: int, c: int, width: int) -> int:
+    """[n, m]_q packed at X = 2^width, given c = binomial(n, m), which the
+    caller has read: c <= 1 is [n, m] itself (the edges are binomial's).
+    A c that does not fit the width is a ConsistencyError, as the caller
+    picked the width to fit it.
 
     Its coefficients are non-negative and sum to C(n, m), so each is at
     most C(n, m), and so is every value the table below forms: each is
@@ -367,11 +385,10 @@ def gauss_packed(n: int, m: int, width: int) -> int:
     every diagonal below its own, so it starts above the highest one
     that already reaches m.
     """
-    c = binomial(n, m)
     if c <= 1:  # m < 0 or n < m gives 0; [n, 0] = [n, n] = 1
         return c
     if c.bit_length() >= width:
-        raise ValueError(f"[{n}, {m}]_q does not fit digits of width {width}")
+        raise ConsistencyError(f"[{n}, {m}]_q does not fit digits of width {width}")
     table = _pascal_table(width)
     diagonal = table.get(n - m, {})
     if m not in diagonal:
@@ -400,16 +417,17 @@ def gauss_sum(groups) -> tuple[int, list[int]]:
     from the bound B = sum |w| len(shifts) C(n, m): each [n, m] has
     non-negative coefficients summing to C(n, m), so every coefficient of
     every partial sum is at most B in absolute value, and so is every
-    Pascal entry the table forms (each at most C(n, m), see gauss_packed).
+    Pascal entry the table forms (each at most C(n, m), see _gauss_entry).
     packed_width(B) leaves every such value a balanced digit, so the
-    packed sum is exact.
+    packed sum is exact.  Each group's binomial is read once, here, and
+    handed to _gauss_entry with the width.
     """
     groups = [(w, n, m, shifts, binomial(n, m)) for w, n, m, shifts in groups]
     width = packed_width(sum(abs(w) * len(shifts) * c for w, _, _, shifts, c in groups))
     acc = 0
     for w, n, m, shifts, c in groups:
         if c:
-            value = w * gauss_packed(n, m, width)
+            value = w * _gauss_entry(n, m, c, width)
             for s in shifts:
                 acc += value << (s * width)
     if not acc:

@@ -6,9 +6,11 @@ Serre duality eagerly, so everything computed downstream inherits those
 guarantees.  The measures (E-polynomial, Betti numbers, Euler
 characteristic, Hochschild homology dimensions) are read off the table.
 check_param (from exactpoly) is the one rule for an integer parameter
-of every entry point, a diamond's d, p, q and m included; Record and
-FrozenRecord write eq, hash, repr and pickling once over a field
-tuple, and FanoParams is the (g, k) FrozenRecord of both Fano cases.
+of every entry point, a diamond's d, p, q and m included, and
+ConsistencyError (from exactpoly too) is what a computed diamond that
+breaks a symmetry raises; Record and FrozenRecord write eq, hash, repr
+and pickling once over a field tuple, and FanoParams is the (g, k)
+FrozenRecord of both Fano cases.
 """
 
 from __future__ import annotations
@@ -16,11 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .exactpoly import BiPoly, LaurentPoly, check_param
-
-
-class ConsistencyError(RuntimeError):
-    """Internal bookkeeping produced an impossible Hodge-theoretic value."""
+from .exactpoly import BiPoly, ConsistencyError, LaurentPoly, check_param
 
 
 class Record:

@@ -8,15 +8,17 @@ exceptional collection whose length is an explicit binomial sum, and the
 total count matches the Euler characteristic of the Fano scheme.  The
 identities are verified by exact evaluation over finite ranges, and the
 report builders at the end package the stacky count and the two suites
-as VerificationReports.  Every function checks its own integer inputs
-through hodge.check_param: the (g, k) of the stacky counts, the
-parameters of each identity instance, and the bounds of the two suites
+as VerificationReports.  The Chu-Vandermonde suite checks each n one
+Pascal row at a time, by additions against a row of math.comb;
+chu_vandermonde_check, the check of one instance, is its oracle in the
+tests.  Every function checks its own integer inputs through
+hodge.check_param: the (g, k) of the stacky counts, the parameters of
+each identity instance, and the bounds of the two suites
 (check_suite_bounds, which the CLI's sweep calls too).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -62,14 +64,12 @@ def gessel_identity_check(m: int, a: int) -> bool:
     return lhs == rhs
 
 
-@functools.lru_cache(maxsize=1, typed=True)
 def pascal_columns(n: int) -> tuple[tuple[int, ...], ...]:
     """Pascal columns covering every C(m, j) with 0 <= j <= m <= n:
     entry i of column j is C(i+j, j), for i <= n-j, O(n^2) entries.  Each
     column is the running sum of the one before, C(i+j, j) =
     sum_{t<=i} C(t+j-1, j-1), so the table is built by additions alone, a
-    route independent of math.comb.  Only the last table is cached: a
-    suite asks for each n many times in a row."""
+    route independent of math.comb."""
     check_param("n", n, 0)
     columns = [(1,) * (n + 1)]
     for j in range(1, n + 1):
@@ -83,8 +83,8 @@ def chu_vandermonde_check(n: int, j: int, k: int) -> bool:
 
     The term of m is nonzero only for j <= m <= n-k+j, so the sum is one
     dot product of column j, entries 0..n-k, with column k-j, entries
-    n-k..0, of pascal_columns; the right side is math.comb, a route
-    independent of the table."""
+    n-k..0, of pascal_columns, which each call builds afresh; the right
+    side is math.comb, a route independent of the table."""
     check_param("n", n, 0)
     check_param("k", k, 0, n, "n")
     check_param("j", j, 0, k, "k")
@@ -127,14 +127,10 @@ def stacky_counts_report(g: int, k: int) -> VerificationReport:
     )
 
 
-def _suite_report(identity: str, params: dict, check, cases) -> VerificationReport:
-    """Run `check` on every case of `cases`, counting the instances while
-    collecting the cases that fail."""
-    failures = []
-    instances = 0
-    for instances, case in enumerate(cases, 1):
-        if not check(*case):
-            failures.append(list(case))
+def _suite_report(identity: str, params: dict, failures: list,
+                  instances: int) -> VerificationReport:
+    """The report of a suite that checked `instances` cases, of which
+    `failures` (each case a list) failed."""
     return VerificationReport(
         identity=identity,
         params=params,
@@ -148,14 +144,53 @@ def _suite_report(identity: str, params: dict, check, cases) -> VerificationRepo
 def gessel_suite_report(max_m: int, max_a: int) -> VerificationReport:
     """gessel_identity_check for every m <= max_m and even a <= max_a."""
     check_suite_bounds(max_m=max_m, max_a=max_a)
-    cases = ((m, a) for m in range(max_m + 1) for a in range(0, max_a + 1, 2))
-    return _suite_report(
-        "gessel-identity", {"max_a": max_a, "max_m": max_m}, gessel_identity_check, cases
-    )
+    failures = [
+        [m, a]
+        for m in range(max_m + 1)
+        for a in range(0, max_a + 1, 2)
+        if not gessel_identity_check(m, a)
+    ]
+    instances = (max_m + 1) * (max_a // 2 + 1)
+    return _suite_report("gessel-identity", {"max_a": max_a, "max_m": max_m}, failures, instances)
+
+
+def _pascal_rows(max_n: int):
+    """Rows 0..max_n of Pascal's triangle, the coefficients of (1+x)^n,
+    each built from the one before by one C-level add: a route
+    independent of math.comb."""
+    row = [1]
+    for _ in range(max_n + 1):
+        yield row
+        row = [1, *map(operator.add, row, row[1:]), 1]
 
 
 def chu_vandermonde_suite_report(max_n: int) -> VerificationReport:
-    """chu_vandermonde_check for every 0 <= j <= k <= n <= max_n."""
+    """The verdict of chu_vandermonde_check on every 0 <= j <= k <= n <=
+    max_n, reached one n at a time; the failures are listed by n, then
+    k, then j.
+
+    The left sides sum_m C(m, j) C(n-m, k-j) of one n are the
+    coefficients of x^j z^(k-j) in P_n = sum_{m<=n} (1+x)^m (1+z)^(n-m),
+    and P_n = (1+z) P_{n-1} + (1+x)^n.  Row j of P_n (t = 0..n-j) is
+    therefore row j of P_{n-1}, plus itself shifted by one t, plus
+    C(n, j) at t = 0, read from _pascal_rows: one C-level add per row,
+    by additions alone.  Each row is compared at once with the right
+    sides C(n+1, j+1..n+1), a row of math.comb, and only a row that
+    differs is searched for its failing k."""
     check_suite_bounds(max_n=max_n)
-    cases = ((n, j, k) for n in range(max_n + 1) for k in range(n + 1) for j in range(k + 1))
-    return _suite_report("chu-vandermonde", {"max_n": max_n}, chu_vandermonde_check, cases)
+    failures = []
+    rows: list[list[int]] = []  # row j of P_{n-1}
+    for n, power in enumerate(_pascal_rows(max_n)):
+        rows.append([])
+        rows = [list(map(operator.add, row + [0], [c, *row])) for row, c in zip(rows, power)]
+        rhs = [math.comb(n + 1, s) for s in range(n + 2)]
+        wrong = sorted(
+            (j + t, j)
+            for j, row in enumerate(rows)
+            if row != rhs[j + 1 :]
+            for t, (lhs, value) in enumerate(zip(row, rhs[j + 1 :]))
+            if lhs != value
+        )
+        failures += ([n, j, k] for k, j in wrong)
+    # one instance per triple 0 <= j <= k <= n <= max_n
+    return _suite_report("chu-vandermonde", {"max_n": max_n}, failures, math.comb(max_n + 3, 3))

@@ -1,10 +1,15 @@
 """Fixtures that corrupt the multiplicity kernels on purpose, shared by
 the tests of the odd block vector, the decomposition report and the CLI,
-and the recorder of the widths gauss_sum picks, shared by the width
-tests of its callers."""
+the recorder of the widths gauss_sum picks, shared by the width tests of
+its callers, and one that empties every cache of the package around a
+test that breaks the width proof."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import twoquadrics
 from twoquadrics import exactpoly, fano_odd
 from twoquadrics.exactpoly import LaurentPoly
 
@@ -69,3 +74,20 @@ def gauss_sum_widths(monkeypatch):
 
     monkeypatch.setattr(exactpoly, "packed_width", recorded)
     return widths
+
+
+def _clear_package_caches():
+    for info in pkgutil.iter_modules(twoquadrics.__path__):
+        for value in vars(importlib.import_module(f"twoquadrics.{info.name}")).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every module-level functools cache of the package before and
+    after a test that breaks gauss_sum's width proof on purpose, so no
+    value summed at too narrow a width outlives it."""
+    _clear_package_caches()
+    yield
+    _clear_package_caches()

@@ -22,9 +22,6 @@ ALLOWED = {
     "fano_odd.fano_odd_diamond",
     # pinned: benchmarks/tracing.py LAYERS reads its cache_info()
     "curves.sym_curve_diamond",
-    # reused: the last Pascal table, which chu_vandermonde_check reads for
-    # every (j, k) of one n
-    "stacky.pascal_columns",
 }
 
 

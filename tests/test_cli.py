@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 from list_routes import payload, report_to_json_obj
 
-from twoquadrics import cli, fano_even, fano_odd, motivic, stacky
+from twoquadrics import cli, exactpoly, fano_even, fano_odd, motivic, stacky
 from twoquadrics.exactpoly import BiPoly, InexactDivisionError, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
 from twoquadrics.hodge import ConsistencyError
@@ -806,6 +806,52 @@ class TestInternalErrors:
         assert captured.err == (
             "twoquadrics: internal error: polynomial division by 1 - q^6 is not exact\n"
         )
+
+
+class TestWidthFailures:
+    """A Gaussian binomial that does not fit the digit width gauss_sum
+    picked for it is a fault in the library, exit 3 and reported as
+    itself, not a usage error.  packed_width is planted to give 64 bits
+    whatever the bound: C(n, m) >= 2^63 then no longer fits."""
+
+    def test_verify_exits_three(self, capsys, monkeypatch, cold_caches):
+        monkeypatch.setattr(exactpoly, "packed_width", lambda bound: 64)
+        assert cli.main(["verify", "odd", "--g", "60", "--k", "29"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "twoquadrics: internal error: [91, 30]_q does not fit digits of width 64\n"
+        )
+
+    def test_sweep_writes_every_report(self, capsys, monkeypatch, cold_caches, tmp_path):
+        # the stacky counts of g = 48 reach C(71, 25) > 2^63; below that,
+        # a bound past 2^63 with every C(n, m) inside it lets some sums
+        # overflow unseen, and the Betti guards report those as errors
+        argv = ["sweep", "--max-g", "2", "--max-g-even", "48", "--max-m", "0", "--max-a", "0",
+                "--max-n", "0", "--format", "json", "--output"]
+        assert cli.main([*argv, str(tmp_path / "clean.json")]) == 0
+        monkeypatch.setattr(exactpoly, "packed_width", lambda bound: 64)
+        assert cli.main([*argv, str(tmp_path / "narrow.json")]) == 3
+        capsys.readouterr()
+        clean, narrow = (
+            json.loads((tmp_path / name).read_text())["reports"]
+            for name in ("clean.json", "narrow.json")
+        )
+        for report in (*clean, *narrow):
+            del report["elapsed_ms"]
+        assert [(r["identity"], r["params"]) for r in narrow] == [
+            (r["identity"], r["params"]) for r in clean
+        ]
+        assert all(r == c or r["status"] == "error" for r, c in zip(narrow, clean))
+        assert [r for r in narrow if r["status"] == "verified"]
+        assert [
+            (r["params"], r["observations"]["error"])
+            for r in narrow
+            if "does not fit" in r["observations"].get("error", "")
+        ] == [
+            ({"g": 48, "k": k}, f"[{95 - k}, {k + 1}]_q does not fit digits of width 64")
+            for k in range(24, 28)
+        ]
 
 
 class TestOutputFile:

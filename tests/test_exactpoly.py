@@ -15,11 +15,13 @@ from list_routes import (
     pack,
 )
 
-from twoquadrics import exactpoly, fano_odd, stacky
+from twoquadrics import exactpoly, fano_odd
 from twoquadrics.exactpoly import (
     BiPoly,
+    ConsistencyError,
     InexactDivisionError,
     LaurentPoly,
+    _gauss_entry,
     _nonzero_ends,
     _pascal_table,
     binomial,
@@ -273,6 +275,16 @@ class TestPackedCore:
             gauss_packed(70, 35, 64)
         assert unpack(gauss_packed(70, 35, 128), 128) == list(list_gauss_coefficients(70, 35))
 
+    def test_a_chosen_width_too_narrow_is_internal(self, monkeypatch, cold_caches):
+        # a width gauss_sum picked itself must fit by its proof, so a miss
+        # is the library's fault, not the caller's
+        message = r"^\[70, 35\]_q does not fit digits of width 64$"
+        with pytest.raises(ConsistencyError, match=message):
+            _gauss_entry(70, 35, binomial(70, 35), 64)
+        monkeypatch.setattr(exactpoly, "packed_width", lambda bound: 64)
+        with pytest.raises(ConsistencyError, match=message):
+            gauss_sum([(1, 70, 35, (0,))])
+
     @pytest.mark.parametrize("width", [64, 128])
     def test_edges_agree_with_binomial(self, width):
         # m < 0, m = 0, n < m, m = n and negative n all occur here
@@ -288,8 +300,8 @@ class TestPackedCore:
 
     def test_clearing_the_package_caches_empties_the_packed_tables(self):
         # the benchmark's per-layer pass clears every functools cache of the
-        # package between calls; a packed table or Pascal-column table that
-        # survived would make the traced numbers measure warm tables
+        # package between calls; a packed table that survived would make
+        # the traced numbers measure warm tables
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
         spec = importlib.util.spec_from_file_location("bench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
@@ -297,13 +309,10 @@ class TestPackedCore:
         gauss_packed(30, 12, 64)
         gauss_packed(70, 35, 128)
         fano_odd.kernel_coefficients(5, 9)
-        stacky.chu_vandermonde_check(40, 3, 7)
         assert _pascal_table(64) and fano_odd.kernel_coefficients.cache_info().currsize
-        assert stacky.pascal_columns.cache_info().currsize == 1
         tracing.clear_caches()
         assert _pascal_table.cache_info().currsize == 0
         assert fano_odd.kernel_coefficients.cache_info().currsize == 0
-        assert stacky.pascal_columns.cache_info().currsize == 0
         assert _pascal_table(64) == {} and _pascal_table(128) == {}
 
 

@@ -5,7 +5,7 @@ import pytest
 from list_routes import eval_at_one, list_betti_numbers, max_abs, pack
 
 from twoquadrics import exactpoly, fano_even
-from twoquadrics.exactpoly import gauss_coefficients, gauss_packed, unpack
+from twoquadrics.exactpoly import _gauss_entry, gauss_coefficients, unpack
 from twoquadrics.fano_even import (
     EvenFanoParams,
     euler_closed_form,
@@ -115,13 +115,13 @@ class TestBettiVectorGuards:
     @pytest.fixture
     def corrupt(self, monkeypatch):
         def install(edit):
-            def patched(n, m, width):
-                value = gauss_packed(n, m, width)
+            def patched(n, m, c, width):
+                value = _gauss_entry(n, m, c, width)
                 if (n, m) != (6, 2):
                     return value
                 return pack(edit(unpack(value, width, m * (n - m) + 1)), width)
 
-            monkeypatch.setattr(exactpoly, "gauss_packed", patched)
+            monkeypatch.setattr(exactpoly, "_gauss_entry", patched)
 
         return install
 

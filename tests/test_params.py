@@ -123,20 +123,13 @@ def test_warm_caches_do_not_let_floats_through():
         gauss_coefficients(1, True)
 
 
-def test_warm_kernel_and_column_caches_do_not_let_floats_through():
+def test_warm_kernel_caches_do_not_let_floats_through():
     kernel_coefficients(3, 4)
     multiplicity_kernel(3, 4)
-    pascal_columns(3)
-    pascal_columns(1)
     with pytest.raises(TypeError, match="^a must be an int, got 3.0$"):
         kernel_coefficients(3.0, 4)
     with pytest.raises(TypeError, match="^b must be an int, got 4.0$"):
         multiplicity_kernel(3, 4.0)
-    with pytest.raises(TypeError, match="^n must be an int, got True$"):
-        pascal_columns(True)
-    pascal_columns(3)
-    with pytest.raises(TypeError, match="^n must be an int, got 3.0$"):
-        pascal_columns(3.0)
 
 
 @pytest.mark.parametrize(

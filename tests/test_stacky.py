@@ -174,27 +174,10 @@ class TestPascalColumns:
         assert [len(c) for c in columns] == list(range(10, 0, -1))
         assert sum(map(len, columns)) == 10 * 11 // 2
 
-    def test_only_the_last_table_is_cached(self):
-        small = pascal_columns(5)
-        assert pascal_columns(5) is small
-        assert [len(c) for c in small] == [6, 5, 4, 3, 2, 1]
-        # C(m, 0) for m <= 9 reaches past the columns of length 6
-        assert chu_vandermonde_check(9, 0, 0)
-        assert pascal_columns.cache_info().currsize == 1
-        table = pascal_columns(9)
-        assert [len(c) for c in table] == list(range(10, 0, -1))
-        for j, column in enumerate(table):
-            assert column == tuple(math.comb(i + j, j) for i in range(10 - j)), j
-        assert all(chu_vandermonde_check(12, j, k) for k in range(13) for j in range(k + 1))
-        assert pascal_columns(12) is pascal_columns(12)
-        again = pascal_columns(5)
-        assert again == small and again is not small
-
     @pytest.fixture
     def plant(self, monkeypatch):
         """plant(j, i) adds 1 to C(i+j, j), entry i of column j, in every
-        table stacky.pascal_columns returns that holds it; the cached
-        tables stay as they are."""
+        table stacky.pascal_columns returns that holds it."""
         columns = stacky.pascal_columns
 
         def install(j, i):
@@ -215,15 +198,78 @@ class TestPascalColumns:
         assert not chu_vandermonde_check(7, 1, 3)  # as the reversed column C(., k-j)
         assert chu_vandermonde_check(5, 2, 3)  # reads C(m, 2) only for m <= 4
 
+
+def checked_cases(max_n):
+    """Oracle: every case (n, j, k) of the Chu-Vandermonde suite up to
+    max_n, in the suite's order (n, then k, then j), with the verdict of
+    chu_vandermonde_check on it."""
+    return [
+        ((n, j, k), chu_vandermonde_check(n, j, k))
+        for n in range(max_n + 1)
+        for k in range(n + 1)
+        for j in range(k + 1)
+    ]
+
+
+def oracle_report(cases):
+    """The status and observations a suite over the checked `cases` must
+    report."""
+    failures = [list(case) for case, ok in cases if not ok]
+    return ("failed" if failures else "verified"), {"failures": failures, "instances": len(cases)}
+
+
+class TestChuVandermondeSuite:
+    """The row route of chu_vandermonde_suite_report against its oracle,
+    chu_vandermonde_check on every case."""
+
+    def test_matches_the_check_on_every_case_up_to_40(self):
+        cases = checked_cases(40)
+        for max_n in range(41):
+            report = chu_vandermonde_suite_report(max_n)
+            expected = oracle_report([c for c in cases if c[0][0] <= max_n])
+            assert (report.status, report.observations) == expected, max_n
+
+    def test_planted_right_side_fails_both_routes_alike(self, monkeypatch):
+        # one wrong C(n+1, k+1) fails (n, j, k) for every j <= k, on both
+        # routes; (31, 2) lies past the largest n checked
+        comb = math.comb
+        planted = {(9, 4), (13, 7), (13, 13), (31, 2)}
+        monkeypatch.setattr(math, "comb", lambda a, b: comb(a, b) + ((a, b) in planted))
+        report = chu_vandermonde_suite_report(20)
+        assert report.observations["failures"] == [
+            *([8, j, 3] for j in range(4)),
+            *([12, j, 6] for j in range(7)),
+            *([12, j, 12] for j in range(13)),
+        ]
+        assert (report.status, report.observations) == oracle_report(checked_cases(20))
+
+    @pytest.fixture
+    def plant(self, monkeypatch):
+        """plant(n, j) adds 1 to C(n, j), entry j of row n of
+        stacky._pascal_rows, the (1+x)^n that the row route adds into row
+        j of P_n; the rows after it are built from the true row."""
+        rows = stacky._pascal_rows
+
+        def install(n, j):
+            def planted(max_n):
+                for i, row in enumerate(rows(max_n)):
+                    yield [c + (t == j) for t, c in enumerate(row)] if i == n else row
+
+            monkeypatch.setattr(stacky, "_pascal_rows", planted)
+
+        return install
+
     def test_planted_entry_fails_the_suite(self, plant):
-        plant(2, 3)
+        plant(5, 2)  # C(5, 2) = 10 becomes 11
         report = chu_vandermonde_suite_report(10)
         assert report.status == "failed"
-        # C(5, 2) is read by every triple with j = 2 or k - j = 2 and n - k >= 3
+        # the extra x^2 of P_5 is multiplied by (1+z)^(n-5) on the way to
+        # P_n, so it adds C(n-5, k-2) to the left side of (n, 2, k): every
+        # k with k - 2 <= n - 5 fails, and no other case
         assert report.observations["failures"] == [
             [n, j, k]
             for n in range(11)
             for k in range(n + 1)
             for j in range(k + 1)
-            if 2 in (j, k - j) and n - k >= 3
+            if j == 2 and n >= 5 and k - j <= n - 5
         ]
