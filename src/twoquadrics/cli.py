@@ -19,6 +19,7 @@ import contextlib
 import errno
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -397,10 +398,9 @@ def _cmd_sweep(args, write) -> int:
     for report in run_sweep(tasks, args.jobs):
         if report.status == ERROR:
             errors += 1
-            print(
+            _error_line(
                 f"twoquadrics: internal error: {report.identity} {_params_text(report)}: "
-                f"{report.observations['error']}",
-                file=sys.stderr,
+                f"{report.observations['error']}"
             )
         if as_json:
             if total:
@@ -430,29 +430,44 @@ def _cannot_write(path: str, exc: OSError) -> OutputError:
     return OutputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _stdout_failed(exc: OSError) -> OutputError:
-    """The OutputError of a failed write to stdout (a reader that closed
-    the pipe).  stdout is pointed at os.devnull first, so the flush at
-    interpreter exit drops what is left instead of failing again."""
+def _to_devnull(stream) -> None:
+    """Point the file descriptor of `stream` at os.devnull, so the flush
+    at interpreter exit drops what is left instead of failing again."""
     with contextlib.suppress(OSError):
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
+
+
+def _stdout_failed(exc: OSError) -> OutputError:
+    """The OutputError of a failed write to stdout (a closed pipe)."""
+    _to_devnull(sys.stdout)
     return _cannot_write("stdout", exc)
+
+
+def _error_line(text: str) -> None:
+    """Write one line to stderr; a lost line (a closed pipe) never
+    changes the exit code."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 @contextlib.contextmanager
 def _output(path):
     """Yield the write function of a command's output: stdout, or a
     temporary file made in the directory of `path` before any work is
-    done and renamed over `path` when the command returns.  A command
-    that raises leaves nothing at `path`.  mkstemp creates the file as
-    0600; it gets 0666 less the umask, the mode of an ordinary new file,
-    before the rename.  An OSError of the file becomes OutputError, and
-    a `path` that is empty or a directory is refused at once, not after
-    the work at the rename (an empty path would put the temporary file
-    in the parent of the working directory).  An OSError of stdout, which
-    is flushed when the command returns, becomes OutputError too."""
+    done and renamed over the file `path` resolves to (os.path.realpath,
+    so a link survives) when the command returns.  A command that raises
+    leaves nothing at `path`.  mkstemp creates the file as 0600; it gets
+    0666 less the umask, the mode of an ordinary new file, before the
+    rename.  An OSError of the file becomes OutputError, and a `path`
+    that is empty or is not a regular file (a directory, a pipe, a
+    device, which a rename would replace) is refused at once, not after
+    the work (an empty path would put the temporary file in the parent
+    of the working directory).  An OSError of stdout, which is flushed
+    when the command returns, becomes OutputError too."""
     if path is None:
         def write_stdout(text: str) -> None:
             try:
@@ -468,9 +483,17 @@ def _output(path):
         return
     if not path:
         raise OutputError(f"cannot write {path!r}: {os.strerror(errno.ENOENT)}")
-    if os.path.isdir(path):
-        raise OutputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # a new file
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    if not stat.S_ISREG(mode):
+        reason = os.strerror(errno.EISDIR) if stat.S_ISDIR(mode) else "not a regular file"
+        raise OutputError(f"cannot write {path}: {reason}")
+    directory = os.path.dirname(target)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twoquadrics-", suffix=".tmp")
     except OSError as exc:
@@ -490,7 +513,7 @@ def _output(path):
             os.umask(umask)
             os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.close()
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except OSError as exc:
             raise _cannot_write(path, exc) from exc
     except BaseException:
@@ -508,10 +531,10 @@ def main(argv=None) -> int:
         with _output(args.output) as write:
             return _DISPATCH[args.command](args, write)
     except (CliUsageError, ValueError, OutputError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        _error_line(f"{parser.prog}: error: {exc}")
         return 2
     except (ConsistencyError, InexactDivisionError) as exc:
-        print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
+        _error_line(f"{parser.prog}: internal error: {exc}")
         return 3
 
 

@@ -64,16 +64,16 @@ def gessel_identity_check(m: int, a: int) -> bool:
     return lhs == rhs
 
 
-def pascal_columns(n: int) -> tuple[tuple[int, ...], ...]:
-    """Pascal columns covering every C(m, j) with 0 <= j <= m <= n:
-    entry i of column j is C(i+j, j), for i <= n-j, O(n^2) entries.  Each
-    column is the running sum of the one before, C(i+j, j) =
-    sum_{t<=i} C(t+j-1, j-1), so the table is built by additions alone, a
-    route independent of math.comb."""
-    check_param("n", n, 0)
-    columns = [(1,) * (n + 1)]
-    for j in range(1, n + 1):
-        columns.append(tuple(itertools.accumulate(columns[-1][: n - j + 1])))
+def pascal_columns(top: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Pascal columns 0..top, each `length` entries long: entry i of
+    column j is C(i+j, j).  Each column is the running sum of the one
+    before, C(i+j, j) = sum_{t<=i} C(t+j-1, j-1), so the table is built
+    by additions alone, a route independent of math.comb."""
+    check_param("top", top, 0)
+    check_param("length", length, 0)
+    columns = [(1,) * length]
+    for _ in range(top):
+        columns.append(tuple(itertools.accumulate(columns[-1])))
     return tuple(columns)
 
 
@@ -83,14 +83,15 @@ def chu_vandermonde_check(n: int, j: int, k: int) -> bool:
 
     The term of m is nonzero only for j <= m <= n-k+j, so the sum is one
     dot product of column j, entries 0..n-k, with column k-j, entries
-    n-k..0, of pascal_columns, which each call builds afresh; the right
-    side is math.comb, a route independent of the table."""
+    n-k..0, of pascal_columns; each call builds only the columns
+    0..max(j, k-j), n-k+1 entries each.  The right side is math.comb, a
+    route independent of the table."""
     check_param("n", n, 0)
     check_param("k", k, 0, n, "n")
     check_param("j", j, 0, k, "k")
-    columns = pascal_columns(n)
     length = n - k + 1
-    lhs = sum(map(operator.mul, columns[j][:length], columns[k - j][length - 1 :: -1]))
+    columns = pascal_columns(max(j, k - j), length)
+    lhs = sum(map(operator.mul, columns[j], columns[k - j][::-1]))
     return lhs == math.comb(n + 1, k + 1)
 
 

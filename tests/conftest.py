@@ -14,15 +14,18 @@ from twoquadrics import exactpoly, fano_odd
 from twoquadrics.exactpoly import LaurentPoly
 
 
-def dense_plus(kernel, extra):
-    """The dense kernel (shift, coeffs) plus the Laurent terms `extra`
-    (exponent -> coefficient, all of the kernel's parity), again as a
-    dense kernel with nonzero ends."""
-    shift, coeffs = kernel
-    total = LaurentPoly({shift + 2 * e: c for e, c in enumerate(coeffs)}) + LaurentPoly(extra)
-    low = total.valuation()
-    assert all((e - low) % 2 == 0 for e, _ in total.items()), "extra terms of the wrong parity"
-    return low, tuple(total.coefficient(c) for c in range(low, total.degree() + 1, 2))
+def dense_plus(kernel, shift, extra):
+    """The kernel (low, coeffs) in u = q^2, whose centred-q form is shifted
+    by `shift`, plus the centred-q terms `extra` (exponent -> coefficient,
+    all of the kernel's parity), again as (low, coeffs) in u with nonzero
+    ends, the contract of gauss_sum."""
+    low, coeffs = kernel
+    total = LaurentPoly({shift + 2 * (low + e): c for e, c in enumerate(coeffs)})
+    total += LaurentPoly(extra)
+    bottom = total.valuation()
+    assert all((e - shift) % 2 == 0 for e, _ in total.items()), "extra terms of the wrong parity"
+    coeffs = tuple(total.coefficient(c) for c in range(bottom, total.degree() + 1, 2))
+    return (bottom - shift) // 2, coeffs
 
 
 # the cached view itself: plant_kernel replaces the module attribute
@@ -46,15 +49,18 @@ def fresh_odd_caches():
 
 @pytest.fixture
 def plant_kernel(monkeypatch, fresh_odd_caches):
-    """install(j, extra) adds the Laurent terms `extra` to the dense
-    kernel of j = b, as fano_odd_blocks reads it through
-    fano_odd.kernel_coefficients.  Each kernel is summed on its own, so
-    the plant corrupts only the block of j."""
+    """install(j, extra) adds the centred-q terms `extra` (those of
+    multiplicity_kernel) to the kernel of j = b in u = q^2, as
+    fano_odd_blocks reads it through fano_odd.kernel_coefficients.  Each
+    kernel is summed on its own, so the plant corrupts only the block of
+    j."""
     kernel = fano_odd.kernel_coefficients
 
     def install(j, extra):
         def planted(a, b):
-            return dense_plus(kernel(a, b), extra) if b == j else kernel(a, b)
+            if b != j:
+                return kernel(a, b)
+            return dense_plus(kernel(a, b), -(b - a + 1) * (2 * a - 1), extra)
 
         monkeypatch.setattr(fano_odd, "kernel_coefficients", planted)
 

@@ -793,6 +793,26 @@ class TestInternalErrors:
             "multiplicity 2 but wedge^0 H^1(-6) has 1\n"
         )
 
+    @pytest.mark.parametrize("j,kernel,message", [
+        (3, (0, (-4, 1, 2, 1, 2, 1, -4)), "negative multiplicity of wedge^0 H^1"),
+        (3, (0, (2, 1, 2, 1, 2, 1, 1)), "Serre duality fails: wedge^0 H^1(-0) has multiplicity 1"),
+        (3, (1, (1,)), "Serre duality fails: wedge^0 H^1(-1) has multiplicity 0"),  # uncentred
+        (1, (-3, (1, 0, 0, 1)), "wedge^2 H^1(-t) for t = 2..5 of (g, k) = (3, 1) does not fit"),
+    ], ids=["negative", "asymmetric", "uncentred", "unfitting"])
+    def test_corrupted_odd_block_is_internal(
+        self, capsys, monkeypatch, fresh_odd_caches, j, kernel, message
+    ):
+        # the kernel of j in u = q^2, as gauss_sum would return it
+        original = fano_odd.kernel_coefficients
+        monkeypatch.setattr(
+            fano_odd, "kernel_coefficients", lambda a, b: kernel if b == j else original(a, b)
+        )
+        assert cli.main(["verify", "odd", "--g", "3", "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"twoquadrics: internal error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_inexact_kernel_step_is_internal(self, capsys, monkeypatch, fresh_odd_caches):
         # no kernel divides any more; an inexact division planted in the
         # kernel's route is still reported as itself
@@ -934,6 +954,44 @@ class TestOutputFile:
         assert list(tmp_path.iterdir()) == [work]
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "odd", "--g", "4", "--k", "1"],
+        ["sweep", *TestSweepCommand.ARGS, "--format", "json"],
+    ], ids=["verify", "sweep"])
+    def test_named_pipe_output_is_refused_and_kept(self, capsys, no_checks, tmp_path, argv):
+        # a rename would replace the pipe with a regular file, and its
+        # reader would get nothing
+        target = tmp_path / "fifo"
+        os.mkfifo(target)
+        assert cli.main([*argv, "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"twoquadrics: error: cannot write {target}: not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(target).st_mode)
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_link_to_a_named_pipe_is_refused(self, capsys, no_checks, tmp_path):
+        os.mkfifo(tmp_path / "fifo")
+        link = tmp_path / "link"
+        os.symlink("fifo", link)
+        assert cli.main(["verify", "odd", "--g", "4", "--k", "1", "--output", str(link)]) == 2
+        assert capsys.readouterr().err.endswith(": not a regular file\n")
+        assert os.readlink(link) == "fifo" and stat.S_ISFIFO(os.stat(link).st_mode)
+
+    def test_symlink_output_writes_its_target(self, capsys, tmp_path):
+        (tmp_path / "data").mkdir()
+        real = tmp_path / "data" / "report.json"
+        real.write_text("stale\n")
+        link = tmp_path / "link.json"
+        os.symlink(os.path.join("data", "report.json"), link)
+        argv = ["verify", "bgmn", "--g", "3", "--format", "json", "--output", str(link)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert os.readlink(link) == os.path.join("data", "report.json")
+        assert json.loads(real.read_text())["status"] == "verified"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.json"]
+        assert [p.name for p in real.parent.iterdir()] == ["report.json"]
+
     def test_error_mid_sweep_leaves_no_file(self, capsys, monkeypatch, tmp_path):
         verify_hochschild = cli.verify_hochschild
 
@@ -965,6 +1023,69 @@ class TestClosedStdout:
             err = proc.stderr.read().decode()
             code = proc.wait(timeout=300)
         assert err == "twoquadrics: error: cannot write stdout: Broken pipe\n"
+        assert code == 2
+
+
+def run_closed_stderr(code):
+    """Run `code` in a fresh interpreter whose stderr is a pipe with its
+    read end closed and whose stdout is discarded; return its exit code."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.DEVNULL, stderr=write_end, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode
+
+
+# a verify odd whose check hits an internal inconsistency
+PLANTED_INCONSISTENCY = (
+    "def broken(g, k):\n"
+    "    raise cli.ConsistencyError('planted inconsistency')\n"
+    "cli.verify_decomposition = broken\n"
+)
+
+
+class TestClosedStderr:
+    """An error line that cannot be written to stderr leaves the exit code
+    as it is with stderr open: 2 for a usage or output error, 3 for an
+    internal error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "odd", "--g", "1", "--k", "0"],
+        ["identity", "gessel", "--max-a", "5"],
+    ])
+    def test_usage_error_exits_two(self, argv):
+        code = f"import sys, twoquadrics.cli as cli; sys.exit(cli.main({argv!r}))"
+        assert run_closed_stderr(code) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "odd", "--g", "4", "--k", "1"],
+        ["sweep", *TestSweepCommand.ARGS],
+    ], ids=["verify", "sweep"])
+    def test_internal_error_exits_three(self, argv):
+        # the sweep writes one error line per broken task, then its reports
+        code = (
+            "import sys, twoquadrics.cli as cli\n"
+            + PLANTED_INCONSISTENCY
+            + f"sys.exit(cli.main({argv!r}))\n"
+        )
+        assert run_closed_stderr(code) == 3
+
+    def test_sweep_into_a_closed_shared_pipe_exits_two(self):
+        # `sweep --format json 2>&1 | head -c 10`: stdout and stderr are one
+        # pipe, so the line that reports the closed stdout cannot be written
+        argv = [sys.executable, "-m", "twoquadrics.cli", "sweep", "--format", "json"]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT
+        ) as proc:
+            assert proc.stdout.read(10) == b'{"reports"'
+            proc.stdout.close()
+            code = proc.wait(timeout=300)
         assert code == 2
 
 

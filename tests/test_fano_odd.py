@@ -20,7 +20,14 @@ from list_routes import (
 import twoquadrics
 from twoquadrics import fano_odd
 from twoquadrics.curves import curve_diamond, projective_space_diamond
-from twoquadrics.exactpoly import BiPoly, LaurentPoly, _pascal_table, binomial, exact_divide
+from twoquadrics.exactpoly import (
+    BiPoly,
+    LaurentPoly,
+    _pascal_table,
+    binomial,
+    exact_divide,
+    gauss_sum,
+)
 from twoquadrics.fano_even import EvenFanoParams
 from twoquadrics.fano_odd import (
     OddFanoParams,
@@ -276,8 +283,9 @@ class TestPackedKernelChain:
     @pytest.mark.parametrize("a", range(2, 41))
     def test_matches_list_steps(self, a):
         for b in range(a - 1, 81):
-            shift, coeffs = kernel_coefficients(a, b)
-            assert shift == -(b - a + 1) * (2 * a - 1)
+            low, coeffs = kernel_coefficients(a, b)
+            # in u = q^2 from u^0, with the nonzero ends fano_odd_blocks reads
+            assert low == 0 and coeffs[0] == coeffs[-1] == 1, (a, b)
             assert coeffs == list_kernel_coefficients(a, b), (a, b)
 
     @pytest.mark.parametrize("a", range(2, 41))
@@ -349,9 +357,11 @@ class TestFanoOddDiamond:
     def test_kernel_term_outside_degree_range_is_inconsistent(
         self, monkeypatch, fresh_odd_caches
     ):
-        # (g, k) = (3, 0) has d = 5; q^{-7} would land in degree m = 12 > 2d
-        monkeypatch.setattr(fano_odd, "kernel_coefficients", lambda a, b: (-7, (1,)))
-        with pytest.raises(ConsistencyError, match="outside 0..10"):
+        # (g, k) = (3, 0) has d = 5; u^-1 in the j = 3 kernel is q^{-7}, which
+        # would put wedge^0 H^1 in degree m = 12 > 2d, at twist 6 > d
+        monkeypatch.setattr(fano_odd, "kernel_coefficients", lambda a, b: (-1, (1,)))
+        with pytest.raises(ConsistencyError, match=r"t = 6\.\.6 of \(g, k\) = \(3, 0\) "
+                           r"does not fit in t = 0\.\.5$"):
             fano_odd_diamond.__wrapped__(OddFanoParams(3, 0))
 
     @pytest.mark.parametrize("g", range(2, 11))
@@ -367,16 +377,11 @@ class TestFanoOddDiamond:
             ]
             assert blocks == trim_blocks(dense), (g, k)
 
-    @pytest.mark.parametrize("g", range(2, 15))
+    @pytest.mark.parametrize("g", range(2, 41))
     def test_blocks_match_kernel_term_scatter(self, g):
         for k in range(g - 1):
             params = OddFanoParams(g, k)
             assert fano_odd_blocks(params) == trimmed_blocks_by_kernel_terms(params), k
-
-    @pytest.mark.parametrize("g,k", [(30, 14), (34, 16), (40, 19)])
-    def test_blocks_match_kernel_term_scatter_deep(self, g, k):
-        params = OddFanoParams(g, k)
-        assert fano_odd_blocks(params) == trimmed_blocks_by_kernel_terms(params)
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_valid_structure_all_k(self, g):
@@ -399,9 +404,52 @@ class TestFanoOddDiamond:
         assert lhs == rhs
 
 
+def twist_numerator(g, k, r):
+    """2 E_r: E_r is the twist of the u^0 term of the r kernel (see
+    fano_odd_blocks)."""
+    return (2 * k - r + 2) * (2 * g - 2 * k - 1) - r
+
+
+def binomial_form_blocks(g, k):
+    """Oracle: the block vectors as two Gaussian binomials in L each,
+    V_r = L^(E_r - m1(n1-m1)) [n1, m1]_L
+    + L^(E_r - n1 - (m1-1)(n1-m1)) [n1-1, m1-1]_L, n1 = 2g-k-r-1 and
+    m1 = k-r+1, summed by gauss_sum, with no kernel and no reversal."""
+    blocks = []
+    for r in range(k + 2):
+        n1, m1 = 2 * g - k - r - 1, k - r + 1
+        e = twist_numerator(g, k, r) // 2
+        low, coeffs = gauss_sum([
+            (1, n1, m1, (e - m1 * (n1 - m1),)),
+            (1, n1 - 1, m1 - 1, (e - n1 - (m1 - 1) * (n1 - m1),)),
+        ])
+        if coeffs:
+            blocks.append((r, low, tuple(coeffs)))
+    return tuple(blocks)
+
+
+class TestBinomialForm:
+    """The blocks fano_odd_blocks reads off the kernels are the two-binomial
+    form of each V_r in L, and every twist they are placed at is an
+    integer, the reason fano_odd_blocks has no parity check."""
+
+    @pytest.mark.parametrize("g", range(2, 41))
+    def test_blocks_are_two_binomials(self, g):
+        for k in range(g - 1):
+            assert fano_odd_blocks(OddFanoParams(g, k)) == binomial_form_blocks(g, k), k
+
+    def test_twist_numerator_is_even(self):
+        for g in range(2, 61):
+            for k in range(g - 1):
+                for r in range(k + 2):
+                    assert twist_numerator(g, k, r) % 2 == 0, (g, k, r)
+
+
 class TestBlockVectorGuards:
-    """A corrupted kernel term that passes the degree and parity checks
-    must raise, not yield a vector."""
+    """A corrupted kernel must raise, not yield a vector.  A kernel in
+    u = q^2 cannot put a block at a half-integer twist (see
+    fano_odd_blocks), so a block can only fail to fit, hold a negative
+    entry or break Serre duality."""
 
     PARAMS = OddFanoParams(3, 1)  # dimension 6; r = 3 - j for j = 1..3
 
@@ -425,12 +473,12 @@ class TestBlockVectorGuards:
             fano_odd_blocks(self.PARAMS)
 
     def test_uncentred_palindrome_is_inconsistent(self, monkeypatch, fresh_odd_caches):
-        # the j = 3 kernel q^-4 alone gives the block (0, 5, (1,)): it fits
-        # and its coefficients are a palindrome, but t = 5 is not t = 1,
-        # its Serre dual in d - r = 6
+        # the j = 3 kernel u^1 alone, q^-4 in centred q, gives the block
+        # (0, 5, (1,)): it fits and its coefficients are a palindrome, but
+        # t = 5 is not t = 1, its Serre dual in d - r = 6
         original = fano_odd.kernel_coefficients
         monkeypatch.setattr(
-            fano_odd, "kernel_coefficients", lambda a, b: (-4, (1,)) if b == 3 else original(a, b)
+            fano_odd, "kernel_coefficients", lambda a, b: (1, (1,)) if b == 3 else original(a, b)
         )
         message = (
             r"^Serre duality fails: wedge\^0 H\^1\(-1\) has multiplicity 0 "
@@ -447,67 +495,49 @@ class TestBlockVectorGuards:
         plant(1, {-6: 1})
         with pytest.raises(
             ConsistencyError,
-            match=r"block \(r, t\) = \(2, 5\) of \(g, k\) = \(3, 1\) does not fit in dimension 6",
+            match=r"^wedge\^2 H\^1\(-t\) for t = 2\.\.5 of \(g, k\) = \(3, 1\) "
+            r"does not fit in t = 0\.\.4$",
         ):
             fano_odd_blocks(self.PARAMS)
 
     @pytest.mark.parametrize(
-        "j,kernel",
+        "j,kernel,span,room",
         [
-            (3, (-5, (1,))),  # r = 0: odd twist offset
-            (1, (6, (1,))),  # r = 2: degree 0 < r, negative twist offset
-            (3, (8, (1,))),  # degree -2
-            (2, (-3, (1, 0, 0, 0, 1, 1))),  # q^-3 and q^5 fit, q^7 is in degree -1
-            (1, (-6, (1, 0, 0, 0, 0, 0, 0, 1))),  # q^-6 does not fit, q^8 is in degree -2
+            # in centred q: q^6 in degree 0 < r = 2, a negative twist
+            (1, (3, (1,)), "-1..-1", 4),
+            (3, (7, (1,)), "-1..-1", 6),  # q^8, in degree -2
+            (2, (0, (1, 0, 0, 0, 1, 1)), "-1..4", 5),  # q^-3 and q^5 fit, q^7 does not
+            (1, (-3, (1, 0, 0, 0, 0, 0, 0, 1)), "-2..5", 4),  # q^-6 and q^8: both ends
         ],
     )
-    def test_first_offending_term_is_named_as_by_the_term_scan(
-        self, monkeypatch, fresh_odd_caches, j, kernel
+    def test_term_outside_the_block_does_not_fit(
+        self, monkeypatch, fresh_odd_caches, j, kernel, span, room
     ):
+        # the term scan of the oracle refuses each of these kernels too
         original = fano_odd.kernel_coefficients
         monkeypatch.setattr(
             fano_odd, "kernel_coefficients", lambda a, b: kernel if b == j else original(a, b)
         )
-        with pytest.raises(ConsistencyError) as by_terms:
+        with pytest.raises(ConsistencyError):
             blocks_by_kernel_terms(self.PARAMS)
-        with pytest.raises(ConsistencyError) as by_slices:
+        message = (
+            f"wedge^{3 - j} H^1(-t) for t = {span} of (g, k) = (3, 1) "
+            f"does not fit in t = 0..{room}"
+        )
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             fano_odd_blocks(self.PARAMS)
-        assert str(by_slices.value) == str(by_terms.value)
 
-    def test_zero_ends_are_trimmed(self, monkeypatch, fresh_odd_caches):
-        expected = fano_odd_blocks(self.PARAMS)
-        original = fano_odd.kernel_coefficients
-
-        def padded(a, b):
-            shift, coeffs = original(a, b)
-            return shift - 2, (0, *coeffs, 0, 0)
-
-        monkeypatch.setattr(fano_odd, "kernel_coefficients", padded)
-        assert fano_odd_blocks(self.PARAMS) == expected
-
-    @pytest.mark.parametrize(
-        "j,moved,zeros",
-        [
-            (1, 0, ()),
-            (2, 1, (0,)),  # odd twist offset
-            (3, 50, (0, 0, 0)),  # would sit below degree 0
-            (2, -50, ()),  # would sit above degree 2d
-        ],
-    )
-    def test_zero_kernel_gives_the_zero_vector(
-        self, monkeypatch, fresh_odd_caches, j, moved, zeros
-    ):
-        # the zero vector of r = 3 - j has no entry; no check raises on it
+    @pytest.mark.parametrize("j,low", [(1, 0), (2, 1), (3, 50), (2, -50)])
+    def test_zero_kernel_gives_the_zero_vector(self, monkeypatch, fresh_odd_caches, j, low):
+        # the zero vector of r = 3 - j has no entry; no check raises on it,
+        # wherever its low would put it
         expected = fano_odd_blocks(self.PARAMS)
         assert 3 - j in [r for r, _, _ in expected]
         expected = tuple(block for block in expected if block[0] != 3 - j)
         original = fano_odd.kernel_coefficients
-
-        def zero_at_j(a, b):
-            shift, coeffs = original(a, b)
-            return (shift + moved, zeros) if b == j else (shift, coeffs)
-
-        monkeypatch.setattr(fano_odd, "kernel_coefficients", zero_at_j)
+        monkeypatch.setattr(
+            fano_odd, "kernel_coefficients", lambda a, b: (low, ()) if b == j else original(a, b)
+        )
         assert fano_odd_blocks(self.PARAMS) == expected
 
     def test_cache_holds_no_corrupted_vector(self, plant, monkeypatch):

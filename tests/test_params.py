@@ -72,7 +72,7 @@ ENTRY_POINTS = [
     (projective_space_diamond, (3,), ("n",)),
     (gessel_identity_check, (2, 2), ("m", "a")),
     (chu_vandermonde_check, (4, 1, 2), ("n", "j", "k")),
-    (pascal_columns, (3,), ("n",)),
+    (pascal_columns, (3, 4), ("top", "length")),
     (kernel_coefficients, (3, 4), ("a", "b")),
     (multiplicity_kernel, (3, 4), ("a", "b")),
     (gessel_suite_report, (2, 2), ("max_m", "max_a")),
@@ -166,7 +166,8 @@ def test_warm_kernel_caches_do_not_let_floats_through():
         (chu_vandermonde_check, (2, 0, 3), "k = 3: need 0 <= k <= n = 2"),
         (chu_vandermonde_check, (3, 2, 1), "j = 2: need 0 <= j <= k = 1"),
         (chu_vandermonde_check, (3, -1, 1), "j = -1: need 0 <= j <= k = 1"),
-        (pascal_columns, (-1,), "n = -1: need n >= 0"),
+        (pascal_columns, (-1, 3), "top = -1: need top >= 0"),
+        (pascal_columns, (3, -1), "length = -1: need length >= 0"),
         (kernel_coefficients, (1, 3), "a = 1: need a >= 2"),
         (kernel_coefficients, (3, 1), "b = 1: need b >= 2"),
         (multiplicity_kernel, (3, 1), "b = 1: need b >= 2"),

@@ -146,7 +146,7 @@ class TestChuVandermonde:
     def test_matches_comb_route_up_to_60(self):
         # the dot product of the two columns is the former sum, and the
         # verdicts agree
-        columns = pascal_columns(60)
+        columns = pascal_columns(60, 61)
         for n in range(61):
             for k in range(n + 1):
                 rhs = math.comb(n + 1, k + 1)
@@ -165,14 +165,27 @@ class TestChuVandermonde:
 
 class TestPascalColumns:
     def test_entries_are_binomials_up_to_60(self):
-        columns = pascal_columns(60)
+        columns = pascal_columns(60, 61)
         for j in range(61):
-            assert columns[j][: 61 - j] == tuple(math.comb(i + j, j) for i in range(61 - j)), j
+            assert columns[j] == tuple(math.comb(i + j, j) for i in range(61)), j
 
-    def test_table_has_quadratic_size(self):
-        columns = pascal_columns(9)
-        assert [len(c) for c in columns] == list(range(10, 0, -1))
-        assert sum(map(len, columns)) == 10 * 11 // 2
+    def test_table_has_the_shape_asked_for(self):
+        assert [len(c) for c in pascal_columns(3, 5)] == [5] * 4
+        assert pascal_columns(0, 0) == ((),)
+        assert pascal_columns(2, 1) == ((1,), (1,), (1,))
+
+    def test_check_builds_only_the_columns_it_reads(self, monkeypatch):
+        # columns j and k-j, entries 0..n-k, of an n = 60 instance
+        shapes = []
+        columns = stacky.pascal_columns
+
+        def recorded(top, length):
+            shapes.append((top, length))
+            return columns(top, length)
+
+        monkeypatch.setattr(stacky, "pascal_columns", recorded)
+        assert chu_vandermonde_check(60, 3, 10) and chu_vandermonde_check(60, 50, 50)
+        assert shapes == [(7, 51), (50, 11)]
 
     @pytest.fixture
     def plant(self, monkeypatch):
@@ -181,9 +194,9 @@ class TestPascalColumns:
         columns = stacky.pascal_columns
 
         def install(j, i):
-            def planted(n):
-                table = [list(column) for column in columns(n)]
-                if i <= n - j:
+            def planted(top, length):
+                table = [list(column) for column in columns(top, length)]
+                if j <= top and i < length:
                     table[j][i] += 1
                 return tuple(map(tuple, table))
 
