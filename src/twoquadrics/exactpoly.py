@@ -358,16 +358,6 @@ def _pascal_table(width: int) -> dict[int, dict[int, int]]:
     return {}
 
 
-def gauss_packed(n: int, m: int, width: int) -> int:
-    """The Gaussian binomial [n, m]_q packed at X = 2^width, which must
-    satisfy C(n, m) < 2^(width-1) (ValueError otherwise); n and m pass
-    binomial's rule.  The checked entry to _gauss_entry."""
-    c = binomial(n, m)
-    if c.bit_length() >= width:
-        raise ValueError(f"[{n}, {m}]_q does not fit digits of width {width}")
-    return _gauss_entry(n, m, c, width)
-
-
 def _gauss_entry(n: int, m: int, c: int, width: int) -> int:
     """[n, m]_q packed at X = 2^width, given c = binomial(n, m), which the
     caller has read: c <= 1 is [n, m] itself (the edges are binomial's).

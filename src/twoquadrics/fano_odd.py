@@ -4,9 +4,10 @@ intersections of two quadrics (the hyperelliptic case).
 The cohomology is a direct sum of Tate twists of exterior powers of H^1
 of the associated genus-g hyperelliptic curve.  The copies of each
 wedge^r H^1(-t) form one kernel, a sum of two Gaussian binomials in u = L
-(exactpoly.gauss_sum) cached with nonzero ends, read backwards from a
-twist fixed by weight bookkeeping; multiplicity_kernel is its centred-q
-view.  The dense diamond is read back from the blocks' E-polynomial.
+(exactpoly.gauss_sum) cached with nonzero ends, a palindrome from u^0,
+read forwards from the twist r(g-k-1); multiplicity_kernel is its
+centred-q view.  The dense diamond is read back from the blocks'
+E-polynomial.
 """
 
 from __future__ import annotations
@@ -36,14 +37,18 @@ def kernel_coefficients(a: int, b: int) -> tuple[int, tuple[int, ...]]:
     cached, since fano_odd_blocks reads each kernel for many (g, k).
 
     K(a, b) = (1-u^{2b}) P, P = prod_{l=b-a+2}^{a+b-2} (1-u^l) /
-    prod_{l=1}^{2a-2} (1-u^l); multiplicity_kernel gives its centred q
-    form, K(a, b)(q^2) shifted by -(b-a+1)(2a-1).  Split the one factor
-    outside P: 1-u^{2b} = (1-u^{a+b-1}) + u^{a+b-1} (1-u^{b-a+1}), and
-    (1-u^{a+b-1}) P = [a+b-1, 2a-2]_u, (1-u^{b-a+1}) P = [a+b-2, 2a-2]_u,
-    so K(a, b) = [a+b-1, 2a-2]_u + u^{a+b-1} [a+b-2, 2a-2]_u, a sum of two
-    Gaussian binomials with no division, summed by exactpoly.gauss_sum in
-    the symmetric form [a+b-1, b-a+1] + u^{a+b-1} [a+b-2, b-a].  At
-    b = a-1 it gives [2a-2, 0] + 0 = 1.  At u = 1 the two binomials sum to
+    prod_{l=1}^{2a-2} (1-u^l): 2a-2 factors 1-u^l above and as many
+    below, each 1 at u = 0 and equal to -u^l (1-u^{-l}), so K(0) = 1 (low
+    is 0) and K(u) = u^D K(1/u), D = (2a-1)(b-a+1) the sum of the upper
+    l less that of the lower: K is a palindrome of degree D.
+    multiplicity_kernel gives its centred q form, K(a, b)(q^2) shifted by
+    -(b-a+1)(2a-1).  Split the one factor outside P: 1-u^{2b} =
+    (1-u^{a+b-1}) + u^{a+b-1} (1-u^{b-a+1}), and (1-u^{a+b-1}) P =
+    [a+b-1, 2a-2]_u, (1-u^{b-a+1}) P = [a+b-2, 2a-2]_u, so K(a, b) =
+    [a+b-1, 2a-2]_u + u^{a+b-1} [a+b-2, 2a-2]_u, a sum of two Gaussian
+    binomials with no division, summed by exactpoly.gauss_sum in the
+    symmetric form [a+b-1, b-a+1] + u^{a+b-1} [a+b-2, b-a].  At b = a-1
+    it gives [2a-2, 0] + 0 = 1.  At u = 1 the two binomials sum to
     C(a+b-1, 2a-2) + C(a+b-2, 2a-2) = b C(a+b-2, 2a-3) / (a-1), the
     summand count of the product form (each of the 2a-2 factors 1-u^l of
     numerator and denominator is l (1-u) to first order).
@@ -71,14 +76,13 @@ def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, int, tuple[int, .
     copies of wedge^r H^1(C)(-low-e) in its cohomology, with nonzero ends;
     an r with no copies has no entry.
 
-    The block of r is the kernel K(g-k, g-r) read backwards: its term
-    u^{low_u+e} gives that many copies of wedge^r H^1(C)(-t) with t =
-    E_r - low_u - e, E_r = ((2k-r+2)(2g-2k-1) - r)/2.  (In centred q the
-    term is q^c, c = 2(low_u+e) - (k-r+1)(2g-2k-1); it enters degree
-    m = d-c, d = (k+1)(2g-2k-1), at twist t = (m-r)/2.)  So coeffs is the
-    kernel's coefficients reversed, from low = E_r - low_u - (len-1), with
-    its nonzero ends.  Every twist is an integer, with no check: 2k-r+2
-    has the parity of r and 2g-2k-1 is odd, so 2 E_r is r - r = 0 mod 2.
+    The block of r is the kernel K(g-k, g-r) read forwards from the twist
+    r(g-k-1): its term u^{low_u+e} gives that many copies of
+    wedge^r H^1(C)(-t), t = r(g-k-1) + low_u + e.  The kernel's centred
+    term q^c enters degree m = d-c at twist (m-r)/2, d = (k+1)(2g-2k-1),
+    which reads K backwards from (d+D-r)/2, D = (k-r+1)(2g-2k-1); K is a
+    palindrome of degree D from u^0 (see kernel_coefficients), so that is
+    reading it forwards from (d-D-r)/2 = r(g-k-1).
 
     Each block must then fit (t = low..top inside 0..d-r), have no
     negative entry and obey Serre duality, as many copies at t as at
@@ -91,22 +95,21 @@ def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, int, tuple[int, .
     d = params.dimension
     blocks = []
     for r in range(k + 2):
-        low_u, kernel = kernel_coefficients(g - k, g - r)
-        if not kernel:
+        low, coeffs = kernel_coefficients(g - k, g - r)
+        if not coeffs:
             continue
-        low = ((2 * k - r + 2) * (2 * g - 2 * k - 1) - r) // 2 - low_u - (len(kernel) - 1)
-        top = low + len(kernel) - 1
+        low += r * (g - k - 1)
+        top = low + len(coeffs) - 1
         if low < 0 or top > d - r:
             raise ConsistencyError(
                 f"wedge^{r} H^1(-t) for t = {low}..{top} of (g, k) = ({g}, {k}) "
                 f"does not fit in t = 0..{d - r}"
             )
-        coeffs = kernel[::-1]
         if min(coeffs) < 0:
             raise ConsistencyError(
                 f"negative multiplicity of wedge^{r} H^1 for (g, k) = ({g}, {k})"
             )
-        if coeffs != kernel or low + top != d - r:
+        if coeffs != coeffs[::-1] or low + top != d - r:
             v = (0,) * low + coeffs + (0,) * (d - r - top)
             t = next(t for t in range(len(v)) if v[t] != v[-1 - t])
             raise ConsistencyError(

@@ -42,28 +42,26 @@ def multiplicity_coefficients(g: int, k: int, i: int) -> tuple[int, list[int]]:
     sum_e coeffs[e] L^{base+e}, with nonzero ends (no coefficients for
     the zero polynomial).
 
-    L^{i(g-k-1)} times a five-term bracket of shifted Gaussian binomials
-    in L, every contributing shift non-negative, summed by
-    exactpoly.gauss_sum.
+    In (h, j) = (g-i, k-i), M_i(g, k) = L^{i(h-j-1)} M(h, j), M(h, j) a
+    five-term bracket of shifted Gaussian binomials in L, every
+    contributing shift non-negative, summed by exactpoly.gauss_sum; each
+    of its n, m and shifts is affine in (h, j).  For i <= k, (h, j) is a
+    (g, k) pair itself and M(h, j) = M_0(h, j).
     """
     _check_gki(g, k, i)
-    n = 2 * g - k - i - 4
+    h, j = g - i, k - i
+    n = 2 * h - j - 4
     low, coeffs = gauss_sum((
-        (1, 2 * g - k - i, k + 1 - i, (0,)),
-        (-1, n, k - i, (g - k - 1, g + 2 * k - 3 * i)),
+        (1, 2 * h - j, j + 1, (0,)),
+        (-1, n, j, (h - j - 1, h + 2 * j)),
+        (-1, n, j - 1, (h - j, h, h + j, 3 * h - 3 * j - 4, 3 * h - 2 * j - 4, 3 * h - j - 4)),
         (
-            -1, n, k - i - 1,
-            (g - k, g - i, g + k - 2 * i, 3 * g - 3 * k - 4, 3 * g - 2 * k - 4 - i,
-             3 * g - k - 2 * i - 4),
+            -1, n, j - 2,
+            (3 * (h - j - 1), 3 * (h - j - 1) + 1, 3 * h - 2 * j - 3, 3 * h - 2 * j - 2),
         ),
-        (
-            -1, n, k - i - 2,
-            (3 * (g - k - 1), 3 * (g - k - 1) + 1, 3 * g - 2 * k - i - 3,
-             3 * g - 2 * k - i - 2),
-        ),
-        (-1, n, k - i - 3, (4 * (g - k) - 2,)),
+        (-1, n, j - 3, (4 * (h - j) - 2,)),
     ))
-    return i * (g - k - 1) + low, coeffs
+    return i * (h - j - 1) + low, coeffs
 
 
 def multiplicity_polynomial(g: int, k: int, i: int) -> LaurentPoly:
@@ -265,7 +263,7 @@ def verify_hochschild(g: int, k: int) -> VerificationReport:
     block_hochschild measures both sides' blocks: fano_odd_blocks, and the
     multiplicities at L = 1 by macdonald_vectors.  The Fano blocks are
     built, not summed by the kernel's closed form at one, so that their
-    parity, fit and Serre checks run here too.
+    fit, non-negativity and Serre checks run here too.
     """
     lhs = block_hochschild(g, fano_odd_blocks(OddFanoParams(g, k)))
     terms = [(i, 0, (multiplicity_at_one(g, k, i),)) for i in range(k + 2)]

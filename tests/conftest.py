@@ -14,18 +14,14 @@ from twoquadrics import exactpoly, fano_odd
 from twoquadrics.exactpoly import LaurentPoly
 
 
-def dense_plus(kernel, shift, extra):
-    """The kernel (low, coeffs) in u = q^2, whose centred-q form is shifted
-    by `shift`, plus the centred-q terms `extra` (exponent -> coefficient,
-    all of the kernel's parity), again as (low, coeffs) in u with nonzero
-    ends, the contract of gauss_sum."""
+def dense_plus(kernel, extra):
+    """The kernel (low, coeffs) in u = L plus the terms `extra` (exponent
+    of u -> coefficient), again as (low, coeffs) with nonzero ends, the
+    contract of gauss_sum."""
     low, coeffs = kernel
-    total = LaurentPoly({shift + 2 * (low + e): c for e, c in enumerate(coeffs)})
-    total += LaurentPoly(extra)
+    total = LaurentPoly({low + e: c for e, c in enumerate(coeffs)}) + LaurentPoly(extra)
     bottom = total.valuation()
-    assert all((e - shift) % 2 == 0 for e, _ in total.items()), "extra terms of the wrong parity"
-    coeffs = tuple(total.coefficient(c) for c in range(bottom, total.degree() + 1, 2))
-    return (bottom - shift) // 2, coeffs
+    return bottom, tuple(total.coefficient(e) for e in range(bottom, total.degree() + 1))
 
 
 # the cached view itself: plant_kernel replaces the module attribute
@@ -49,18 +45,15 @@ def fresh_odd_caches():
 
 @pytest.fixture
 def plant_kernel(monkeypatch, fresh_odd_caches):
-    """install(j, extra) adds the centred-q terms `extra` (those of
-    multiplicity_kernel) to the kernel of j = b in u = q^2, as
-    fano_odd_blocks reads it through fano_odd.kernel_coefficients.  Each
-    kernel is summed on its own, so the plant corrupts only the block of
-    j."""
+    """install(j, extra) adds the terms `extra` (exponent of u = L ->
+    coefficient) to the kernel of j = b, as fano_odd_blocks reads it
+    through fano_odd.kernel_coefficients.  Each kernel is summed on its
+    own, so the plant corrupts only the block of j."""
     kernel = fano_odd.kernel_coefficients
 
     def install(j, extra):
         def planted(a, b):
-            if b != j:
-                return kernel(a, b)
-            return dense_plus(kernel(a, b), -(b - a + 1) * (2 * a - 1), extra)
+            return dense_plus(kernel(a, b), extra) if b == j else kernel(a, b)
 
         monkeypatch.setattr(fano_odd, "kernel_coefficients", planted)
 

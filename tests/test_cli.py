@@ -201,9 +201,9 @@ class TestVerifyCommand:
         assert [entry[0] for entry in obj["effectivity"]] == [0, 1, 2]
 
     def test_failed_odd_report_carries_both_sides(self, capsys, plant_kernel):
-        # q^6 + q^-6 in the j = 3 kernel of (g, k) = (3, 1): one more
+        # u^0 + u^6 in the j = 3 kernel of (g, k) = (3, 1): one more
         # wedge^0 H^1(-0) and its Serre dual on the Fano side only
-        plant_kernel(3, {6: 1, -6: 1})
+        plant_kernel(3, {0: 1, 6: 1})
         code, out = run(capsys, ["verify", "odd", "--g", "3", "--k", "1", "--format", "json"])
         assert code == 1
         obj = json.loads(out)
@@ -226,7 +226,7 @@ class TestVerifyCommand:
         assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
 
     def test_failed_report_is_the_canonical_dump(self, plant_kernel):
-        plant_kernel(3, {6: 1, -6: 1})
+        plant_kernel(3, {0: 1, 6: 1})
         report = verify_decomposition(3, 1)
         assert report.status == "failed" and report.rhs is not report.lhs
         assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
@@ -563,7 +563,7 @@ class TestFailedTextReport:
         )
 
     def test_failed_decomposition_lists_its_spans(self, capsys, plant_kernel):
-        plant_kernel(3, {6: 1, -6: 1})
+        plant_kernel(3, {0: 1, 6: 1})
         code, out = run(capsys, ["verify", "odd", "--g", "3", "--k", "1"])
         assert code == 1
         lines = out.splitlines()
@@ -780,29 +780,33 @@ class TestInternalErrors:
         )
 
     def test_unbalanced_odd_diamond_is_internal(self, capsys, plant_kernel):
-        # (g, k) = (3, 1) has dimension 6; an extra q^6 in the j = g kernel
-        # is one more block (r, t) = (0, 0): right degree and parity, but
-        # two copies of wedge^0 H^1(-0) against one of its Serre dual
-        # wedge^0 H^1(-6)
+        # (g, k) = (3, 1) has dimension 6; an extra u^6 in the j = g kernel
+        # is one more block (r, t) = (0, 6), which fits, but two copies of
+        # wedge^0 H^1(-6) against one of its Serre dual wedge^0 H^1(-0)
         plant_kernel(3, {6: 1})
         assert cli.main(["diamond", "fano-odd", "--g", "3", "--k", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "twoquadrics: internal error: Serre duality fails: wedge^0 H^1(-0) has "
-            "multiplicity 2 but wedge^0 H^1(-6) has 1\n"
+            "multiplicity 1 but wedge^0 H^1(-6) has 2\n"
         )
 
     @pytest.mark.parametrize("j,kernel,message", [
-        (3, (0, (-4, 1, 2, 1, 2, 1, -4)), "negative multiplicity of wedge^0 H^1"),
-        (3, (0, (2, 1, 2, 1, 2, 1, 1)), "Serre duality fails: wedge^0 H^1(-0) has multiplicity 1"),
-        (3, (1, (1,)), "Serre duality fails: wedge^0 H^1(-1) has multiplicity 0"),  # uncentred
-        (1, (-3, (1, 0, 0, 1)), "wedge^2 H^1(-t) for t = 2..5 of (g, k) = (3, 1) does not fit"),
+        (3, (0, (-4, 1, 2, 1, 2, 1, -4)),
+         "negative multiplicity of wedge^0 H^1 for (g, k) = (3, 1)"),
+        (3, (0, (2, 1, 2, 1, 2, 1, 1)),
+         "Serre duality fails: wedge^0 H^1(-0) has multiplicity 2 but wedge^0 H^1(-6) has 1"),
+        (3, (1, (1,)),  # uncentred
+         "Serre duality fails: wedge^0 H^1(-1) has multiplicity 1 but wedge^0 H^1(-5) has 0"),
+        (1, (-3, (1, 0, 0, 1)),
+         "wedge^2 H^1(-t) for t = -1..2 of (g, k) = (3, 1) does not fit in t = 0..4"),
     ], ids=["negative", "asymmetric", "uncentred", "unfitting"])
     def test_corrupted_odd_block_is_internal(
         self, capsys, monkeypatch, fresh_odd_caches, j, kernel, message
     ):
-        # the kernel of j in u = q^2, as gauss_sum would return it
+        # the kernel of j in u = q^2, as gauss_sum would return it, read
+        # forwards from the twist r(g-k-1) = 3-j
         original = fano_odd.kernel_coefficients
         monkeypatch.setattr(
             fano_odd, "kernel_coefficients", lambda a, b: kernel if b == j else original(a, b)
@@ -810,8 +814,7 @@ class TestInternalErrors:
         assert cli.main(["verify", "odd", "--g", "3", "--k", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"twoquadrics: internal error: {message}")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"twoquadrics: internal error: {message}\n"
 
     def test_inexact_kernel_step_is_internal(self, capsys, monkeypatch, fresh_odd_caches):
         # no kernel divides any more; an inexact division planted in the

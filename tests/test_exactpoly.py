@@ -27,7 +27,6 @@ from twoquadrics.exactpoly import (
     binomial,
     exact_divide,
     gauss_coefficients,
-    gauss_packed,
     gauss_sum,
     packed_width,
     unpack,
@@ -271,9 +270,11 @@ class TestPackedCore:
 
     def test_table_rejects_a_width_too_narrow(self):
         # C(70, 35) ~ 2^66.1
-        with pytest.raises(ValueError, match="does not fit"):
-            gauss_packed(70, 35, 64)
-        assert unpack(gauss_packed(70, 35, 128), 128) == list(list_gauss_coefficients(70, 35))
+        c = binomial(70, 35)
+        message = r"^\[70, 35\]_q does not fit digits of width 64$"
+        with pytest.raises(ConsistencyError, match=message):
+            _gauss_entry(70, 35, c, 64)
+        assert unpack(_gauss_entry(70, 35, c, 128), 128) == list(list_gauss_coefficients(70, 35))
 
     def test_a_chosen_width_too_narrow_is_internal(self, monkeypatch, cold_caches):
         # a width gauss_sum picked itself must fit by its proof, so a miss
@@ -291,10 +292,11 @@ class TestPackedCore:
         for n in range(-2, 10):
             for m in range(-2, 11):
                 if n < 0 and m >= 1:
+                    # the entry's C(n, m) comes from binomial, which refuses it
                     with pytest.raises(ValueError, match=f"^n = {n}: need n >= 0$"):
-                        gauss_packed(n, m, width)
+                        _gauss_entry(n, m, binomial(n, m), width)
                     continue
-                coeffs = unpack(gauss_packed(n, m, width), width)
+                coeffs = unpack(_gauss_entry(n, m, binomial(n, m), width), width)
                 assert coeffs == list(gauss_coefficients(n, m)), (n, m)
                 assert sum(coeffs) == binomial(n, m), (n, m)
 
@@ -306,8 +308,8 @@ class TestPackedCore:
         spec = importlib.util.spec_from_file_location("bench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        gauss_packed(30, 12, 64)
-        gauss_packed(70, 35, 128)
+        _gauss_entry(30, 12, binomial(30, 12), 64)
+        _gauss_entry(70, 35, binomial(70, 35), 128)
         fano_odd.kernel_coefficients(5, 9)
         assert _pascal_table(64) and fano_odd.kernel_coefficients.cache_info().currsize
         tracing.clear_caches()

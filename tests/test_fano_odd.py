@@ -357,11 +357,11 @@ class TestFanoOddDiamond:
     def test_kernel_term_outside_degree_range_is_inconsistent(
         self, monkeypatch, fresh_odd_caches
     ):
-        # (g, k) = (3, 0) has d = 5; u^-1 in the j = 3 kernel is q^{-7}, which
-        # would put wedge^0 H^1 in degree m = 12 > 2d, at twist 6 > d
+        # (g, k) = (3, 0) has d = 5; u^-1 in the j = 3 kernel, read forwards
+        # from twist 0, would put wedge^0 H^1 at twist -1, in degree m = -2
         monkeypatch.setattr(fano_odd, "kernel_coefficients", lambda a, b: (-1, (1,)))
-        with pytest.raises(ConsistencyError, match=r"t = 6\.\.6 of \(g, k\) = \(3, 0\) "
-                           r"does not fit in t = 0\.\.5$"):
+        with pytest.raises(ConsistencyError, match=r"^wedge\^0 H\^1\(-t\) for t = -1\.\.-1 of "
+                           r"\(g, k\) = \(3, 0\) does not fit in t = 0\.\.5$"):
             fano_odd_diamond.__wrapped__(OddFanoParams(3, 0))
 
     @pytest.mark.parametrize("g", range(2, 11))
@@ -404,21 +404,17 @@ class TestFanoOddDiamond:
         assert lhs == rhs
 
 
-def twist_numerator(g, k, r):
-    """2 E_r: E_r is the twist of the u^0 term of the r kernel (see
-    fano_odd_blocks)."""
-    return (2 * k - r + 2) * (2 * g - 2 * k - 1) - r
-
-
 def binomial_form_blocks(g, k):
     """Oracle: the block vectors as two Gaussian binomials in L each,
     V_r = L^(E_r - m1(n1-m1)) [n1, m1]_L
-    + L^(E_r - n1 - (m1-1)(n1-m1)) [n1-1, m1-1]_L, n1 = 2g-k-r-1 and
-    m1 = k-r+1, summed by gauss_sum, with no kernel and no reversal."""
+    + L^(E_r - n1 - (m1-1)(n1-m1)) [n1-1, m1-1]_L, n1 = 2g-k-r-1,
+    m1 = k-r+1 and E_r = ((2k-r+2)(2g-2k-1) - r)/2, the twist of the u^0
+    term of the r kernel read backwards, summed by gauss_sum, with no
+    kernel."""
     blocks = []
     for r in range(k + 2):
         n1, m1 = 2 * g - k - r - 1, k - r + 1
-        e = twist_numerator(g, k, r) // 2
+        e = ((2 * k - r + 2) * (2 * g - 2 * k - 1) - r) // 2
         low, coeffs = gauss_sum([
             (1, n1, m1, (e - m1 * (n1 - m1),)),
             (1, n1 - 1, m1 - 1, (e - n1 - (m1 - 1) * (n1 - m1),)),
@@ -430,26 +426,20 @@ def binomial_form_blocks(g, k):
 
 class TestBinomialForm:
     """The blocks fano_odd_blocks reads off the kernels are the two-binomial
-    form of each V_r in L, and every twist they are placed at is an
-    integer, the reason fano_odd_blocks has no parity check."""
+    form of each V_r in L."""
 
     @pytest.mark.parametrize("g", range(2, 41))
     def test_blocks_are_two_binomials(self, g):
         for k in range(g - 1):
             assert fano_odd_blocks(OddFanoParams(g, k)) == binomial_form_blocks(g, k), k
 
-    def test_twist_numerator_is_even(self):
-        for g in range(2, 61):
-            for k in range(g - 1):
-                for r in range(k + 2):
-                    assert twist_numerator(g, k, r) % 2 == 0, (g, k, r)
-
 
 class TestBlockVectorGuards:
     """A corrupted kernel must raise, not yield a vector.  A kernel in
-    u = q^2 cannot put a block at a half-integer twist (see
+    u = L is read forwards from the integer twist r(g-k-1) (see
     fano_odd_blocks), so a block can only fail to fit, hold a negative
-    entry or break Serre duality."""
+    entry or break Serre duality; a planted term u^e of the j kernel lands
+    at twist 3 - j + e."""
 
     PARAMS = OddFanoParams(3, 1)  # dimension 6; r = 3 - j for j = 1..3
 
@@ -459,43 +449,51 @@ class TestBlockVectorGuards:
 
     def test_negative_entry_is_inconsistent(self, plant):
         # -5 copies each of wedge^0 H^1(-0) and its Serre dual wedge^0 H^1(-6)
-        plant(3, {6: -5, -6: -5})
-        with pytest.raises(ConsistencyError, match=r"negative multiplicity of wedge\^0 H\^1"):
+        plant(3, {0: -5, 6: -5})
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^negative multiplicity of wedge\^0 H\^1 for \(g, k\) = \(3, 1\)$",
+        ):
             fano_odd_blocks(self.PARAMS)
 
     def test_asymmetric_entry_is_inconsistent(self, plant):
         plant(3, {6: 1})
         with pytest.raises(
             ConsistencyError,
-            match=r"^Serre duality fails: wedge\^0 H\^1\(-0\) has multiplicity 2 "
-            r"but wedge\^0 H\^1\(-6\) has 1$",
+            match=r"^Serre duality fails: wedge\^0 H\^1\(-0\) has multiplicity 1 "
+            r"but wedge\^0 H\^1\(-6\) has 2$",
         ):
             fano_odd_blocks(self.PARAMS)
 
     def test_uncentred_palindrome_is_inconsistent(self, monkeypatch, fresh_odd_caches):
-        # the j = 3 kernel u^1 alone, q^-4 in centred q, gives the block
-        # (0, 5, (1,)): it fits and its coefficients are a palindrome, but
-        # t = 5 is not t = 1, its Serre dual in d - r = 6
+        # the j = 3 kernel u^1 alone gives the block (0, 1, (1,)) read
+        # forwards, and (0, 5, (1,)) in the oracle, which reads its q^-4 in
+        # centred q backwards: each fits and is a palindrome, but t = 1 and
+        # t = 5 are each other's Serre duals in d - r = 6
         original = fano_odd.kernel_coefficients
         monkeypatch.setattr(
             fano_odd, "kernel_coefficients", lambda a, b: (1, (1,)) if b == 3 else original(a, b)
         )
-        message = (
-            r"^Serre duality fails: wedge\^0 H\^1\(-1\) has multiplicity 0 "
-            r"but wedge\^0 H\^1\(-5\) has 1$"
-        )
-        with pytest.raises(ConsistencyError, match=message):
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^Serre duality fails: wedge\^0 H\^1\(-1\) has multiplicity 0 "
+            r"but wedge\^0 H\^1\(-5\) has 1$",
+        ):
             blocks_by_kernel_terms(self.PARAMS)
-        with pytest.raises(ConsistencyError, match=message):
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^Serre duality fails: wedge\^0 H\^1\(-1\) has multiplicity 1 "
+            r"but wedge\^0 H\^1\(-5\) has 0$",
+        ):
             fano_odd_blocks(self.PARAMS)
 
     def test_block_that_does_not_fit_is_inconsistent(self, plant):
-        # q^-6 in the j = 1 kernel puts wedge^2 H^1 in degree 12 = 2d with
-        # twist 5, past d - r = 4
-        plant(1, {-6: 1})
+        # u^-3 in the j = 1 kernel puts wedge^2 H^1 at twist 2 - 3 = -1,
+        # in degree 0 < r
+        plant(1, {-3: 1})
         with pytest.raises(
             ConsistencyError,
-            match=r"^wedge\^2 H\^1\(-t\) for t = 2\.\.5 of \(g, k\) = \(3, 1\) "
+            match=r"^wedge\^2 H\^1\(-t\) for t = -1\.\.2 of \(g, k\) = \(3, 1\) "
             r"does not fit in t = 0\.\.4$",
         ):
             fano_odd_blocks(self.PARAMS)
@@ -503,11 +501,11 @@ class TestBlockVectorGuards:
     @pytest.mark.parametrize(
         "j,kernel,span,room",
         [
-            # in centred q: q^6 in degree 0 < r = 2, a negative twist
-            (1, (3, (1,)), "-1..-1", 4),
-            (3, (7, (1,)), "-1..-1", 6),  # q^8, in degree -2
-            (2, (0, (1, 0, 0, 0, 1, 1)), "-1..4", 5),  # q^-3 and q^5 fit, q^7 does not
-            (1, (-3, (1, 0, 0, 0, 0, 0, 0, 1)), "-2..5", 4),  # q^-6 and q^8: both ends
+            # u^e of the j kernel at twist 3 - j + e: u^3 at twist 5 > d - r = 4
+            (1, (3, (1,)), "5..5", 4),
+            (3, (7, (1,)), "7..7", 6),  # u^7 at twist 7 > 6
+            (2, (0, (1, 0, 0, 0, 1, 1)), "1..6", 5),  # u^0 and u^4 fit, u^5 does not
+            (1, (-3, (1, 0, 0, 0, 0, 0, 0, 1)), "-1..6", 4),  # u^-3 and u^4: both ends
         ],
     )
     def test_term_outside_the_block_does_not_fit(
@@ -542,7 +540,7 @@ class TestBlockVectorGuards:
 
     def test_cache_holds_no_corrupted_vector(self, plant, monkeypatch):
         kernel = fano_odd.kernel_coefficients
-        plant(1, {-6: 1})
+        plant(1, {-3: 1})
         with pytest.raises(ConsistencyError):
             fano_odd_diamond(self.PARAMS)
         monkeypatch.setattr(fano_odd, "kernel_coefficients", kernel)

@@ -15,7 +15,12 @@ from list_routes import (
 
 from twoquadrics.curves import macdonald_vectors, sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly
-from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
+from twoquadrics.fano_odd import (
+    OddFanoParams,
+    fano_odd_blocks,
+    fano_odd_diamond,
+    kernel_coefficients,
+)
 from twoquadrics.motivic import (
     MotivicExpression,
     VerificationReport,
@@ -212,6 +217,41 @@ class TestMultiplicityPolynomial:
             poly = multiplicity_polynomial(g, k, i)
             d = (k + 1) * (2 * g - 2 * k - 1)
             assert poly.valuation() + poly.degree() == d - i, (g, k, i)
+
+
+def kernel_in_l(a, b):
+    """The kernel K(a, b) of kernel_coefficients as a LaurentPoly in
+    u = L, and 0 below its range, b < a-1."""
+    if b < a - 1:
+        return LaurentPoly.zero()
+    low, coeffs = kernel_coefficients(a, b)
+    return LaurentPoly({low + e: c for e, c in enumerate(coeffs)})
+
+
+class TestKernelSecondDifference:
+    """The decomposition identity as one statement of both sides in the
+    kernels: M_0(g, k) is a second difference in b of the kernel K(a, b)
+    the Fano blocks are read from, a = g-k, and every M_i is M_0 of
+    (g-i, k-i), twisted.  Neither side is grouped as gauss_sum groups the
+    bracket of multiplicity_coefficients."""
+
+    @pytest.mark.parametrize("g", range(2, 41))
+    def test_m0_is_a_second_difference_of_the_kernel(self, g):
+        for k in range(g - 1):
+            a = g - k
+            step = LaurentPoly({a - 1: 1, a: 1})  # (1 + L) L^(a-1)
+            expected = (
+                kernel_in_l(a, g) - step * kernel_in_l(a, g - 1)
+                + kernel_in_l(a, g - 2).shift(2 * a - 1)
+            )
+            assert multiplicity_polynomial(g, k, 0) == expected, (g, k)
+
+    @pytest.mark.parametrize("g", range(3, 41))
+    def test_mi_is_m0_of_the_smaller_pair(self, g):
+        for k in range(1, g - 1):
+            for i in range(1, k + 1):
+                expected = multiplicity_polynomial(g - i, k - i, 0).shift(i * (g - k - 1))
+                assert multiplicity_polynomial(g, k, i) == expected, (g, k, i)
 
 
 class TestMultiplicityAtOne:
@@ -436,11 +476,11 @@ class TestSharedMeasure:
 
     @pytest.fixture
     def planted(self, plant_kernel):
-        # (g, k) = (3, 1) has dimension 6; q^6 and q^-6 in the j = 3
+        # (g, k) = (3, 1) has dimension 6; u^0 and u^6 in the j = 3
         # kernel add wedge^0 H^1(-0) and its Serre dual wedge^0 H^1(-6):
         # a vector that passes every check of fano_odd_blocks but is not
         # the sum side's
-        plant_kernel(3, {6: 1, -6: 1})
+        plant_kernel(3, {0: 1, 6: 1})
 
     def test_different_vectors_measure_both_sides(self, planted):
         report = verify_decomposition(3, 1)
