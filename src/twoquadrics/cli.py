@@ -1,15 +1,15 @@
 """Command-line front end: compute diamonds, verify identities, sweep
 parameter ranges, and emit deterministic text or JSON reports with
 CI-friendly exit codes (0 verified, 1 any failure, 2 usage error or an
-unwritable --output or stdout, 3 internal error: the library caught
-itself in an inconsistency).  One table, CHECKS, drives `verify`,
-`identity` and the sweep, and DIAMONDS drives `diamond`.  The library
-functions check their own inputs (hodge.check_param and
-stacky.check_suite_bounds), and a ValueError they raise is a usage
-error; the CLI checks only which flags were given.  A sweep writes each
-report as it completes; a task that hits an internal error becomes a
-report with status "error", the other reports are still emitted and the
-sweep exits 3."""
+unwritable --output or stdout, 3 internal error: an inconsistency the
+library caught in itself, or any error the CLI does not classify, such
+as a MemoryError).  One table, CHECKS, drives `verify`, `identity` and
+the sweep, and DIAMONDS drives `diamond`.  The library functions check
+their own inputs (hodge.check_param and stacky.check_suite_bounds), and
+a ValueError they raise is a usage error; the CLI checks only which
+flags were given.  A sweep writes each report as it completes; a task
+that hits an inconsistency becomes a report with status "error", the
+other reports are still emitted and the sweep exits 3."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import time
 from typing import Callable, Collection, NamedTuple
 
 from .curves import jacobian_diamond, sym_curve_diamond
-from .exactpoly import BiPoly, InexactDivisionError, LaurentPoly
+from .exactpoly import BiPoly, LaurentPoly
 from .fano_even import EvenFanoParams, fano_even_diamond
 from .fano_odd import OddFanoParams, fano_odd_diamond
 from .hodge import ConsistencyError, check_param
@@ -227,14 +227,14 @@ def run_check(name: str, args: tuple) -> VerificationReport:
 
 def run_sweep_task(task: tuple) -> VerificationReport:
     """Run one sweep task, a (CHECKS target, parameters) pair, by
-    run_check.  An internal error becomes a report with status "error",
+    run_check.  A ConsistencyError becomes a report with status "error",
     the message in observations["error"] and elapsed_ms the time to the
-    error, so one broken task does not discard the others."""
+    error, so one inconsistent task does not discard the others."""
     name, args = task
     t0 = time.perf_counter()
     try:
         return run_check(name, args)
-    except (ConsistencyError, InexactDivisionError) as exc:
+    except ConsistencyError as exc:
         check = CHECKS[name]
         return VerificationReport(
             identity=check.identity,
@@ -533,8 +533,11 @@ def main(argv=None) -> int:
     except (CliUsageError, ValueError, OutputError) as exc:
         _error_line(f"{parser.prog}: error: {exc}")
         return 2
-    except (ConsistencyError, InexactDivisionError) as exc:
+    except ConsistencyError as exc:
         _error_line(f"{parser.prog}: internal error: {exc}")
+        return 3
+    except Exception as exc:
+        _error_line(f"{parser.prog}: internal error: {type(exc).__name__}: {exc}")
         return 3
 
 

@@ -5,8 +5,8 @@ quadrics (the stacky case).
 Here the cohomology is concentrated in even degrees and of Hodge-Tate
 type, so the diamond is determined by the even Betti numbers, which have
 a closed expression through Gaussian binomial coefficients.  The Betti
-vector is the stored form; the dense diamond is derived from it on
-request.
+vector, checked by hodge.serre_violation, is the stored form; the dense
+diamond is derived from it on request.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 
 from .curves import block_diamond
 from .exactpoly import gauss_sum
-from .hodge import ConsistencyError, FanoParams, HodgeDiamond, check_param
+from .hodge import ConsistencyError, FanoParams, HodgeDiamond, check_param, serre_violation
 
 
 class EvenFanoParams(FanoParams):
@@ -34,9 +34,11 @@ def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
     coefficients of sum_{j=0..k+1} C(2g+1, j) q^{j(g-k-1)} [2g-k-j-1, k+1-j]_q,
     summed by exactpoly.gauss_sum.
 
-    The vector is checked before it is returned: no block runs past index
-    d, its entries are non-negative, and it is a palindrome (Serre
-    duality).  A failure raises ConsistencyError.
+    The vector is checked before it is returned by hodge.serre_violation,
+    span d and index t named b_{2t}: it must fit in 0..d, be non-negative
+    and be a palindrome (Serre duality).  A failure raises
+    ConsistencyError with the rule's message, or, for a vector past d,
+    names the first block that runs past index d.
     """
     g, k = params.g, params.k
     d = params.dimension
@@ -46,7 +48,8 @@ def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
     ]
     low, coeffs = gauss_sum(blocks)
     top = low + len(coeffs) - 1
-    if top > d:
+    violation = serre_violation(coeffs, low, d, lambda t: f"b_{{{2 * t}}}")
+    if violation and top > d:
         # some block has a nonzero coefficient past degree d; name the first
         for j, (_, n, m, shifts) in enumerate(blocks):
             start, block = gauss_sum([(1, n, m, shifts)])
@@ -55,13 +58,9 @@ def fano_even_betti_numbers(params: EvenFanoParams) -> tuple[int, ...]:
                     f"block j = {j} of (g, k) = ({g}, {k}) ends at degree "
                     f"{start + len(block) - 1} > {d}"
                 )
-        raise ConsistencyError(f"Betti vector of (g, k) = ({g}, {k}) ends at degree {top} > {d}")
-    b = [0] * low + coeffs + [0] * (d - top)
-    if min(b) < 0:
-        raise ConsistencyError(f"negative Betti number for (g, k) = ({g}, {k})")
-    if b != b[::-1]:
-        raise ConsistencyError(f"Betti vector of (g, k) = ({g}, {k}) is not palindromic")
-    return tuple(b)
+    if violation:
+        raise ConsistencyError(violation)
+    return tuple([0] * low + coeffs + [0] * (d - top))
 
 
 def fano_even_betti(params: EvenFanoParams, p: int) -> int:

@@ -6,8 +6,8 @@ of the associated genus-g hyperelliptic curve.  The copies of each
 wedge^r H^1(-t) form one kernel, a sum of two Gaussian binomials in u = L
 (exactpoly.gauss_sum) cached with nonzero ends, a palindrome from u^0,
 read forwards from the twist r(g-k-1); multiplicity_kernel is its
-centred-q view.  The dense diamond is read back from the blocks'
-E-polynomial.
+centred-q view.  Each block passes hodge.serre_violation, and the dense
+diamond is read back from the blocks' E-polynomial.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 
 from .curves import block_diamond
 from .exactpoly import LaurentPoly, gauss_sum
-from .hodge import ConsistencyError, FanoParams, HodgeDiamond, check_param
+from .hodge import ConsistencyError, FanoParams, HodgeDiamond, check_param, serre_violation
 
 
 class OddFanoParams(FanoParams):
@@ -84,12 +84,12 @@ def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, int, tuple[int, .
     palindrome of degree D from u^0 (see kernel_coefficients), so that is
     reading it forwards from (d-D-r)/2 = r(g-k-1).
 
-    Each block must then fit (t = low..top inside 0..d-r), have no
-    negative entry and obey Serre duality, as many copies at t as at
-    d-r-t: with nonzero ends, coeffs is a palindrome and low + top ==
-    d - r.  Only a failure builds the vector over t = 0..d-r, to name its
-    first asymmetric t.  Fit and centring keep every block in degrees
-    m = r+2t of r..2d-r, inside 0..2d.  A failure raises ConsistencyError.
+    Each block is checked by hodge.serre_violation, span d-r and index t
+    named wedge^r H^1(-t): it must fit (t = low..top inside 0..d-r), have
+    no negative entry and obey Serre duality, as many copies at t as at
+    d-r-t.  Fit and centring keep every block in degrees m = r+2t of
+    r..2d-r, inside 0..2d.  A failure raises ConsistencyError with the
+    rule's message.
     """
     g, k = params.g, params.k
     d = params.dimension
@@ -99,23 +99,9 @@ def fano_odd_blocks(params: OddFanoParams) -> tuple[tuple[int, int, tuple[int, .
         if not coeffs:
             continue
         low += r * (g - k - 1)
-        top = low + len(coeffs) - 1
-        if low < 0 or top > d - r:
-            raise ConsistencyError(
-                f"wedge^{r} H^1(-t) for t = {low}..{top} of (g, k) = ({g}, {k}) "
-                f"does not fit in t = 0..{d - r}"
-            )
-        if min(coeffs) < 0:
-            raise ConsistencyError(
-                f"negative multiplicity of wedge^{r} H^1 for (g, k) = ({g}, {k})"
-            )
-        if coeffs != coeffs[::-1] or low + top != d - r:
-            v = (0,) * low + coeffs + (0,) * (d - r - top)
-            t = next(t for t in range(len(v)) if v[t] != v[-1 - t])
-            raise ConsistencyError(
-                f"Serre duality fails: wedge^{r} H^1(-{t}) has multiplicity {v[t]} "
-                f"but wedge^{r} H^1(-{d - r - t}) has {v[-1 - t]}"
-            )
+        violation = serre_violation(coeffs, low, d - r, lambda t: f"wedge^{r} H^1({-t})")
+        if violation:
+            raise ConsistencyError(violation)
         blocks.append((r, low, coeffs))
     return tuple(blocks)
 

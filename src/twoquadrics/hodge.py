@@ -5,12 +5,14 @@ smooth projective variety; the constructor enforces Hodge symmetry and
 Serre duality eagerly, so everything computed downstream inherits those
 guarantees.  The measures (E-polynomial, Betti numbers, Euler
 characteristic, Hochschild homology dimensions) are read off the table.
-check_param (from exactpoly) is the one rule for an integer parameter
-of every entry point, a diamond's d, p, q and m included, and
-ConsistencyError (from exactpoly too) is what a computed diamond that
-breaks a symmetry raises; Record and FrozenRecord write eq, hash, repr
-and pickling once over a field tuple, and FanoParams is the (g, k)
-FrozenRecord of both Fano cases.
+serre_violation, the one Serre-duality rule of every computed Hodge
+count, also checks the Fano block and Betti vectors.  check_param (from
+exactpoly) is the one rule for an integer parameter of every entry
+point, a diamond's d, p, q and m included, and ConsistencyError (from
+exactpoly too) is what a computed diamond that breaks a symmetry
+raises; Record and FrozenRecord write eq, hash, repr and pickling once
+over a field tuple, and FanoParams is the (g, k) FrozenRecord of both
+Fano cases.
 """
 
 from __future__ import annotations
@@ -78,58 +80,68 @@ class FanoParams(FrozenRecord):
         object.__setattr__(self, "k", k)
 
 
-def _is_valid_table(rows: tuple[tuple, ...]) -> bool:
-    """Every check of HodgeDiamond at C speed: square shape, non-negative
-    entries of type int (a bool is refused), Hodge symmetry (each row
-    equals its column) and Serre duality (each row equals the mirrored
-    row d - p reversed)."""
-    n = len(rows)
-    return (
-        all(len(row) == n for row in rows)
-        and {int}.issuperset(map(type, itertools.chain.from_iterable(rows)))
-        and min(itertools.chain.from_iterable(rows)) >= 0
-        and all(map(operator.eq, rows, zip(*rows)))
-        and all(map(operator.eq, rows, (row[::-1] for row in reversed(rows))))
-    )
-
-
-def _raise_first_violation(rows: tuple[tuple, ...]) -> None:
-    """Name the first entry, in row order, that _is_valid_table rejected."""
-    d = len(rows) - 1
-    for p, row in enumerate(rows):
-        if len(row) != d + 1:
-            raise ValueError(f"row {p} has length {len(row)}, expected {d + 1}")
-        for q, h in enumerate(row):
-            if type(h) is not int or h < 0:
-                raise ValueError(f"h^{{{p},{q}}} = {h!r} is not a non-negative integer")
-    for p in range(d + 1):
-        for q in range(p, d + 1):
-            if rows[p][q] != rows[q][p]:
-                raise ValueError(
-                    f"Hodge symmetry fails: h^{{{p},{q}}} = {rows[p][q]} "
-                    f"but h^{{{q},{p}}} = {rows[q][p]}"
-                )
-            if rows[p][q] != rows[d - p][d - q]:
-                raise ValueError(
-                    f"Serre duality fails: h^{{{p},{q}}} = {rows[p][q]} "
-                    f"but h^{{{d - p},{d - q}}} = {rows[d - p][d - q]}"
-                )
-    raise ConsistencyError("the fast diamond check rejected a table the entry check accepts")
+def serre_violation(values, low: int, span: int, label) -> str | None:
+    """The one Serre-duality rule of every computed Hodge count: the counts
+    values[e] (a non-empty list or tuple of ints) at index low + e must fit
+    in 0..span, be non-negative and read the same at t and span - t.  None
+    if they do, else the first failure as "label(low)..label(top) does not
+    fit in label(0)..label(span)", "label(t) = -1 is not a non-negative
+    integer" or "Serre duality fails: label(t) = 1 but label(span-t) = 2".
+    The check is C-level comparisons (exact for values with nonzero ends);
+    only a failure pads the values into 0..span and searches them."""
+    top = low + len(values) - 1
+    if low + top == span and low >= 0 and min(values) >= 0 and values == values[::-1]:
+        return None
+    if low < 0 or top > span:
+        return f"{label(low)}..{label(top)} does not fit in {label(0)}..{label(span)}"
+    v = [0] * low + list(values) + [0] * (span - top)
+    for t, h in enumerate(v):
+        if h < 0:
+            return f"{label(t)} = {h} is not a non-negative integer"
+    t = next((t for t, h in enumerate(v) if h != v[span - t]), None)
+    if t is not None:
+        return f"Serre duality fails: {label(t)} = {v[t]} but {label(span - t)} = {v[span - t]}"
+    return None
 
 
 class HodgeDiamond:
-    """Immutable table of Hodge numbers h^{p,q} of a d-dimensional variety."""
+    """Immutable table of Hodge numbers h^{p,q} of a d-dimensional variety.
+
+    The constructor checks a square shape, entries of type int (a bool is
+    refused), Hodge symmetry (each row equals its column), then
+    serre_violation on the row-major list, entry i = h^{p,q} for (p, q) =
+    divmod(i, d+1): Serre duality h^{p,q} = h^{d-p,d-q} says that this
+    list is a palindrome.  Each check is C-level and searches only on a
+    failure, which is a ValueError."""
 
     __slots__ = ("_dim", "_h")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
-        d = len(rows) - 1
-        if d < 0:
+        n = len(rows)
+        if not n:
             raise ValueError("a Hodge diamond needs at least the (0, 0) entry")
-        if not _is_valid_table(rows):
-            _raise_first_violation(rows)
-        self._dim = d
+        for p, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"row {p} has length {len(row)}, expected {n}")
+        flat = tuple(itertools.chain.from_iterable(rows))
+
+        def label(i: int) -> str:
+            return "h^{%d,%d}" % divmod(i, n)
+
+        if not {int}.issuperset(map(type, flat)):
+            i = next(i for i, h in enumerate(flat) if type(h) is not int)
+            raise ValueError(f"{label(i)} = {flat[i]!r} is not of type int")
+        if not all(map(operator.eq, rows, zip(*rows))):
+            p, q = next((p, q) for p in range(n) for q in range(n) if rows[p][q] != rows[q][p])
+            raise ValueError(
+                f"Hodge symmetry fails: h^{{{p},{q}}} = {rows[p][q]} "
+                f"but h^{{{q},{p}}} = {rows[q][p]}"
+            )
+        violation = serre_violation(flat, 0, n * n - 1, label)
+        if violation:
+            raise ValueError(violation)
+        self._dim = n - 1
         self._h = rows
 
     @classmethod

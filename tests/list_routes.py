@@ -17,6 +17,8 @@ former object encoder of cli, are the oracle of the report text that
 cli.report_json writes directly.  `gauss_binomial`, `eval_at_one` and
 `multiplicity`, former library views of the Gaussian binomials and the
 multiplicity kernel, are kept for the tests that read them.
+`padded_serre_violation` is the naive oracle of hodge.serre_violation:
+it scatters the counts into 0..span before it checks anything.
 
 Every function here can record the largest |value| it forms: pass a
 `seen` list and each intermediate coefficient list is appended to it.
@@ -361,3 +363,24 @@ def report_to_json_obj(report):
         "observations": {k: report.observations[k] for k in sorted(report.observations)},
         "elapsed_ms": report.elapsed_ms,
     }
+
+
+def padded_serre_violation(values, low, span):
+    """Oracle of hodge.serre_violation(values, low, span, str): the counts
+    values[e] scattered term by term into a list over 0..span, then the
+    rule's three checks in its order (every index low + e inside 0..span,
+    every entry non-negative, the list equal to its reverse), the first
+    failure worded as the rule words it with index t named "t"."""
+    top = low + len(values) - 1
+    if not all(0 <= low + e <= span for e in range(len(values))):
+        return f"{low}..{top} does not fit in 0..{span}"
+    v = [0] * (span + 1)
+    for e, h in enumerate(values):
+        v[low + e] = h
+    for t in range(span + 1):
+        if v[t] < 0:
+            return f"{t} = {v[t]} is not a non-negative integer"
+    if v != v[::-1]:
+        t = min(t for t in range(span + 1) if v[t] != v[span - t])
+        return f"Serre duality fails: {t} = {v[t]} but {span - t} = {v[span - t]}"
+    return None

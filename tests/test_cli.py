@@ -684,16 +684,15 @@ class TestInternalErrors:
     """An inconsistency inside the library is exit 3, not a traceback, not
     a failed identity (1) and not a usage error (2)."""
 
-    @pytest.mark.parametrize("error", [ConsistencyError, InexactDivisionError])
     @pytest.mark.parametrize(
         "target,argv",
         [
             ("fano_even_betti_numbers", ["verify", "even", "--g", "3", "--k", "1"]),
         ],
     )
-    def test_exit_code_three(self, capsys, monkeypatch, error, target, argv):
+    def test_exit_code_three(self, capsys, monkeypatch, target, argv):
         def broken(*args):
-            raise error("planted inconsistency")
+            raise ConsistencyError("planted inconsistency")
 
         monkeypatch.setattr(stacky, target, broken)
         assert cli.main(argv) == 3
@@ -702,15 +701,14 @@ class TestInternalErrors:
         assert captured.err == "twoquadrics: internal error: planted inconsistency\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("error", [ConsistencyError, InexactDivisionError])
-    def test_sweep_keeps_other_reports(self, capsys, monkeypatch, error, jobs):
+    def test_sweep_keeps_other_reports(self, capsys, monkeypatch, jobs):
         argv = ["sweep", *TestSweepCommand.ARGS, "--format", "json", "--jobs", jobs]
         _, clean = run(capsys, argv)
         verify_decomposition = cli.verify_decomposition
 
         def broken(g, k):
             if (g, k) == (3, 1):
-                raise error("planted inconsistency")
+                raise ConsistencyError("planted inconsistency")
             return verify_decomposition(g, k)
 
         monkeypatch.setattr(cli, "verify_decomposition", broken)
@@ -788,19 +786,19 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "twoquadrics: internal error: Serre duality fails: wedge^0 H^1(-0) has "
-            "multiplicity 1 but wedge^0 H^1(-6) has 2\n"
+            "twoquadrics: internal error: Serre duality fails: wedge^0 H^1(0) = 1 "
+            "but wedge^0 H^1(-6) = 2\n"
         )
 
     @pytest.mark.parametrize("j,kernel,message", [
         (3, (0, (-4, 1, 2, 1, 2, 1, -4)),
-         "negative multiplicity of wedge^0 H^1 for (g, k) = (3, 1)"),
+         "wedge^0 H^1(0) = -4 is not a non-negative integer"),
         (3, (0, (2, 1, 2, 1, 2, 1, 1)),
-         "Serre duality fails: wedge^0 H^1(-0) has multiplicity 2 but wedge^0 H^1(-6) has 1"),
+         "Serre duality fails: wedge^0 H^1(0) = 2 but wedge^0 H^1(-6) = 1"),
         (3, (1, (1,)),  # uncentred
-         "Serre duality fails: wedge^0 H^1(-1) has multiplicity 1 but wedge^0 H^1(-5) has 0"),
+         "Serre duality fails: wedge^0 H^1(-1) = 1 but wedge^0 H^1(-5) = 0"),
         (1, (-3, (1, 0, 0, 1)),
-         "wedge^2 H^1(-t) for t = -1..2 of (g, k) = (3, 1) does not fit in t = 0..4"),
+         "wedge^2 H^1(1)..wedge^2 H^1(-2) does not fit in wedge^2 H^1(0)..wedge^2 H^1(-4)"),
     ], ids=["negative", "asymmetric", "uncentred", "unfitting"])
     def test_corrupted_odd_block_is_internal(
         self, capsys, monkeypatch, fresh_odd_caches, j, kernel, message
@@ -816,9 +814,52 @@ class TestInternalErrors:
         assert captured.out == ""
         assert captured.err == f"twoquadrics: internal error: {message}\n"
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda c: c + [0, 1], "b_{0}..b_{12} does not fit in b_{0}..b_{8}"),
+        (lambda c: [-1] + c[1:], "b_{0} = -1 is not a non-negative integer"),
+        (lambda c: [2] + c[1:], "Serre duality fails: b_{0} = 2 but b_{8} = 1"),
+    ], ids=["unfitting", "negative", "asymmetric"])
+    def test_corrupted_betti_vector_is_internal(self, capsys, monkeypatch, edit, message):
+        # (g, k) = (3, 1) has dimension 4; the sum of its blocks is planted,
+        # each block summed alone is not, so no block runs past d
+        gauss_sum = fano_even.gauss_sum
+
+        def planted(groups):
+            low, coeffs = gauss_sum(groups)
+            return (low, edit(coeffs)) if len(groups) > 1 else (low, coeffs)
+
+        monkeypatch.setattr(fano_even, "gauss_sum", planted)
+        assert cli.main(["diamond", "fano-even", "--g", "3", "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"twoquadrics: internal error: {message}\n"
+
+    def test_unclassified_error_is_internal(self, capsys, monkeypatch):
+        # any error the CLI does not classify is exit 3, named by its type,
+        # not a traceback and not the exit 1 of a failed identity
+        def broken(g):
+            raise TypeError("planted fault")
+
+        monkeypatch.setattr(cli, "verify_k0_identity", broken)
+        assert cli.main(["verify", "k0", "--g", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "twoquadrics: internal error: TypeError: planted fault\n"
+
+    def test_killed_sweep_worker_is_internal(self, capsys, monkeypatch):
+        # a worker that dies breaks the pool; the sweep stops with exit 3
+        def killed(g, k):
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "verify_hochschild", killed)
+        assert cli.main(["sweep", *TestSweepCommand.ARGS, "--jobs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("twoquadrics: internal error: BrokenProcessPool: ")
+        assert err.count("\n") == 1
+
     def test_inexact_kernel_step_is_internal(self, capsys, monkeypatch, fresh_odd_caches):
         # no kernel divides any more; an inexact division planted in the
-        # kernel's route is still reported as itself
+        # kernel's route is reported by its type, as any unclassified error
         def inexact(groups):
             raise InexactDivisionError("polynomial division by 1 - q^6 is not exact")
 
@@ -827,7 +868,8 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "twoquadrics: internal error: polynomial division by 1 - q^6 is not exact\n"
+            "twoquadrics: internal error: InexactDivisionError: "
+            "polynomial division by 1 - q^6 is not exact\n"
         )
 
 
@@ -1006,10 +1048,11 @@ class TestOutputFile:
         monkeypatch.setattr(cli, "verify_hochschild", broken)
         target = tmp_path / "sweep.json"
         argv = ["sweep", *TestSweepCommand.ARGS, "--format", "json", "--output", str(target)]
-        with pytest.raises(RuntimeError, match="planted failure"):
-            cli.main(argv)
+        assert cli.main(argv) == 3
         assert list(tmp_path.iterdir()) == []
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "twoquadrics: internal error: RuntimeError: planted failure\n"
 
 
 class TestClosedStdout:

@@ -360,8 +360,8 @@ class TestFanoOddDiamond:
         # (g, k) = (3, 0) has d = 5; u^-1 in the j = 3 kernel, read forwards
         # from twist 0, would put wedge^0 H^1 at twist -1, in degree m = -2
         monkeypatch.setattr(fano_odd, "kernel_coefficients", lambda a, b: (-1, (1,)))
-        with pytest.raises(ConsistencyError, match=r"^wedge\^0 H\^1\(-t\) for t = -1\.\.-1 of "
-                           r"\(g, k\) = \(3, 0\) does not fit in t = 0\.\.5$"):
+        message = "wedge^0 H^1(1)..wedge^0 H^1(1) does not fit in wedge^0 H^1(0)..wedge^0 H^1(-5)"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             fano_odd_diamond.__wrapped__(OddFanoParams(3, 0))
 
     @pytest.mark.parametrize("g", range(2, 11))
@@ -452,7 +452,7 @@ class TestBlockVectorGuards:
         plant(3, {0: -5, 6: -5})
         with pytest.raises(
             ConsistencyError,
-            match=r"^negative multiplicity of wedge\^0 H\^1 for \(g, k\) = \(3, 1\)$",
+            match=r"^wedge\^0 H\^1\(0\) = -4 is not a non-negative integer$",
         ):
             fano_odd_blocks(self.PARAMS)
 
@@ -460,8 +460,7 @@ class TestBlockVectorGuards:
         plant(3, {6: 1})
         with pytest.raises(
             ConsistencyError,
-            match=r"^Serre duality fails: wedge\^0 H\^1\(-0\) has multiplicity 1 "
-            r"but wedge\^0 H\^1\(-6\) has 2$",
+            match=r"^Serre duality fails: wedge\^0 H\^1\(0\) = 1 but wedge\^0 H\^1\(-6\) = 2$",
         ):
             fano_odd_blocks(self.PARAMS)
 
@@ -482,8 +481,7 @@ class TestBlockVectorGuards:
             blocks_by_kernel_terms(self.PARAMS)
         with pytest.raises(
             ConsistencyError,
-            match=r"^Serre duality fails: wedge\^0 H\^1\(-1\) has multiplicity 1 "
-            r"but wedge\^0 H\^1\(-5\) has 0$",
+            match=r"^Serre duality fails: wedge\^0 H\^1\(-1\) = 1 but wedge\^0 H\^1\(-5\) = 0$",
         ):
             fano_odd_blocks(self.PARAMS)
 
@@ -493,8 +491,8 @@ class TestBlockVectorGuards:
         plant(1, {-3: 1})
         with pytest.raises(
             ConsistencyError,
-            match=r"^wedge\^2 H\^1\(-t\) for t = -1\.\.2 of \(g, k\) = \(3, 1\) "
-            r"does not fit in t = 0\.\.4$",
+            match=r"^wedge\^2 H\^1\(1\)\.\.wedge\^2 H\^1\(-2\) "
+            r"does not fit in wedge\^2 H\^1\(0\)\.\.wedge\^2 H\^1\(-4\)$",
         ):
             fano_odd_blocks(self.PARAMS)
 
@@ -518,9 +516,11 @@ class TestBlockVectorGuards:
         )
         with pytest.raises(ConsistencyError):
             blocks_by_kernel_terms(self.PARAMS)
+        low, top = map(int, span.split(".."))
+        r = 3 - j
         message = (
-            f"wedge^{3 - j} H^1(-t) for t = {span} of (g, k) = (3, 1) "
-            f"does not fit in t = 0..{room}"
+            f"wedge^{r} H^1({-low})..wedge^{r} H^1({-top}) "
+            f"does not fit in wedge^{r} H^1(0)..wedge^{r} H^1({-room})"
         )
         with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             fano_odd_blocks(self.PARAMS)

@@ -1,19 +1,15 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
-from list_routes import eval_at_one, kunneth
+from list_routes import eval_at_one, kunneth, padded_serre_violation
 
 from twoquadrics.curves import curve_diamond, sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, fano_even_diamond
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_diamond
-from twoquadrics.hodge import (
-    ConsistencyError,
-    HodgeDiamond,
-    _is_valid_table,
-    _raise_first_violation,
-)
+from twoquadrics.hodge import HodgeDiamond, serre_violation
 
 
 def curve(g):
@@ -64,45 +60,94 @@ def geometric_diamonds(draw):
     return fano_even_diamond(EvenFanoParams(g, k))
 
 
+@st.composite
+def placed_counts(draw):
+    """(values, low, span) for serre_violation: a list or tuple of small
+    ints with inner and outer zeros at any low, negative ones included,
+    and any span; half the time a palindrome placed at most two places
+    off centre, so that each check is reached and the fast path passes."""
+    kind = draw(st.sampled_from((list, tuple)))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=8))
+        return kind(values), draw(st.integers(-3, 6)), draw(st.integers(0, 12))
+    half = draw(st.lists(st.integers(-1, 3), min_size=1, max_size=4))
+    values = half + half[::-1][draw(st.integers(0, 1)):]
+    low = draw(st.integers(-2, 4))
+    span = max(0, 2 * low + len(values) - 1 + draw(st.integers(-2, 2)))
+    return kind(values), low, span
+
+
+class TestSerreRule:
+    @given(placed_counts())
+    def test_agrees_with_the_padded_oracle(self, case):
+        values, low, span = case
+        assert serre_violation(values, low, span, str) == padded_serre_violation(values, low, span)
+
+    @pytest.mark.parametrize("values,low,span,message", [
+        ((1, 2, 1), 0, 2, None),
+        ((0, 1, 0), 1, 4, None),  # zero ends: the search finds no failure
+        ((1, 1), -1, 1, "t-1..t0 does not fit in t0..t1"),
+        ((1, 1), 1, 1, "t1..t2 does not fit in t0..t1"),
+        ((1, -1, 1), 0, 2, "t1 = -1 is not a non-negative integer"),
+        ((2, 0, 1), 0, 2, "Serre duality fails: t0 = 2 but t2 = 1"),
+        ((1,), 1, 3, "Serre duality fails: t1 = 1 but t2 = 0"),
+    ])
+    def test_names_the_first_failure(self, values, low, span, message):
+        assert serre_violation(values, low, span, lambda t: f"t{t}") == message
+
+
 class TestConstructor:
     def test_rejects_hodge_asymmetry(self):
-        with pytest.raises(ValueError, match="Hodge symmetry"):
+        message = "Hodge symmetry fails: h^{0,1} = 2 but h^{1,0} = 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HodgeDiamond(((1, 2), (3, 1)))
 
     def test_rejects_duality_violation(self):
-        with pytest.raises(ValueError, match="Serre duality"):
+        message = "Serre duality fails: h^{0,0} = 2 but h^{1,1} = 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HodgeDiamond(((2, 1), (1, 1)))
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match=r"h\^\{0,1\} = -1 is not a non-negative"):
+        with pytest.raises(ValueError, match=r"^h\^\{0,1\} = -1 is not a non-negative integer$"):
             HodgeDiamond(((1, -1), (-1, 1)))
 
     def test_rejects_non_integer_entries(self):
-        with pytest.raises(ValueError, match=r"h\^\{1,1\} = 1.0 is not a non-negative"):
+        with pytest.raises(ValueError, match=r"^h\^\{1,1\} = 1.0 is not of type int$"):
             HodgeDiamond(((1, 0), (0, 1.0)))
 
     def test_rejects_ragged_table(self):
-        with pytest.raises(ValueError, match="row 1 has length 1, expected 2"):
+        with pytest.raises(ValueError, match="^row 1 has length 1, expected 2$"):
             HodgeDiamond(((1, 0), (0,)))
 
     def test_rejects_bool_entries(self):
         # a bool is an int, so a table of bools used to pass and reach JSON
-        # as true/false; it is refused like 1.0, by both checks
-        assert not _is_valid_table(((1, True), (True, 1)))
-        with pytest.raises(ValueError, match=r"^h\^\{0,1\} = True is not a non-negative integer$"):
+        # as true/false; the type check refuses it like 1.0
+        with pytest.raises(ValueError, match=r"^h\^\{0,1\} = True is not of type int$"):
             HodgeDiamond(((1, True), (True, 1)))
         with pytest.raises(ValueError, match=r"^h\^\{0,0\} = False is not"):
             HodgeDiamond(((False,),))
 
     @given(small_diamonds(), st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
-    def test_fast_check_agrees_with_entry_loop(self, dia, p, q, delta):
+    def test_table_check_agrees_with_entry_loop(self, dia, p, q, delta):
+        # the diamond's own Hodge symmetry check comes first, then the rule:
+        # its sign check, then Serre duality on the row-major list
         table = [list(row) for row in dia.rows()]
         p, q = p % len(table), q % len(table)
         table[p][q] += delta
         rows = tuple(map(tuple, table))
-        expected = ConsistencyError if _is_valid_table(rows) else ValueError
-        with pytest.raises(expected):
-            _raise_first_violation(rows)
+        d = len(rows) - 1
+        cells = [(p, q, h) for p, row in enumerate(rows) for q, h in enumerate(row)]
+        if any(h != rows[q][p] for p, q, h in cells):
+            expected = "^Hodge symmetry fails: "
+        elif any(h < 0 for _, _, h in cells):
+            expected = r"^h\^\{\d,\d\} = -\d is not a non-negative integer$"
+        elif any(h != rows[d - p][d - q] for p, q, h in cells):
+            expected = "^Serre duality fails: "
+        else:
+            assert HodgeDiamond(rows).rows() == rows
+            return
+        with pytest.raises(ValueError, match=expected):
+            HodgeDiamond(rows)
 
     def test_point(self):
         assert POINT.dimension == 0
