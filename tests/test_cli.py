@@ -681,8 +681,9 @@ class TestSweepCommand:
 
 
 class TestInternalErrors:
-    """An inconsistency inside the library is exit 3, not a traceback, not
-    a failed identity (1) and not a usage error (2)."""
+    """An inconsistency inside the library, or any error the CLI does not
+    classify, is exit 3 with one stderr line, not a traceback, not a
+    failed identity (1) and not a usage error (2)."""
 
     @pytest.mark.parametrize(
         "target,argv",
