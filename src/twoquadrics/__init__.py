@@ -9,6 +9,7 @@ from .curves import (
 )
 from .exactpoly import (
     BiPoly,
+    ConsistencyError,
     InexactDivisionError,
     LaurentPoly,
     binomial,
@@ -28,7 +29,7 @@ from .fano_odd import (
     fano_odd_diamond,
     multiplicity_kernel,
 )
-from .hodge import ConsistencyError, HodgeDiamond
+from .hodge import HodgeDiamond
 from .motivic import (
     MotivicExpression,
     VerificationReport,

@@ -4,12 +4,14 @@ CI-friendly exit codes (0 verified, 1 any failure, 2 usage error or an
 unwritable --output or stdout, 3 internal error: an inconsistency the
 library caught in itself, or any error the CLI does not classify, such
 as a MemoryError).  One table, CHECKS, drives `verify`, `identity` and
-the sweep, and DIAMONDS drives `diamond`.  The library functions check
-their own inputs (hodge.check_param and stacky.check_suite_bounds), and
-a ValueError they raise is a usage error; the CLI checks only which
-flags were given.  A sweep writes each report as it completes; a task
-that hits an inconsistency becomes a report with status "error", the
-other reports are still emitted and the sweep exits 3."""
+the sweep, and DIAMONDS drives `diamond`.  The runner returns each
+check's wall time beside its report, and the writers take both.  The
+library functions check their own inputs (exactpoly.check_param and
+stacky.check_suite_bounds), and a ValueError they raise is a usage
+error; the CLI checks only which flags were given.  A sweep writes each
+report as it completes; a task that hits an inconsistency becomes a
+report with status "error", the other reports are still emitted and the
+sweep exits 3."""
 
 from __future__ import annotations
 
@@ -26,10 +28,9 @@ import time
 from typing import Callable, Collection, NamedTuple
 
 from .curves import jacobian_diamond, sym_curve_diamond
-from .exactpoly import BiPoly, LaurentPoly
+from .exactpoly import BiPoly, ConsistencyError, LaurentPoly, check_param
 from .fano_even import EvenFanoParams, fano_even_diamond
 from .fano_odd import OddFanoParams, fano_odd_diamond
-from .hodge import ConsistencyError, check_param
 from .motivic import (
     ERROR,
     VERIFIED,
@@ -78,9 +79,9 @@ def _side_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def report_to_json_obj(report: VerificationReport) -> dict:
-    """The report as a JSON object: report_json parsed back."""
-    return json.loads(report_json(report))
+def report_to_json_obj(report: VerificationReport, elapsed_ms: int) -> dict:
+    """The report and its time as a JSON object: report_json parsed back."""
+    return json.loads(report_json(report, elapsed_ms))
 
 
 def canonical_json(obj) -> str:
@@ -90,11 +91,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def report_json(report: VerificationReport) -> str:
-    """The canonical dump of the report, with each side written as text by
-    _side_json and spliced into the dump of the report with both sides
-    null; a side that is the other side (a verified decomposition) is
-    written once.
+def report_json(report: VerificationReport, elapsed_ms: int) -> str:
+    """The canonical dump of the report and its time, with each side
+    written as text by _side_json and spliced into the dump of the report
+    with both sides null; a side that is the other side (a verified
+    decomposition) is written once.
 
     The report object's keys sort as effectivity, elapsed_ms, identity,
     lhs, observations, params, rhs, status.  No value before "lhs" is an
@@ -112,7 +113,7 @@ def report_json(report: VerificationReport) -> str:
         "rhs": None,
         "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
         "observations": report.observations,
-        "elapsed_ms": report.elapsed_ms,
+        "elapsed_ms": elapsed_ms,
     }
     head, _, rest = canonical_json(skeleton).partition('"lhs":null')
     middle, _, tail = rest.rpartition('"rhs":null')
@@ -142,12 +143,13 @@ def _params_text(report: VerificationReport) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
 
 
-def report_to_text(report: VerificationReport) -> str:
-    """One head line; a report that is not verified adds its sides (an
-    error report has none) and then every observation, one line each in
-    key order, a string as it is and any other value as JSON."""
+def report_to_text(report: VerificationReport, elapsed_ms: int) -> str:
+    """One head line with the time; a report that is not verified adds
+    its sides (an error report has none) and then every observation, one
+    line each in key order, a string as it is and any other value as
+    JSON."""
     head = {VERIFIED: "PASS", ERROR: "ERROR"}.get(report.status, "FAIL")
-    lines = [f"{head} {report.identity} {_params_text(report)} ({report.elapsed_ms} ms)"]
+    lines = [f"{head} {report.identity} {_params_text(report)} ({elapsed_ms} ms)"]
     if report.verified:
         return lines[0]
     if report.status != ERROR:
@@ -216,35 +218,34 @@ def _ms_since(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def run_check(name: str, args: tuple) -> VerificationReport:
-    """Run the check CHECKS[name] on `args` and stamp the report's
-    elapsed_ms; the one runner of `verify`, `identity` and the sweep."""
+def run_check(name: str, args: tuple) -> tuple[VerificationReport, int]:
+    """Run the check CHECKS[name] on `args`: its report and its wall time
+    in ms; the one runner of `verify`, `identity` and the sweep."""
     t0 = time.perf_counter()
     report = CHECKS[name].run(*args)
-    report.elapsed_ms = _ms_since(t0)
-    return report
+    return report, _ms_since(t0)
 
 
-def run_sweep_task(task: tuple) -> VerificationReport:
+def run_sweep_task(task: tuple) -> tuple[VerificationReport, int]:
     """Run one sweep task, a (CHECKS target, parameters) pair, by
-    run_check.  A ConsistencyError becomes a report with status "error",
-    the message in observations["error"] and elapsed_ms the time to the
-    error, so one inconsistent task does not discard the others."""
+    run_check.  A ConsistencyError becomes a report with status "error"
+    and the message in observations["error"], timed to the error, so one
+    inconsistent task does not discard the others."""
     name, args = task
     t0 = time.perf_counter()
     try:
         return run_check(name, args)
     except ConsistencyError as exc:
         check = CHECKS[name]
-        return VerificationReport(
+        report = VerificationReport(
             identity=check.identity,
             params=dict(zip(check.params, args)),
             status=ERROR,
             lhs=None,
             rhs=None,
             observations={"error": str(exc)},
-            elapsed_ms=_ms_since(t0),
         )
+        return report, _ms_since(t0)
 
 
 def sweep_tasks(max_g, max_g_even, max_m, max_a, max_n) -> list[tuple]:
@@ -277,11 +278,12 @@ def worker_count(jobs: int, n_tasks: int) -> int:
 
 
 def run_sweep(tasks: list[tuple], jobs: int = 1):
-    """Run the sweep tasks `tasks` (see sweep_tasks), yielding the reports
-    in task order as they complete, so the output never depends on worker
-    scheduling.  Workers run at most two tasks each ahead of the report
-    being yielded, so at most that many finished reports wait in memory,
-    however large the ranges."""
+    """Run the sweep tasks `tasks` (see sweep_tasks), yielding the
+    (report, elapsed_ms) pairs of run_sweep_task in task order as they
+    complete, so the output never depends on worker scheduling.  Workers
+    run at most two tasks each ahead of the report being yielded, so at
+    most that many finished reports wait in memory, however large the
+    ranges."""
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         yield from map(run_sweep_task, tasks)
@@ -378,8 +380,8 @@ def _cmd_check(args, write) -> int:
     """Run one check, a `verify` target or an `identity` suite, and write
     its report; an internal error reaches main, so nothing is written."""
     flags = SUITE_FLAGS if args.command == "identity" else VERIFY_FLAGS
-    report = run_check(args.target, _flags(args, CHECKS[args.target].params, flags))
-    write(report_json(report) if args.format == "json" else report_to_text(report) + "\n")
+    report, ms = run_check(args.target, _flags(args, CHECKS[args.target].params, flags))
+    write(report_json(report, ms) if args.format == "json" else report_to_text(report, ms) + "\n")
     return 0 if report.verified else 1
 
 
@@ -395,7 +397,7 @@ def _cmd_sweep(args, write) -> int:
     total = failed = errors = 0
     if as_json:
         write('{"reports":[')
-    for report in run_sweep(tasks, args.jobs):
+    for report, ms in run_sweep(tasks, args.jobs):
         if report.status == ERROR:
             errors += 1
             _error_line(
@@ -405,9 +407,9 @@ def _cmd_sweep(args, write) -> int:
         if as_json:
             if total:
                 write(",")
-            write(report_json(report)[:-1])
+            write(report_json(report, ms)[:-1])
         else:
-            write(report_to_text(report) + "\n")
+            write(report_to_text(report, ms) + "\n")
         total += 1
         failed += not report.verified
     summary = {"failed": failed, "total": total, "verified": total - failed}

@@ -3,7 +3,7 @@ Jacobians and projective spaces; macdonald_vectors, the one expansion
 of symmetric powers of a curve into Tate-twisted blocks (r, low, coeffs);
 and their two measures: block_e_polynomial, the one expansion into Hodge
 numbers, which block_diamond reads back as a diamond, and block_hochschild.
-Every g and n of a diamond passes hodge.check_param."""
+Every g and n of a diamond passes exactpoly.check_param."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .exactpoly import BiPoly, LaurentPoly, _nonzero_ends
-from .hodge import ConsistencyError, HodgeDiamond, check_param
+from .exactpoly import BiPoly, ConsistencyError, LaurentPoly, _nonzero_ends, check_param
+from .hodge import HodgeDiamond
 
 Blocks = Iterable[tuple[int, int, Sequence[int]]]  # (r, low, coeffs) block vectors
 

@@ -320,19 +320,16 @@ def _digits_holding(x: int, width: int) -> int:
     return (abs(x).bit_length() + _LIMB_BITS + width) // width
 
 
-def unpack(x: int, width: int, length: int | None = None) -> list[int]:
-    """The dense coefficients of the packed polynomial x: `length` of
-    them, or, when length is None, up to the highest nonzero one (none
-    for x = 0).  OverflowError when x has no `length`-digit form.
+def unpack(x: int, width: int) -> list[int]:
+    """The dense coefficients of the packed polynomial x, up to the
+    highest nonzero one (none for x = 0).
 
     At C level, with H the half digits (each 2^(width-1)): x + H makes
     every digit non-negative and ^ H flips each digit's top bit back to
     two's complement; the bytes are cast to 64-bit limbs, the top limb of
     each digit read signed, and lower limbs, if any, are shifted in by
     maps."""
-    trim = length is None
-    if trim:
-        length = _digits_holding(x, width)
+    length = _digits_holding(x, width)
     half = _half_digits(width, length)
     data = ((x + half) ^ half).to_bytes(length * width // 8, sys.byteorder)
     limbs = width // _LIMB_BITS
@@ -344,9 +341,8 @@ def unpack(x: int, width: int, length: int | None = None) -> list[int]:
                 map(operator.add, map(operator.lshift, digits, itertools.repeat(_LIMB_BITS)),
                     unsigned[t::limbs].tolist())
             )
-    if trim:
-        while digits and not digits[-1]:
-            digits.pop()
+    while digits and not digits[-1]:
+        digits.pop()
     return digits
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 
 from .curves import block_diamond
-from .exactpoly import gauss_sum
-from .hodge import ConsistencyError, FanoParams, HodgeDiamond, check_param, serre_violation
+from .exactpoly import ConsistencyError, check_param, gauss_sum
+from .hodge import FanoParams, HodgeDiamond, serre_violation
 
 
 class EvenFanoParams(FanoParams):

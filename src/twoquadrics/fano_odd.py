@@ -15,8 +15,8 @@ from __future__ import annotations
 import functools
 
 from .curves import block_diamond
-from .exactpoly import LaurentPoly, gauss_sum
-from .hodge import ConsistencyError, FanoParams, HodgeDiamond, check_param, serre_violation
+from .exactpoly import ConsistencyError, LaurentPoly, check_param, gauss_sum
+from .hodge import FanoParams, HodgeDiamond, serre_violation
 
 
 class OddFanoParams(FanoParams):

@@ -8,11 +8,9 @@ characteristic, Hochschild homology dimensions) are read off the table.
 serre_violation, the one Serre-duality rule of every computed Hodge
 count, also checks the Fano block and Betti vectors.  check_param (from
 exactpoly) is the one rule for an integer parameter of every entry
-point, a diamond's d, p, q and m included, and ConsistencyError (from
-exactpoly too) is what a computed diamond that breaks a symmetry
-raises; Record and FrozenRecord write eq, hash, repr and pickling once
-over a field tuple, and FanoParams is the (g, k) FrozenRecord of both
-Fano cases.
+point, a diamond's d, p, q and m included.  Record, the one record base,
+writes an immutable value's init, eq, hash, repr and pickling once over
+a field tuple, and FanoParams is the (g, k) Record of both Fano cases.
 """
 
 from __future__ import annotations
@@ -20,27 +18,40 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .exactpoly import BiPoly, ConsistencyError, LaurentPoly, check_param
+from .exactpoly import BiPoly, LaurentPoly, check_param
 
 
 class Record:
-    """A value record over the field names _FIELDS: equal exactly when the
-    class and every field agree, with a repr and pickling that read the
-    fields in that order (each subclass's __init__ takes them so);
-    unhashable, as its fields may be reassigned."""
+    """An immutable value record over the field names _FIELDS, which
+    __init__ sets in that order (a subclass's __init__ checks or fills
+    them first): equal exactly when the class and every field agree,
+    hashed as the field tuple (so a record with a dict field is
+    unhashable), with a repr and pickling that read the fields in that
+    order.  Assigning or deleting a field raises AttributeError."""
 
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
 
+    def __init__(self, *values):
+        for name, value in zip(self._FIELDS, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
@@ -50,23 +61,7 @@ class Record:
         return type(self), self._values()
 
 
-class FrozenRecord(Record):
-    """An immutable Record, hashed as its field tuple; __init__ sets the
-    fields by object.__setattr__."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
-class FanoParams(FrozenRecord):
+class FanoParams(Record):
     """Parameters (g, k) of the Fano scheme of k-planes on a smooth
     intersection of two quadrics, ints with 2 <= g and 0 <= k <= g-2;
     each case subclasses it with its dimension."""
@@ -76,6 +71,8 @@ class FanoParams(FrozenRecord):
     def __init__(self, g: int, k: int):
         check_param("g", g, 2)
         check_param("k", k, 0, g - 2, "g-2")
+        # set directly, a third of the time of Record.__init__: every
+        # multiplicity polynomial checks its (g, k) through one of these
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "k", k)
 

@@ -7,8 +7,9 @@ computes the multiplicity polynomials M_i exactly and at L = 1, and
 checks the decomposition after the E-polynomial and Hochschild measures
 (both sides as blocks, the sum by curves.macdonald_vectors), together
 with the k = 0 and k = g-2 cross-checks.  Failure is data, not an
-exception: every verifier returns a report carrying both sides.  Every
-g, k and i passes hodge.check_param, (g, k) through FanoParams.
+exception: every verifier returns a report carrying both sides, an
+immutable record with no time in it.  Every g, k and i passes
+exactpoly.check_param, (g, k) through FanoParams.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .curves import (
     macdonald_vectors,
     projective_space_diamond,
 )
-from .exactpoly import BiPoly, LaurentPoly, binomial, gauss_sum
+from .exactpoly import BiPoly, LaurentPoly, binomial, check_param, gauss_sum
 from .fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
-from .hodge import FanoParams, FrozenRecord, Record, check_param
+from .hodge import FanoParams, Record
 
 VERIFIED = "verified"
 FAILED = "failed"
@@ -93,7 +94,7 @@ def bgmn_multiplicity(g: int, i: int) -> LaurentPoly:
     return LaurentPoly.power_sum((i, 3 * g - 3 - 2 * i))
 
 
-class MotivicExpression(FrozenRecord):
+class MotivicExpression(Record):
     """Formal sum over i of P_i(L) [Sym^i C] for a genus-g curve; the i = 0
     term stands for the point class.  Zero multiplicities are dropped.
     An immutable record of (genus, terms)."""
@@ -101,8 +102,7 @@ class MotivicExpression(FrozenRecord):
     __slots__ = _FIELDS = ("genus", "terms")
 
     def __init__(self, genus: int, terms: tuple[tuple[int, LaurentPoly], ...]):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "terms", terms)
+        super().__init__(genus, terms)
 
     @classmethod
     def from_terms(cls, genus, mapping) -> "MotivicExpression":
@@ -141,14 +141,14 @@ class VerificationReport(Record):
 
     Carries both sides so that a mismatch is diagnosable; status is
     "verified" exactly when the sides agree and every effectivity check
-    passes.  A mutable Record: two reports are equal when every field
-    is.  The builders leave elapsed_ms at 0; the CLI's runner
-    (cli.run_check) stamps it.
+    passes.  An immutable Record, unhashable as its params and
+    observations are dicts; it carries no time, so two reports of the
+    same check are equal.  The CLI's runner (cli.run_check) returns the
+    wall time beside the report.
     """
 
-    _FIELDS = (
+    __slots__ = _FIELDS = (
         "identity", "params", "status", "lhs", "rhs", "effectivity", "observations",
-        "elapsed_ms",
     )
 
     def __init__(
@@ -160,16 +160,11 @@ class VerificationReport(Record):
         rhs: Any,
         effectivity: tuple[tuple[int, bool], ...] = (),
         observations: dict[str, Any] | None = None,
-        elapsed_ms: int = 0,
     ):
-        self.identity = identity
-        self.params = params
-        self.status = status
-        self.lhs = lhs
-        self.rhs = rhs
-        self.effectivity = effectivity
-        self.observations = {} if observations is None else observations
-        self.elapsed_ms = elapsed_ms
+        super().__init__(
+            identity, params, status, lhs, rhs, effectivity,
+            {} if observations is None else observations,
+        )
 
     @property
     def verified(self) -> bool:

@@ -12,7 +12,7 @@ as VerificationReports.  The Chu-Vandermonde suite checks each n one
 Pascal row at a time, by additions against a row of math.comb;
 chu_vandermonde_check, the check of one instance, is its oracle in the
 tests.  Every function checks its own integer inputs through
-hodge.check_param: the (g, k) of the stacky counts, the parameters of
+exactpoly.check_param: the (g, k) of the stacky counts, the parameters of
 each identity instance, and the bounds of the two suites
 (check_suite_bounds, which the CLI's sweep calls too).
 """
@@ -23,8 +23,8 @@ import itertools
 import math
 import operator
 
+from .exactpoly import check_param
 from .fano_even import EvenFanoParams, euler_closed_form, fano_even_betti_numbers
-from .hodge import check_param
 from .motivic import FAILED, VERIFIED, VerificationReport
 
 
@@ -98,7 +98,7 @@ def chu_vandermonde_check(n: int, j: int, k: int) -> bool:
 def check_suite_bounds(max_m: int = 0, max_a: int = 0, max_n: int = 0) -> None:
     """The rule for the bounds of the identity suites, which the suites
     and the sweep's task list share: each bound an int >= 0
-    (hodge.check_param) and max_a even, so a suite never reports more
+    (exactpoly.check_param) and max_a even, so a suite never reports more
     than it checked."""
     check_param("max_m", max_m, 0)
     check_param("max_a", max_a, 0)

@@ -34,6 +34,7 @@ import operator
 
 from twoquadrics.exactpoly import (
     BiPoly,
+    ConsistencyError,
     InexactDivisionError,
     LaurentPoly,
     _nonzero_ends,
@@ -41,7 +42,7 @@ from twoquadrics.exactpoly import (
     gauss_coefficients,
 )
 from twoquadrics.fano_odd import multiplicity_kernel
-from twoquadrics.hodge import ConsistencyError, HodgeDiamond
+from twoquadrics.hodge import HodgeDiamond
 from twoquadrics.motivic import multiplicity_at_one
 
 
@@ -349,9 +350,9 @@ def payload(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def report_to_json_obj(report):
-    """The report as a JSON object, built field by field; its canonical
-    dump is what cli.report_json writes."""
+def report_to_json_obj(report, elapsed_ms):
+    """The report and its time as a JSON object, built field by field; its
+    canonical dump is what cli.report_json writes."""
     lhs = payload(report.lhs)
     return {
         "identity": report.identity,
@@ -361,7 +362,7 @@ def report_to_json_obj(report):
         "rhs": lhs if report.rhs is report.lhs else payload(report.rhs),
         "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
         "observations": {k: report.observations[k] for k in sorted(report.observations)},
-        "elapsed_ms": report.elapsed_ms,
+        "elapsed_ms": elapsed_ms,
     }
 
 

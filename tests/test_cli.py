@@ -13,9 +13,8 @@ from hypothesis import given, strategies as st
 from list_routes import payload, report_to_json_obj
 
 from twoquadrics import cli, exactpoly, fano_even, fano_odd, motivic, stacky
-from twoquadrics.exactpoly import BiPoly, InexactDivisionError, LaurentPoly
+from twoquadrics.exactpoly import BiPoly, ConsistencyError, InexactDivisionError, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
-from twoquadrics.hodge import ConsistencyError
 from twoquadrics.motivic import (
     VERIFIED,
     MotivicExpression,
@@ -93,18 +92,16 @@ def collected_sweep_tasks(max_g, max_g_even, max_m, max_a, max_n):
 
 def collected_sweep_output(ranges, fmt):
     """Oracle: the former sweep output, built from every report collected,
-    sorted and then serialized as one document, elapsed times zeroed."""
-    reports = [cli.run_sweep_task(t) for t in collected_sweep_tasks(*ranges)]
+    sorted and then serialized as one document with every time 0."""
+    reports = [cli.run_sweep_task(t)[0] for t in collected_sweep_tasks(*ranges)]
     reports.sort(key=report_sort_key)
-    for report in reports:
-        report.elapsed_ms = 0
     failed = sum(not r.verified for r in reports)
     if fmt == "json":
         return cli.canonical_json({
-            "reports": [report_to_json_obj(r) for r in reports],
+            "reports": [report_to_json_obj(r, 0) for r in reports],
             "summary": {"failed": failed, "total": len(reports), "verified": len(reports) - failed},
         })
-    lines = [cli.report_to_text(r) for r in reports]
+    lines = [cli.report_to_text(r, 0) for r in reports]
     lines.append(f"verified {len(reports) - failed}/{len(reports)}")
     return "\n".join(lines) + "\n"
 
@@ -130,14 +127,15 @@ observation_values = st.none() | big_ints | tricky_text | st.lists(st.integers(-
 
 @st.composite
 def reports(draw):
-    """Random reports: rhs either is lhs or is drawn on its own, and the
-    observations may hold "lhs"/"rhs" keys set to None."""
+    """Random (report, elapsed_ms) pairs, the time drawn on its own: rhs
+    either is lhs or is drawn on its own, and the observations may hold
+    "lhs"/"rhs" keys set to None."""
     lhs = draw(sides)
     rhs = lhs if draw(st.booleans()) else draw(sides)
     observations = draw(st.dictionaries(
         tricky_text | st.sampled_from(["lhs", "rhs"]), observation_values, max_size=4
     ))
-    return VerificationReport(
+    report = VerificationReport(
         identity=draw(tricky_text),
         params=draw(st.dictionaries(st.text(max_size=3), big_ints, max_size=3)),
         status=draw(st.sampled_from(["verified", "failed", "error"]) | tricky_text),
@@ -145,8 +143,8 @@ def reports(draw):
         rhs=rhs,
         effectivity=tuple(draw(st.lists(st.tuples(st.integers(0, 9), st.booleans())))),
         observations=observations,
-        elapsed_ms=draw(st.integers(0, 10**6)),
     )
+    return report, draw(st.integers(0, 10**6))
 
 
 def zero_elapsed(out):
@@ -223,22 +221,22 @@ class TestVerifyCommand:
         # container types included
         report = verify_decomposition(g, k)
         assert report.verified and report.rhs is report.lhs
-        assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
+        assert cli.report_json(report, 0) == cli.canonical_json(report_to_json_obj(report, 0))
 
     def test_failed_report_is_the_canonical_dump(self, plant_kernel):
         plant_kernel(3, {0: 1, 6: 1})
         report = verify_decomposition(3, 1)
         assert report.status == "failed" and report.rhs is not report.lhs
-        assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
+        assert cli.report_json(report, 0) == cli.canonical_json(report_to_json_obj(report, 0))
 
     @given(reports())
-    def test_report_json_is_the_canonical_dump(self, report):
-        assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
+    def test_report_json_is_the_canonical_dump(self, timed):
+        assert cli.report_json(*timed) == cli.canonical_json(report_to_json_obj(*timed))
 
     @given(reports())
-    def test_report_object_is_the_oracle_object(self, report):
-        expected = cli.canonical_json(report_to_json_obj(report))
-        assert cli.canonical_json(cli.report_to_json_obj(report)) == expected
+    def test_report_object_is_the_oracle_object(self, timed):
+        expected = cli.canonical_json(report_to_json_obj(*timed))
+        assert cli.canonical_json(cli.report_to_json_obj(*timed)) == expected
 
     @staticmethod
     def sorted_side_json(value):
@@ -265,7 +263,7 @@ class TestVerifyCommand:
             identity='a "lhs":null b', params={"g": 2}, status='"rhs":null', lhs=side, rhs=side,
             observations={"rhs": None, "lhs": None},
         )
-        assert cli.report_json(report) == cli.canonical_json(report_to_json_obj(report))
+        assert cli.report_json(report, 0) == cli.canonical_json(report_to_json_obj(report, 0))
 
     def test_bgmn_past_the_recursion_limit(self, capsys):
         # the Gaussian binomials of g = 600 reach m = 599, too deep for a
@@ -304,7 +302,8 @@ class TestVerifyCommand:
                 lhs=euler,
                 rhs=euler_closed_form(30, 14),
                 observations={"collection_length": str(stacky_collection_length(30, 14))},
-            )
+            ),
+            0,
         )
         del dense["elapsed_ms"]
         assert body == dense
@@ -493,9 +492,18 @@ class TestChecksTable:
         )
 
     def test_library_reports_carry_no_time(self):
-        # the runner stamps elapsed_ms; the builders leave it at 0
-        assert verify_decomposition(3, 1).elapsed_ms == 0
-        assert stacky.gessel_suite_report(2, 2).elapsed_ms == 0
+        for report in (verify_decomposition(3, 1), stacky.gessel_suite_report(2, 2)):
+            assert "elapsed_ms" not in report._FIELDS
+            assert not hasattr(report, "elapsed_ms")
+
+    @pytest.mark.parametrize(
+        "name,args,build",
+        [("odd", (3, 1), verify_decomposition), ("gessel", (2, 2), stacky.gessel_suite_report)],
+    )
+    def test_runner_returns_the_time_beside_the_builders_report(self, name, args, build):
+        report, elapsed_ms = cli.run_check(name, args)
+        assert type(elapsed_ms) is int and elapsed_ms >= 0
+        assert report == build(*args)
 
 
 class TestFailedTextReport:
@@ -743,10 +751,10 @@ class TestInternalErrors:
             raise ConsistencyError("planted inconsistency")
 
         monkeypatch.setattr(cli, "verify_hochschild", broken)
-        report = cli.run_sweep_task(("hochschild", (3, 1)))
+        report, elapsed_ms = cli.run_sweep_task(("hochschild", (3, 1)))
         assert report.status == "error"
         assert report.params == {"g": 3, "k": 1}
-        assert report.elapsed_ms >= 50
+        assert elapsed_ms >= 50
 
     def test_single_check_lets_the_internal_error_through(self, monkeypatch):
         def broken(g):

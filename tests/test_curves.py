@@ -15,10 +15,10 @@ from twoquadrics.curves import (
     projective_space_diamond,
     sym_curve_diamond,
 )
-from twoquadrics.exactpoly import BiPoly, LaurentPoly
+from twoquadrics.exactpoly import BiPoly, ConsistencyError, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, fano_even_betti_numbers, fano_even_diamond
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, fano_odd_diamond
-from twoquadrics.hodge import ConsistencyError, HodgeDiamond
+from twoquadrics.hodge import HodgeDiamond
 from twoquadrics.motivic import multiplicity_coefficients
 
 

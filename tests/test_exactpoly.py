@@ -210,6 +210,14 @@ class TestGaussBinomial:
                 assert coeffs == coeffs[::-1]
 
 
+def trimmed(coeffs):
+    """coeffs without its trailing zeros: the one decode of unpack."""
+    ends = list(coeffs)
+    while ends and not ends[-1]:
+        ends.pop()
+    return ends
+
+
 class TestPackedCore:
     """pack/unpack, the width rule and the packed Pascal table, against
     the former list routes."""
@@ -228,25 +236,19 @@ class TestPackedCore:
         ):
             x = pack(coeffs, width)
             assert x == sum(c << (width * e) for e, c in enumerate(coeffs))
-            assert unpack(x, width, len(coeffs)) == coeffs
-            ends = list(coeffs)
-            while ends and not ends[-1]:
-                ends.pop()
-            assert unpack(x, width) == ends
+            assert unpack(x, width) == trimmed(coeffs)
 
     @given(st.sampled_from([64, 128, 192]), st.data())
     def test_round_trip(self, width, data):
         top = (1 << (width - 1)) - 1
         coeffs = data.draw(st.lists(st.integers(-top, top), max_size=8))
-        assert unpack(pack(coeffs, width), width, len(coeffs)) == coeffs
+        assert unpack(pack(coeffs, width), width) == trimmed(coeffs)
 
     def test_digits_outside_the_width_are_rejected(self):
         with pytest.raises(OverflowError):
             pack([1 << 63], 64)
         with pytest.raises(OverflowError):
             pack([-(1 << 127) - 1], 128)
-        with pytest.raises(OverflowError):
-            unpack(1 << 64, 64, 1)  # needs a second digit
 
     @pytest.mark.parametrize(
         "bound,width",

@@ -22,6 +22,7 @@ from twoquadrics import fano_odd
 from twoquadrics.curves import curve_diamond, projective_space_diamond
 from twoquadrics.exactpoly import (
     BiPoly,
+    ConsistencyError,
     LaurentPoly,
     _pascal_table,
     binomial,
@@ -36,7 +37,7 @@ from twoquadrics.fano_odd import (
     kernel_coefficients,
     multiplicity_kernel,
 )
-from twoquadrics.hodge import ConsistencyError, HodgeDiamond
+from twoquadrics.hodge import HodgeDiamond
 
 # the full g=4, k=1 diamond: nonzero entries and their symmetric/dual images
 G4K1_NONZERO = {

@@ -1,10 +1,9 @@
-"""The one integer rule, exactpoly.check_param (which hodge imports for
-the modules above it), behind every integer parameter of an entry
-point: the (g, k, i, n) of the Fano and curve routes, the identity
-checks, their suite bounds and the sweep's ranges, the (n, m) of
-binomial and gauss_coefficients, and a diamond's p, q, m and d: a value
-that is not a plain int is a TypeError naming the parameter, and one
-out of range a ValueError with a fixed text."""
+"""The one integer rule, exactpoly.check_param, behind every integer
+parameter of an entry point: the (g, k, i, n) of the Fano and curve
+routes, the identity checks, their suite bounds and the sweep's ranges,
+the (n, m) of binomial and gauss_coefficients, and a diamond's p, q, m
+and d: a value that is not a plain int is a TypeError naming the
+parameter, and one out of range a ValueError with a fixed text."""
 
 import re
 
