@@ -107,12 +107,12 @@ def report_json(report: VerificationReport, elapsed_ms: int) -> str:
     rhs = lhs if report.rhs is report.lhs else _side_json(report.rhs)
     skeleton = {
         "identity": report.identity,
-        "params": report.params,
+        "params": dict(report.params),
         "status": report.status,
         "lhs": None,
         "rhs": None,
         "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
-        "observations": report.observations,
+        "observations": dict(report.observations),
         "elapsed_ms": elapsed_ms,
     }
     head, _, rest = canonical_json(skeleton).partition('"lhs":null')
@@ -140,7 +140,7 @@ def _pretty_side(value, var: str) -> str:
 
 
 def _params_text(report: VerificationReport) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
+    return " ".join(f"{k}={v}" for k, v in report.params)
 
 
 def report_to_text(report: VerificationReport, elapsed_ms: int) -> str:
@@ -159,7 +159,7 @@ def report_to_text(report: VerificationReport, elapsed_ms: int) -> str:
         bad = [i for i, ok in report.effectivity if not ok]
         if bad:
             lines.append(f"  non-effective multiplicities at i = {bad}")
-    for key, value in sorted(report.observations.items()):
+    for key, value in report.observations:
         lines.append(f"  {key}: {value if isinstance(value, str) else json.dumps(value)}")
     return "\n".join(lines)
 
@@ -229,8 +229,8 @@ def run_check(name: str, args: tuple) -> tuple[VerificationReport, int]:
 def run_sweep_task(task: tuple) -> tuple[VerificationReport, int]:
     """Run one sweep task, a (CHECKS target, parameters) pair, by
     run_check.  A ConsistencyError becomes a report with status "error"
-    and the message in observations["error"], timed to the error, so one
-    inconsistent task does not discard the others."""
+    and the message as its one observation, "error", timed to the error,
+    so one inconsistent task does not discard the others."""
     name, args = task
     t0 = time.perf_counter()
     try:
@@ -402,7 +402,7 @@ def _cmd_sweep(args, write) -> int:
             errors += 1
             _error_line(
                 f"twoquadrics: internal error: {report.identity} {_params_text(report)}: "
-                f"{report.observations['error']}"
+                f"{dict(report.observations)['error']}"
             )
         if as_json:
             if total:

@@ -233,8 +233,8 @@ class BiPoly(_SparsePoly):
 
     __mul__ = __rmul__ = _SparsePoly._product
 
-    def pretty(self, x: str = "x", y: str = "y") -> str:
-        return self._pretty(lambda k: "*".join(filter(None, (_power(x, k[0]), _power(y, k[1])))))
+    def pretty(self) -> str:
+        return self._pretty(lambda k: "*".join(filter(None, map(_power, "xy", k))))
 
 
 def check_param(name: str, value, low: int | None = None, high: int | None = None,

@@ -10,7 +10,8 @@ count, also checks the Fano block and Betti vectors.  check_param (from
 exactpoly) is the one rule for an integer parameter of every entry
 point, a diamond's d, p, q and m included.  Record, the one record base,
 writes an immutable value's init, eq, hash, repr and pickling once over
-a field tuple, and FanoParams is the (g, k) Record of both Fano cases.
+a field tuple, as for HodgeDiamond; FanoParams is the (g, k) Record of
+both Fano cases, and its static check the one (g, k) rule.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ class Record:
     """An immutable value record over the field names _FIELDS, which
     __init__ sets in that order (a subclass's __init__ checks or fills
     them first): equal exactly when the class and every field agree,
-    hashed as the field tuple (so a record with a dict field is
-    unhashable), with a repr and pickling that read the fields in that
-    order.  Assigning or deleting a field raises AttributeError."""
+    hashed as the field tuple, with a repr and pickling that read the
+    fields in that order, so unpickling runs the subclass's checks.
+    Assigning or deleting a field raises AttributeError."""
 
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
@@ -69,12 +70,14 @@ class FanoParams(Record):
     __slots__ = _FIELDS = ("g", "k")
 
     def __init__(self, g: int, k: int):
+        self.check(g, k)
+        super().__init__(g, k)
+
+    @staticmethod
+    def check(g: int, k: int) -> None:
+        """The (g, k) rule, building no record: 2 <= g, 0 <= k <= g-2."""
         check_param("g", g, 2)
         check_param("k", k, 0, g - 2, "g-2")
-        # set directly, a third of the time of Record.__init__: every
-        # multiplicity polynomial checks its (g, k) through one of these
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "k", k)
 
 
 def serre_violation(values, low: int, span: int, label) -> str | None:
@@ -101,17 +104,18 @@ def serre_violation(values, low: int, span: int, label) -> str | None:
     return None
 
 
-class HodgeDiamond:
-    """Immutable table of Hodge numbers h^{p,q} of a d-dimensional variety.
+class HodgeDiamond(Record):
+    """Immutable table of Hodge numbers h^{p,q} of a d-dimensional variety,
+    a Record over the row tuple _h.
 
     The constructor checks a square shape, entries of type int (a bool is
     refused), Hodge symmetry (each row equals its column), then
     serre_violation on the row-major list, entry i = h^{p,q} for (p, q) =
     divmod(i, d+1): Serre duality h^{p,q} = h^{d-p,d-q} says that this
     list is a palindrome.  Each check is C-level and searches only on a
-    failure, which is a ValueError."""
+    failure, which is a ValueError; unpickling runs them too."""
 
-    __slots__ = ("_dim", "_h")
+    __slots__ = _FIELDS = ("_h",)
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -138,8 +142,7 @@ class HodgeDiamond:
         violation = serre_violation(flat, 0, n * n - 1, label)
         if violation:
             raise ValueError(violation)
-        self._dim = n - 1
-        self._h = rows
+        super().__init__(rows)
 
     @classmethod
     def from_e_polynomial(cls, e: BiPoly, d: int) -> "HodgeDiamond":
@@ -156,11 +159,11 @@ class HodgeDiamond:
 
     @property
     def dimension(self) -> int:
-        return self._dim
+        return len(self._h) - 1
 
     def hodge_number(self, p: int, q: int) -> int:
-        check_param("p", p, 0, self._dim, "d")
-        check_param("q", q, 0, self._dim, "d")
+        check_param("p", p, 0, self.dimension, "d")
+        check_param("q", q, 0, self.dimension, "d")
         return self._h[p][q]
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -168,13 +171,13 @@ class HodgeDiamond:
 
     def betti(self, m: int) -> int:
         """m-th Betti number, the sum of h^{p,q} over p + q = m."""
-        d = self._dim
+        d = self.dimension
         check_param("m", m, 0, 2 * d, "2d")
         return sum(self._h[p][m - p] for p in range(max(0, m - d), min(d, m) + 1))
 
     def betti_numbers(self) -> tuple[int, ...]:
         """All Betti numbers b_0..b_{2d}: row p is added in at offset p."""
-        d = self._dim
+        d = self.dimension
         b = [0] * (2 * d + 1)
         for p, row in enumerate(self._h):
             b[p:p + d + 1] = map(operator.add, b[p:p + d + 1], row)
@@ -206,7 +209,7 @@ class HodgeDiamond:
     def to_text(self) -> str:
         """Centered diamond layout: row m holds h^{p,q} with p + q = m,
         p - q increasing left to right."""
-        d = self._dim
+        d = self.dimension
         rows = []
         for m in range(2 * d + 1):
             lo, hi = max(0, m - d), min(d, m)
@@ -217,15 +220,7 @@ class HodgeDiamond:
         return "\n".join(line.center(width).rstrip() for line in lines)
 
     def to_json_obj(self) -> dict:
-        return {"dimension": self._dim, "hodge": [list(row) for row in self._h]}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HodgeDiamond):
-            return NotImplemented
-        return self._h == other._h
-
-    def __hash__(self) -> int:
-        return hash(self._h)
+        return {"dimension": self.dimension, "hodge": [list(row) for row in self._h]}
 
     def __repr__(self) -> str:
-        return f"HodgeDiamond(dimension={self._dim})"
+        return f"HodgeDiamond(dimension={self.dimension})"

@@ -8,8 +8,8 @@ checks the decomposition after the E-polynomial and Hochschild measures
 (both sides as blocks, the sum by curves.macdonald_vectors), together
 with the k = 0 and k = g-2 cross-checks.  Failure is data, not an
 exception: every verifier returns a report carrying both sides, an
-immutable record with no time in it.  Every g, k and i passes
-exactpoly.check_param, (g, k) through FanoParams.
+immutable record with no time in it, frozen to its leaves.  Every g, k
+and i passes exactpoly.check_param, (g, k) through FanoParams.check.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ ERROR = "error"  # a sweep task that raised an internal error
 
 
 def _check_gki(g: int, k: int, i: int) -> None:
-    FanoParams(g, k)
+    FanoParams.check(g, k)
     check_param("i", i, 0, k + 1, "k+1")
 
 
@@ -136,15 +136,20 @@ class MotivicExpression(Record):
         return tuple((i, poly.is_effective()) for i, poly in self.terms)
 
 
+def _frozen(value):
+    """value with every list in it, at any depth, made a tuple."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
 class VerificationReport(Record):
     """Structured pass/fail record for one identity instance.
 
     Carries both sides so that a mismatch is diagnosable; status is
     "verified" exactly when the sides agree and every effectivity check
-    passes.  An immutable Record, unhashable as its params and
-    observations are dicts; it carries no time, so two reports of the
-    same check are equal.  The CLI's runner (cli.run_check) returns the
-    wall time beside the report.
+    passes.  An immutable, hashable Record down to its leaves: params and
+    observations (dicts, or pairs) are stored as (key, value) pairs in key
+    order with every list made a tuple.  With no time in it, two reports
+    of one check are equal; cli.run_check returns the time beside it.
     """
 
     __slots__ = _FIELDS = (
@@ -162,8 +167,8 @@ class VerificationReport(Record):
         observations: dict[str, Any] | None = None,
     ):
         super().__init__(
-            identity, params, status, lhs, rhs, effectivity,
-            {} if observations is None else observations,
+            identity, _frozen(sorted(dict(params).items())), status, lhs, rhs, effectivity,
+            _frozen(sorted(dict(observations or ()).items())),
         )
 
     @property

@@ -43,7 +43,7 @@ def stacky_collection_length(g: int, k: int) -> int:
     The ranks come from two running sums, not one fonarev_rank call per
     i: fonarev_rank(g, i) = fonarev_rank(g, i-1) + S_i with
     S_i = sum_{t<=i} C(2g+1, t)."""
-    EvenFanoParams(g, k)
+    EvenFanoParams.check(g, k)
     total = partial = rank = 0
     for i in range(k + 2):
         partial += math.comb(2 * g + 1, i)

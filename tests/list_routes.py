@@ -356,12 +356,12 @@ def report_to_json_obj(report, elapsed_ms):
     lhs = payload(report.lhs)
     return {
         "identity": report.identity,
-        "params": {k: report.params[k] for k in sorted(report.params)},
+        "params": dict(report.params),
         "status": report.status,
         "lhs": lhs,
         "rhs": lhs if report.rhs is report.lhs else payload(report.rhs),
         "effectivity": [[i, bool(ok)] for i, ok in report.effectivity],
-        "observations": {k: report.observations[k] for k in sorted(report.observations)},
+        "observations": dict(report.observations),
         "elapsed_ms": elapsed_ms,
     }
 

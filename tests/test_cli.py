@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import os
+import pickle
 import re
 import stat
 import subprocess
@@ -69,7 +71,7 @@ def run_python(code):
 
 def report_sort_key(report):
     """The former sort key of the collected sweep reports."""
-    return (report.identity, tuple(sorted(report.params.items())))
+    return (report.identity, report.params)
 
 
 def collected_sweep_tasks(max_g, max_g_even, max_m, max_a, max_n):
@@ -578,8 +580,8 @@ class TestFailedTextReport:
         assert [line.split(":")[0] for line in lines[1:]] == [
             "  lhs", "  rhs", "  multiplicity_spans",
         ]
-        spans = [[i, base, top] for i, base, top in json.loads(lines[-1].split(": ", 1)[1])]
-        assert spans == verify_decomposition(3, 1).observations["multiplicity_spans"]
+        spans = tuple((i, base, top) for i, base, top in json.loads(lines[-1].split(": ", 1)[1]))
+        assert verify_decomposition(3, 1).observations == (("multiplicity_spans", spans),)
 
 
 class TestSweepCommand:
@@ -753,7 +755,7 @@ class TestInternalErrors:
         monkeypatch.setattr(cli, "verify_hochschild", broken)
         report, elapsed_ms = cli.run_sweep_task(("hochschild", (3, 1)))
         assert report.status == "error"
-        assert report.params == {"g": 3, "k": 1}
+        assert report.params == (("g", 3), ("k", 1))
         assert elapsed_ms >= 50
 
     def test_single_check_lets_the_internal_error_through(self, monkeypatch):
@@ -880,6 +882,78 @@ class TestInternalErrors:
             "twoquadrics: internal error: InexactDivisionError: "
             "polynomial division by 1 - q^6 is not exact\n"
         )
+
+
+class TestFrozenReports:
+    """Every report the sweep runs is a value down to its leaves: params
+    and observations are (key, value) pairs with no list or dict in them,
+    and the JSON written from them is the bytes it always was."""
+
+    RANGES = (3, 3, 2, 2, 3)  # one instance or more of every CHECKS target
+    # sha256 of the report_json(report, 0) of each sweep report in task
+    # order and then of the planted error report, recorded while params
+    # and observations were still dicts
+    DIGEST = "46bf1bfc20228b4b3436278864d78738d5599b555698f007337594c99204b6b3"
+    ERROR_JSON = (
+        '{"effectivity":[],"elapsed_ms":0,"identity":"hochschild-decomposition","lhs":null,'
+        '"observations":{"error":"planted inconsistency"},"params":{"g":3,"k":1},'
+        '"rhs":null,"status":"error"}\n'
+    )
+
+    @staticmethod
+    def sweep_reports():
+        return [cli.run_sweep_task(task)[0] for task in cli.sweep_tasks(*TestFrozenReports.RANGES)]
+
+    @staticmethod
+    def error_report(monkeypatch):
+        def broken(g, k):
+            raise ConsistencyError("planted inconsistency")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "verify_hochschild", broken)
+            return cli.run_sweep_task(("hochschild", (3, 1)))[0]
+
+    @staticmethod
+    def frozen(value) -> bool:
+        if isinstance(value, (list, dict, set)):
+            return False
+        return not isinstance(value, tuple) or all(map(TestFrozenReports.frozen, value))
+
+    def test_every_target_is_covered(self):
+        targets = {name for name, _ in cli.sweep_tasks(*self.RANGES)}
+        assert targets == set(cli.CHECKS)
+
+    def test_reports_are_frozen_hashable_values(self, monkeypatch):
+        first = [*self.sweep_reports(), self.error_report(monkeypatch)]
+        second = [*self.sweep_reports(), self.error_report(monkeypatch)]
+        assert first[-1].status == "error"
+        for report, again in zip(first, second, strict=True):
+            for pairs in (report.params, report.observations):
+                assert self.frozen(pairs), report
+                assert [key for key, _ in pairs] == sorted(dict(pairs)), report
+                with pytest.raises(TypeError):
+                    pairs[0] = ("g", 9)
+            assert report == again and hash(report) == hash(again), report
+            assert pickle.loads(pickle.dumps(report)) == report
+
+    def test_json_is_unchanged(self, monkeypatch):
+        reports = [*self.sweep_reports(), self.error_report(monkeypatch)]
+        data = "".join(cli.report_json(report, 0) for report in reports).encode()
+        assert hashlib.sha256(data).hexdigest() == self.DIGEST
+        assert cli.report_json(reports[-1], 0) == self.ERROR_JSON
+
+    def test_a_pickled_report_writes_the_same_json(self):
+        for report in self.sweep_reports():
+            copy = pickle.loads(pickle.dumps(report))
+            assert cli.report_json(copy, 0) == cli.report_json(report, 0)
+            assert cli.report_to_text(copy, 0) == cli.report_to_text(report, 0)
+
+    def test_assigning_into_params_raises(self):
+        report = verify_decomposition(3, 1)
+        with pytest.raises(TypeError):
+            report.params["g"] = 9
+        assert hash(report) == hash(verify_decomposition(3, 1))
+        assert '"params":{"g":3,"k":1}' in cli.report_json(report, 0)
 
 
 class TestWidthFailures:

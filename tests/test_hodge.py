@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import pytest
@@ -9,7 +10,7 @@ from twoquadrics.curves import curve_diamond, sym_curve_diamond
 from twoquadrics.exactpoly import BiPoly, LaurentPoly
 from twoquadrics.fano_even import EvenFanoParams, fano_even_diamond
 from twoquadrics.fano_odd import OddFanoParams, fano_odd_diamond
-from twoquadrics.hodge import HodgeDiamond, serre_violation
+from twoquadrics.hodge import HodgeDiamond, Record, serre_violation
 
 
 def curve(g):
@@ -152,6 +153,42 @@ class TestConstructor:
     def test_point(self):
         assert POINT.dimension == 0
         assert POINT.betti(0) == 1
+
+
+class TestRecord:
+    """HodgeDiamond is a Record over its row tuple _h."""
+
+    def test_equality_hash_and_pickle(self):
+        rows = ((1, 0, 0), (0, 2, 0), (0, 0, 1))
+        dia = HodgeDiamond(rows)
+        same = HodgeDiamond([list(row) for row in rows])
+        assert isinstance(dia, Record) and dia._values() == (rows,)
+        assert dia == same and hash(dia) == hash(same)
+        assert dia != HodgeDiamond(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert dia != rows
+        assert pickle.loads(pickle.dumps(dia)) == dia
+        assert repr(dia) == "HodgeDiamond(dimension=2)"
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        dia = curve_diamond(2)
+        for name in ("_h", "dimension", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(dia, name, ((1,),))
+        with pytest.raises(AttributeError):
+            del dia._h
+        assert dia == curve_diamond(2) and dia.dimension == 1
+
+    def test_unpickling_runs_the_checks(self):
+        bad_rows = ((2, 1), (1, 1))  # h^{0,0} = 2 but h^{1,1} = 1
+
+        class StandIn:
+            def __reduce__(self):
+                return HodgeDiamond, (bad_rows,)
+
+        data = pickle.dumps(StandIn())
+        message = "Serre duality fails: h^{0,0} = 2 but h^{1,1} = 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pickle.loads(data)
 
 
 class TestEPolynomial:

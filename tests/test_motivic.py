@@ -350,17 +350,32 @@ class TestVerificationReport:
         report = VerificationReport(
             identity="k0-identity", params={"g": 2}, status="verified", lhs=1, rhs=1
         )
-        assert (report.effectivity, report.observations) == ((), {})
+        assert (report.effectivity, report.params, report.observations) == ((), (("g", 2),), ())
         other = VerificationReport("k0-identity", {"g": 2}, "verified", 1, 1)
-        assert report == other
-        assert report.observations is not other.observations
+        assert report == other and hash(report) == hash(other)
         assert report != VerificationReport("k0-identity", {"g": 2}, "failed", 1, 2)
         # no time field, so two runs of one check are one value
         assert verify_decomposition(4, 1) == verify_decomposition(4, 1)
+        assert hash(verify_decomposition(4, 1)) == hash(verify_decomposition(4, 1))
         with pytest.raises(TypeError):
-            hash(report)
+            report.params[0] = ("g", 3)
         assert pickle.loads(pickle.dumps(report)) == report
         assert repr(report).startswith("VerificationReport(identity='k0-identity', ")
+
+    def test_params_and_observations_freeze_to_their_leaves(self):
+        params, failures = {"max_n": 3}, [[1, 0, 1]]
+        report = VerificationReport(
+            "chu-vandermonde", params, "failed", None, None,
+            observations={"instances": 4, "failures": failures},
+        )
+        params["max_n"], failures[0][0] = 9, 9  # the builder's objects are not kept
+        assert report.params == (("max_n", 3),)
+        assert report.observations == (("failures", ((1, 0, 1),)), ("instances", 4))
+        with pytest.raises(TypeError):
+            report.observations[0][1][0] = (9, 0, 1)
+        # the stored pairs build the same report again, as unpickling does
+        assert VerificationReport(*report._values()) == report
+        assert hash(report) == hash(pickle.loads(pickle.dumps(report)))
 
     def test_immutable(self):
         report = VerificationReport("k0-identity", {"g": 2}, "verified", 1, 1)
@@ -427,9 +442,9 @@ class TestVerifiers:
     def test_report_metadata(self):
         report = verify_decomposition(3, 1)
         assert report.identity == "hyperelliptic-decomposition"
-        assert report.params == {"g": 3, "k": 1}
+        assert report.params == (("g", 3), ("k", 1))
         assert report.status == "verified"
-        assert "multiplicity_spans" in report.observations
+        assert "multiplicity_spans" in dict(report.observations)
 
 
 class TestBlockRoute:
@@ -548,8 +563,8 @@ class TestDenseRoute:
             report = verify_decomposition(g, k)
             expr = MotivicExpression.decomposition(g, k)
             assert report.effectivity == expr.effectivity(), (g, k)
-            spans = [[i, poly.valuation(), poly.degree()] for i, poly in expr.terms]
-            assert report.observations["multiplicity_spans"] == spans, (g, k)
+            spans = tuple((i, poly.valuation(), poly.degree()) for i, poly in expr.terms)
+            assert report.observations == (("multiplicity_spans", spans),), (g, k)
 
     @given(motivic_expressions())
     def test_block_vectors_match_the_scatter(self, expr):

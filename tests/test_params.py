@@ -24,7 +24,7 @@ from twoquadrics.fano_odd import (
     kernel_coefficients,
     multiplicity_kernel,
 )
-from twoquadrics.hodge import HodgeDiamond
+from twoquadrics.hodge import FanoParams, HodgeDiamond
 from twoquadrics.motivic import (
     bgmn_multiplicity,
     multiplicity_at_one,
@@ -51,6 +51,7 @@ CURVE = curve_diamond(1)
 # entry point, valid arguments, the names of its parameters (None for
 # one that is not an integer)
 ENTRY_POINTS = [
+    (FanoParams.check, (4, 1), ("g", "k")),
     (OddFanoParams, (4, 1), ("g", "k")),
     (EvenFanoParams, (4, 1), ("g", "k")),
     (multiplicity_coefficients, (4, 1, 2), ("g", "k", "i")),
@@ -134,6 +135,8 @@ def test_warm_kernel_caches_do_not_let_floats_through():
 @pytest.mark.parametrize(
     "func,args,message",
     [
+        (FanoParams.check, (1, 0), "g = 1: need g >= 2"),
+        (FanoParams.check, (4, 3), "k = 3: need 0 <= k <= g-2 = 2"),
         (multiplicity_coefficients, (1, 0, 0), "g = 1: need g >= 2"),
         (multiplicity_coefficients, (4, 3, 0), "k = 3: need 0 <= k <= g-2 = 2"),
         (multiplicity_coefficients, (4, 1, 3), "i = 3: need 0 <= i <= k+1 = 2"),
@@ -194,3 +197,34 @@ def test_value_error_messages(func, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         func(*args)
 
+
+
+@pytest.fixture
+def params_built(monkeypatch):
+    """The (class, g, k) of every FanoParams built, by either Fano case,
+    while the test runs."""
+    built = []
+    init = FanoParams.__init__
+
+    def counted(self, g, k):
+        built.append((type(self), g, k))
+        init(self, g, k)
+
+    monkeypatch.setattr(FanoParams, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("g,k", [(2, 0), (6, 3), (9, 7)])
+def test_a_verifier_builds_one_params_record(params_built, g, k):
+    # its k+2 multiplicities check (g, k) by FanoParams.check, building none
+    for verify in (verify_decomposition, verify_hochschild):
+        params_built.clear()
+        assert verify(g, k).verified
+        assert params_built == [(OddFanoParams, g, k)], verify.__name__
+
+
+@pytest.mark.parametrize("g,k", [(2, 0), (6, 3), (9, 7)])
+def test_the_stacky_count_builds_no_params_record(params_built, g, k):
+    assert FanoParams.check(g, k) is None
+    stacky_collection_length(g, k)
+    assert params_built == []
