@@ -4,14 +4,15 @@ CI-friendly exit codes (0 verified, 1 any failure, 2 usage error or an
 unwritable --output or stdout, 3 internal error: an inconsistency the
 library caught in itself, or any error the CLI does not classify, such
 as a MemoryError).  One table, CHECKS, drives `verify`, `identity` and
-the sweep, and DIAMONDS drives `diamond`.  The runner returns each
-check's wall time beside its report, and the writers take both.  The
-library functions check their own inputs (exactpoly.check_param and
-stacky.check_suite_bounds), and a ValueError they raise is a usage
-error; the CLI checks only which flags were given.  A sweep writes each
-report as it completes; a task that hits an inconsistency becomes a
-report with status "error", the other reports are still emitted and the
-sweep exits 3."""
+the sweep, and DIAMONDS drives `diamond`; each target has its own
+sub-parser, whose flags are those of its row, read from FLAGS.  The
+runner returns each check's wall time beside its report, and the
+writers take both.  argparse checks which flags were given, and the
+library functions check their values (exactpoly.check_param and
+stacky.check_suite_bounds); either error is a usage error, printed as
+one line.  A sweep writes each report as it completes; a task that hits
+an inconsistency becomes a report with status "error", the other
+reports are still emitted and the sweep exits 3."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import stat
 import sys
 import tempfile
 import time
-from typing import Callable, Collection, NamedTuple
+from typing import Callable, NamedTuple
 
 from .curves import jacobian_diamond, sym_curve_diamond
 from .exactpoly import BiPoly, ConsistencyError, LaurentPoly, check_param
@@ -184,8 +185,8 @@ class Check(NamedTuple):
 
 # CLI target -> check.  The checks look their functions up at call time,
 # so a patched module attribute is used.  A target whose parameters are
-# verify flags is a `verify` target, one whose parameters are suite
-# bounds an `identity` suite; the sweep runs every target.
+# suite bounds is an `identity` suite, any other a `verify` target; the
+# sweep runs every target.
 CHECKS = {
     "odd": Check("hyperelliptic-decomposition", ("g", "k"),
                  lambda g, k: verify_decomposition(g, k), lambda r: _planes(r["max_g"])),
@@ -202,17 +203,6 @@ CHECKS = {
     "chu-vandermonde": Check("chu-vandermonde", ("max_n",),
                              lambda n: chu_vandermonde_suite_report(n), lambda r: [(r["max_n"],)]),
 }
-
-VERIFY_FLAGS = ("g", "k")
-SUITE_FLAGS = {"max_m": (30, "gessel: largest m"), "max_a": (60, "gessel: largest even a"),
-               "max_n": (40, "chu-vandermonde: largest n")}  # flag -> (default, help)
-DIAMOND_FLAGS = ("g", "k", "n")
-
-
-def _targets(flags: Collection[str]) -> tuple[str, ...]:
-    """The CHECKS targets whose parameters are all among `flags`."""
-    return tuple(name for name, check in CHECKS.items() if set(check.params) <= set(flags))
-
 
 def _ms_since(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
@@ -307,71 +297,74 @@ def run_sweep(tasks: list[tuple], jobs: int = 1):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+# integer flag -> (default, help); a flag without a default is required.
+# The flags with a default are the sweep's ranges and the suite bounds.
+FLAGS = {
+    "g": (None, "genus parameter of the associated curve"),
+    "k": (None, "dimension of the linear subspaces"),
+    "n": (None, "symmetric-power index"),
+    "max_g": (12, "largest genus, hyperelliptic checks (default %(default)s)"),
+    "max_g_even": (20, "largest genus, stacky counts (default %(default)s)"),
+    "max_m": (30, "gessel: largest m (default %(default)s)"),
+    "max_a": (60, "gessel: largest even a (default %(default)s)"),
+    "max_n": (40, "chu-vandermonde: largest n (default %(default)s)"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose grammar errors raise CliUsageError, so main prints
+    each as one line."""
+
+    def error(self, message):
+        raise CliUsageError(message)
+
+
+def _add_arguments(p: argparse.ArgumentParser, flags, run) -> None:
+    """Give the parser `p` the FLAGS `flags`, then --format and --output,
+    and make it run `run`."""
+    for flag in flags:
+        default, text = FLAGS[flag]
+        p.add_argument("--" + flag.replace("_", "-"), type=int, default=default,
+                       required=default is None, help=text)
+    p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    p.add_argument("--output", metavar="FILE", help="write the result to FILE atomically")
+    p.set_defaults(run=run)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twoquadrics",
         description=(
             "Exact Hodge diamonds and motivic invariants of Fano schemes of "
             "linear subspaces on smooth intersections of two quadrics."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument("--output", metavar="FILE", help="write the result to FILE atomically")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diamond", parents=[common], help="print a Hodge diamond")
-    p.add_argument("target", choices=tuple(DIAMONDS))
-    p.add_argument("--g", type=int, help="genus parameter of the associated curve")
-    p.add_argument("--k", type=int, help="dimension of the linear subspaces (fano targets)")
-    p.add_argument("--n", type=int, help="symmetric-power index (sym target)")
-
-    p = sub.add_parser("verify", parents=[common], help="verify one identity instance")
-    p.add_argument("target", choices=_targets(VERIFY_FLAGS))
-    p.add_argument("--g", type=int, help="genus parameter of the associated curve")
-    p.add_argument("--k", type=int, help="dimension of the linear subspaces")
-
-    p = sub.add_parser("identity", parents=[common], help="run a combinatorial identity suite")
-    p.add_argument("target", choices=_targets(SUITE_FLAGS))
-    for flag, (default, text) in SUITE_FLAGS.items():
-        p.add_argument(_option(flag), type=int, help=f"{text} (default {default})")
-
-    p = sub.add_parser("sweep", parents=[common], help="verify everything over parameter ranges")
-    p.add_argument("--max-g", type=int, default=12, help="largest genus, hyperelliptic checks")
-    p.add_argument("--max-g-even", type=int, default=20, help="largest genus, stacky counts")
-    for flag, (default, text) in SUITE_FLAGS.items():
-        p.add_argument(_option(flag), type=int, default=default, help=text)
+    diamond, verify, identity = (
+        sub.add_parser(name, help=text).add_subparsers(dest="target", required=True)
+        for name, text in (("diamond", "print a Hodge diamond"),
+                           ("verify", "verify one identity instance"),
+                           ("identity", "run a combinatorial identity suite"))
+    )
+    for target, (names, _) in DIAMONDS.items():
+        _add_arguments(diamond.add_parser(target), names, _cmd_diamond)
+    for target, check in CHECKS.items():
+        # the suite bounds are the check parameters that have a default
+        suite = all(FLAGS[name][0] is not None for name in check.params)
+        _add_arguments((identity if suite else verify).add_parser(target), check.params, _cmd_check)
+    ranges = [flag for flag, (default, _) in FLAGS.items() if default is not None]
+    p = sub.add_parser("sweep", help="verify everything over parameter ranges")
+    _add_arguments(p, ranges, _cmd_sweep)
     p.add_argument(
         "--jobs", type=int, default=1,
         help="parallel worker processes (capped at the task and core counts)",
     )
-
     return parser
-
-
-def _option(flag: str) -> str:
-    return "--" + flag.replace("_", "-")
-
-
-def _flags(args, names: tuple[str, ...], flags: Collection[str]) -> tuple:
-    """The values of the flags `names`, in order, each required unless
-    SUITE_FLAGS gives its default; every other flag of `flags` must be
-    absent."""
-    for flag in flags:
-        given = getattr(args, flag) is not None
-        if given and flag not in names:
-            raise CliUsageError(f"{_option(flag)} is not accepted by this command")
-        if not given and flag in names and flag not in SUITE_FLAGS:
-            raise CliUsageError(f"{_option(flag)} is required for this command")
-    return tuple(SUITE_FLAGS[n][0] if getattr(args, n) is None else getattr(args, n) for n in names)
 
 
 def _cmd_diamond(args, write) -> int:
     names, build = DIAMONDS[args.target]
-    dia = build(*_flags(args, names, DIAMOND_FLAGS))
+    dia = build(*(getattr(args, name) for name in names))
     write(canonical_json(dia.to_json_obj()) if args.format == "json" else dia.to_text() + "\n")
     return 0
 
@@ -379,8 +372,8 @@ def _cmd_diamond(args, write) -> int:
 def _cmd_check(args, write) -> int:
     """Run one check, a `verify` target or an `identity` suite, and write
     its report; an internal error reaches main, so nothing is written."""
-    flags = SUITE_FLAGS if args.command == "identity" else VERIFY_FLAGS
-    report, ms = run_check(args.target, _flags(args, CHECKS[args.target].params, flags))
+    params = CHECKS[args.target].params
+    report, ms = run_check(args.target, tuple(getattr(args, name) for name in params))
     write(report_json(report, ms) if args.format == "json" else report_to_text(report, ms) + "\n")
     return 0 if report.verified else 1
 
@@ -418,14 +411,6 @@ def _cmd_sweep(args, write) -> int:
     else:
         write(f"verified {total - failed}/{total}\n")
     return 3 if errors else 1 if failed else 0
-
-
-_DISPATCH = {
-    "diamond": _cmd_diamond,
-    "verify": _cmd_check,
-    "identity": _cmd_check,
-    "sweep": _cmd_sweep,
-}
 
 
 def _cannot_write(path: str, exc: OSError) -> OutputError:
@@ -528,10 +513,10 @@ def _output(path):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         with _output(args.output) as write:
-            return _DISPATCH[args.command](args, write)
+            return args.run(args, write)
     except (CliUsageError, ValueError, OutputError) as exc:
         _error_line(f"{parser.prog}: error: {exc}")
         return 2

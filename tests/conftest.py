@@ -2,7 +2,8 @@
 the tests of the odd block vector, the decomposition report and the CLI,
 the recorder of the widths gauss_sum picks, shared by the width tests of
 its callers, and one that empties every cache of the package around a
-test that breaks the width proof."""
+test that breaks the width proof.  Every test ignores one third-party
+warning, see pytest_collection_modifyitems."""
 
 import importlib
 import pkgutil
@@ -12,6 +13,19 @@ import pytest
 import twoquadrics
 from twoquadrics import exactpoly, fano_odd
 from twoquadrics.exactpoly import LaurentPoly
+
+
+def pytest_collection_modifyitems(items):
+    """Ignore the DeprecationWarning that mypy_extensions raises when
+    Hypothesis, formatting a failure, imports libcst to suggest an
+    @example; under -W error it would end the run in INTERNALERROR
+    instead of the failure report.  A mark on each item, unlike an ini
+    filterwarnings entry, takes precedence over -W error."""
+    mark = pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    )
+    for item in items:
+        item.add_marker(mark)
 
 
 def dense_plus(kernel, extra):

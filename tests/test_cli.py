@@ -379,7 +379,8 @@ class TestIdentityCommand:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(f"error: {flag} is not accepted by this command\n")
+        value = argv[argv.index(flag) + 1]
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
     @pytest.mark.parametrize(
         "argv,params",
@@ -424,10 +425,10 @@ def flag_cases():
             for flag in flags:
                 if flag in names:
                     given = [f for f in names if f != flag]
-                    message = f"--{flag} is required for this command"
+                    message = f"the following arguments are required: --{flag}"
                 else:
                     given = [*names, flag]
-                    message = f"--{flag} is not accepted by this command"
+                    message = f"unrecognized arguments: --{flag} {FLAG_VALUES[flag]}"
                 argv = [command, target, *(x for f in given for x in (f"--{f}", FLAG_VALUES[f]))]
                 cases.append(pytest.param(argv, message, id=" ".join(argv)))
     return cases
@@ -508,6 +509,64 @@ class TestChecksTable:
         assert report == build(*args)
 
 
+def sub_parsers(parser):
+    """name -> parser of each choice of the sub-parsers of `parser`."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def table_rows():
+    """(command, target, flags) for every CHECKS and DIAMONDS row."""
+    rows = [("diamond", target, names) for target, (names, _) in cli.DIAMONDS.items()]
+    for target, check in cli.CHECKS.items():
+        command = "verify" if target in subcommand_choices("verify") else "identity"
+        rows.append((command, target, check.params))
+    return rows
+
+
+class TestParserFromTables:
+    """Each target's sub-parser takes exactly the flags of its table row,
+    with the defaults of cli.FLAGS; the sweep takes every defaulted flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "odd", "--g", "x", "--k", "1"], ["verify", "nope"],
+        ["sweep", "--jobs", "2", "--g", "3"], [], ["diamond", "jac"],
+        ["verify", "k0", "--g", "3", "--k", "1"],
+        ["verify", "--format", "json", "odd", "--g", "3", "--k", "1"],
+    ], ids=lambda argv: " ".join(argv) or "no command")
+    def test_grammar_error_is_one_line(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("twoquadrics: error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,target,flags", table_rows())
+    def test_help_lists_the_row_flags(self, capsys, command, target, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, target, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z-]+", capsys.readouterr().out))
+        options = {"--" + flag.replace("_", "-") for flag in flags}
+        assert listed == options | {"--help", "--format", "--output"}
+
+    def test_defaults_are_the_table_defaults(self):
+        commands = sub_parsers(cli.build_parser())
+        parsers = [commands["sweep"]]
+        for command in ("diamond", "verify", "identity"):
+            parsers.extend(sub_parsers(commands[command]).values())
+        seen = set()
+        for parser in parsers:
+            for action in parser._actions:
+                if action.dest in cli.FLAGS:
+                    default = cli.FLAGS[action.dest][0]
+                    assert (action.default, action.required) == (default, default is None)
+                    seen.add(action.dest)
+        assert seen == set(cli.FLAGS)
+        ranges = {flag for flag, (default, _) in cli.FLAGS.items() if default is not None}
+        sweep = {a.dest for a in commands["sweep"]._actions if a.dest in cli.FLAGS}
+        assert sweep == ranges == {"max_g", "max_g_even", "max_m", "max_a", "max_n"}
+
+
 class TestFailedTextReport:
     """A report that is not verified lists every observation in text, one
     line each in key order; verified text and JSON are unchanged."""
@@ -571,6 +630,31 @@ class TestFailedTextReport:
             "  lhs: [0] 1 + L^6; [1] L + L^4; [2] L^2\n"
             "  rhs: [0] 2 + L^6; [1] 1 + L + L^4; [2] 1 + L^2\n"
         )
+
+    def test_failed_sweep_reports_keep_their_side_variables(self, capsys, monkeypatch):
+        at_one, bgmn = motivic.multiplicity_at_one, motivic.bgmn_multiplicity
+        monkeypatch.setattr(
+            motivic, "multiplicity_at_one", lambda g, k, i: at_one(g, k, i) + (i == 0)
+        )
+        monkeypatch.setattr(
+            motivic, "bgmn_multiplicity", lambda g, i: bgmn(g, i) + LaurentPoly({0: 1})
+        )
+        argv = ["sweep", "--max-g", "3", "--max-g-even", "2", "--max-m", "0", "--max-a", "0",
+                "--max-n", "0", "--format", "text"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        out = zero_elapsed(out)
+        assert (
+            "FAIL hochschild-decomposition g=3 k=0 (0 ms)\n"
+            "  lhs: 3*t^-1 + 6 + 3*t\n"
+            "  rhs: 3*t^-1 + 7 + 3*t\n"
+        ) in out
+        assert (
+            "FAIL bgmn-crosscheck g=3 (0 ms)\n"
+            "  lhs: [0] 1 + L^6; [1] L + L^4; [2] L^2\n"
+            "  rhs: [0] 2 + L^6; [1] 1 + L + L^4; [2] 1 + L^2\n"
+        ) in out
+        assert out.endswith("verified 8/13\n")
 
     def test_failed_decomposition_lists_its_spans(self, capsys, plant_kernel):
         plant_kernel(3, {0: 1, 6: 1})
