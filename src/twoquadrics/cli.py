@@ -313,7 +313,11 @@ FLAGS = {
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose grammar errors raise CliUsageError, so main prints
-    each as one line."""
+    each as one line, and which takes each flag only as written in full;
+    every sub-parser add_parser builds is one too."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise CliUsageError(message)

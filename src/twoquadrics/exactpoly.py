@@ -46,7 +46,9 @@ def _power(var: str, e: int) -> str:
 class _SparsePoly:
     """Immutable sparse polynomial: a dict from exponent keys to nonzero
     ints, stored in ascending key order, so a reader walks the terms in
-    order without sorting them.  A subclass gives the key form (_key,
+    order without sorting them.  _summed is the one merge of terms, for
+    the checking constructor, +, - and *; _raw is the fast path for
+    storage already in that form.  A subclass gives the key form (_key,
     _add_keys) and the monomial format of its pretty; the arithmetic,
     comparison and printing below are shared.  Operands of different
     subclasses never combine and never compare equal.
@@ -56,19 +58,22 @@ class _SparsePoly:
 
     def __init__(self, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        key_of = self._key
-        out: dict = {}
+        self._coeffs = self._summed(self._checked(items))
+
+    def _checked(self, items):
+        # one pass, as the merge reads the terms: a key before its coefficient
         for key, c in items:
-            key = key_of(key)
+            key = self._key(key)
             if not isinstance(c, int):
                 raise TypeError(f"{type(self).__name__} coefficients must be ints, got {c!r}")
-            if c:
-                v = out.get(key, 0) + c
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        self._coeffs = dict(sorted(out.items()))
+            yield key, c
+
+    @staticmethod
+    def _summed(terms) -> dict:
+        out: dict = {}
+        for key, c in terms:
+            out[key] = out.get(key, 0) + c
+        return {key: out[key] for key in sorted(out) if out[key]}
 
     @classmethod
     def _raw(cls, coeffs: dict):
@@ -95,14 +100,7 @@ class _SparsePoly:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return self._raw(dict(sorted(out.items())))
+        return self._raw(self._summed(itertools.chain(self._coeffs.items(), other._coeffs.items())))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -116,16 +114,11 @@ class _SparsePoly:
         if not isinstance(other, type(self)):
             return NotImplemented
         add_keys = self._add_keys
-        out: dict = {}
-        for k1, c1 in self._coeffs.items():
-            for k2, c2 in other._coeffs.items():
-                k = add_keys(k1, k2)
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return self._raw(dict(sorted(out.items())))
+        return self._raw(self._summed(
+            (add_keys(k1, k2), c1 * c2)
+            for k1, c1 in self._coeffs.items()
+            for k2, c2 in other._coeffs.items()
+        ))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

@@ -532,6 +532,7 @@ class TestParserFromTables:
         ["sweep", "--jobs", "2", "--g", "3"], [], ["diamond", "jac"],
         ["verify", "k0", "--g", "3", "--k", "1"],
         ["verify", "--format", "json", "odd", "--g", "3", "--k", "1"],
+        ["verify", "odd", "--g", "4", "--k", "1", "--form", "json"], ["sweep", "--max", "3"],
     ], ids=lambda argv: " ".join(argv) or "no command")
     def test_grammar_error_is_one_line(self, capsys, argv):
         assert cli.main(argv) == 2

@@ -16,6 +16,7 @@ from list_routes import (
 )
 
 from twoquadrics import exactpoly, fano_odd
+from twoquadrics.curves import block_e_polynomial, block_hochschild, macdonald_vectors
 from twoquadrics.exactpoly import (
     BiPoly,
     ConsistencyError,
@@ -31,6 +32,8 @@ from twoquadrics.exactpoly import (
     packed_width,
     unpack,
 )
+from twoquadrics.fano_odd import OddFanoParams, fano_odd_blocks, multiplicity_kernel
+from twoquadrics.motivic import multiplicity_coefficients, multiplicity_polynomial
 
 
 def product_formula_gauss(n, m):
@@ -537,6 +540,21 @@ class TestSharedCore:
         with pytest.raises(TypeError, match="coefficients must be ints"):
             cls([(key, 1), (key, bad)])
 
+    @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
+    def test_key_is_checked_before_coefficient(self, cls):
+        key = 1.5 if cls is LaurentPoly else (0, 1.5)
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            cls({key: 0.5})
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            cls([(0 if cls is LaurentPoly else (0, 0), 1), (key, "1")])
+
+    def test_generator_argument_is_read_once(self):
+        terms = iter([(2, 1), (0, 3), (2, 1)])
+        assert LaurentPoly(terms).items() == ((0, 3), (2, 2))
+        assert next(terms, None) is None
+        assert LaurentPoly.power_sum(e for e in (4, 1, 4)).items() == ((1, 1), (4, 2))
+        assert BiPoly(((p, 1 - p), p + 1) for p in (1, 0)).items() == (((0, 1), 1), ((1, 0), 2))
+
 
 class TestCanonicalOrder:
     """Every constructor and operation stores its keys ascending; each
@@ -594,6 +612,59 @@ class TestCanonicalOrder:
                 blocks = [(r, k - r, [r + 1, 1]) for r in range(2 * g + 1)]
                 assert_canonical(block_hochschild(g, blocks))
         assert_canonical(block_e_polynomial(2, [(3, 1, [2, 0, -1]), (0, -2, [1, 4])]))
+
+
+def assert_stored_canonically(p):
+    """The storage rule the _raw fast path relies on: no zero coefficient,
+    keys strictly ascending, and the value that the checking constructor
+    builds from the same terms, in the same order."""
+    keys = list(p._coeffs)
+    assert all(p._coeffs.values()), p
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+    assert type(p)(p.items()).items() == p.items()
+
+
+class TestStorageRule:
+    """Every _raw call outside exactpoly hands over canonical storage, and
+    +, - and * equal the constructor of their terms."""
+
+    MAX_G = 12
+
+    def test_block_measures(self):
+        for g in range(2, self.MAX_G + 1):
+            for k in range(g - 1):
+                terms = []
+                for i in range(k + 2):
+                    base, coeffs = multiplicity_coefficients(g, k, i)
+                    if coeffs:
+                        terms.append((i, base, coeffs))
+                for blocks in (fano_odd_blocks(OddFanoParams(g, k)), macdonald_vectors(g, terms)):
+                    assert_stored_canonically(block_e_polynomial(g, blocks))
+                    assert_stored_canonically(block_hochschild(g, blocks))
+
+    def test_multiplicity_polynomials(self):
+        for g in range(2, self.MAX_G + 1):
+            for k in range(g - 1):
+                for i in range(k + 2):
+                    assert_stored_canonically(multiplicity_polynomial(g, k, i))
+
+    def test_multiplicity_kernels(self):
+        # every (a, b) = (g-k, g-r) of fano_odd_blocks for g <= MAX_G
+        for a in range(2, self.MAX_G + 1):
+            for b in range(a - 1, self.MAX_G + 1):
+                assert_stored_canonically(multiplicity_kernel(a, b))
+
+    @pytest.mark.parametrize("polys", [laurent_polys, bipolys], ids=["LaurentPoly", "BiPoly"])
+    @given(data=st.data())
+    def test_sum_difference_and_product_are_the_constructor_of_their_terms(self, polys, data):
+        a, b = data.draw(polys), data.draw(polys)
+        cls = type(a)
+        negated = [(key, -c) for key, c in b.items()]
+        products = [(a._add_keys(k1, k2), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()]
+        for result, terms in ((a + b, [*a.items(), *b.items()]), (a - b, [*a.items(), *negated]),
+                              (a * b, products)):
+            assert_stored_canonically(result)
+            assert result.items() == cls(terms).items()
 
 
 @pytest.mark.parametrize(
