@@ -1,18 +1,19 @@
 """Command-line front end: compute diamonds, verify identities, sweep
 parameter ranges, and emit deterministic text or JSON reports with
-CI-friendly exit codes (0 verified, 1 any failure, 2 usage error or an
-unwritable --output or stdout, 3 internal error: an inconsistency the
-library caught in itself, or any error the CLI does not classify, such
-as a MemoryError).  One table, CHECKS, drives `verify`, `identity` and
-the sweep, and DIAMONDS drives `diamond`; each target has its own
-sub-parser, whose flags are those of its row, read from FLAGS.  The
-runner returns each check's wall time beside its report, and the
-writers take both.  argparse checks which flags were given, and the
-library functions check their values (exactpoly.check_param and
-stacky.check_suite_bounds); either error is a usage error, printed as
-one line.  A sweep writes each report as it completes; a task that hits
-an inconsistency becomes a report with status "error", the other
-reports are still emitted and the sweep exits 3."""
+CI-friendly exit codes (0 verified, 1 any failure, 2 usage error, 3
+internal error: an inconsistency the library caught in itself, or any
+error the CLI does not classify, such as a MemoryError).  One table,
+CHECKS, drives `verify`, `identity` and the sweep, and DIAMONDS drives
+`diamond`; each target has its own sub-parser, whose flags are those of
+its row, read from FLAGS.  The runner returns each check's wall time
+beside its report, and the writers take both.  argparse checks which
+flags were given, and the library functions check their values
+(exactpoly.check_param and stacky.check_suite_bounds).  A usage error is
+a CliUsageError (a grammar error, or an --output or a stdout that cannot
+be written) or a ValueError of those checks, printed as one line.  A
+sweep writes each report as it completes; a task that hits an
+inconsistency becomes a report with status "error", the other reports
+are still emitted and the sweep exits 3."""
 
 from __future__ import annotations
 
@@ -50,11 +51,8 @@ from .stacky import (
 
 
 class CliUsageError(Exception):
-    pass
-
-
-class OutputError(Exception):
-    """The --output target cannot be written."""
+    """Bad input: a grammar error, or an --output or a stdout that
+    cannot be written."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +135,7 @@ def _pretty_side(value, var: str) -> str:
         return str(value)
     if isinstance(value, (tuple, list)):
         return "; ".join(f"[{i}] {_pretty_side(p, var)}" for i, p in value)
-    return str(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _params_text(report: VerificationReport) -> str:
@@ -417,8 +415,8 @@ def _cmd_sweep(args, write) -> int:
     return 3 if errors else 1 if failed else 0
 
 
-def _cannot_write(path: str, exc: OSError) -> OutputError:
-    return OutputError(f"cannot write {path}: {exc.strerror or exc}")
+def _cannot_write(path: str, exc: OSError) -> CliUsageError:
+    return CliUsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _to_devnull(stream) -> None:
@@ -430,8 +428,8 @@ def _to_devnull(stream) -> None:
         os.close(devnull)
 
 
-def _stdout_failed(exc: OSError) -> OutputError:
-    """The OutputError of a failed write to stdout (a closed pipe)."""
+def _stdout_failed(exc: OSError) -> CliUsageError:
+    """The CliUsageError of a failed write to stdout (a closed pipe)."""
     _to_devnull(sys.stdout)
     return _cannot_write("stdout", exc)
 
@@ -453,12 +451,12 @@ def _output(path):
     so a link survives) when the command returns.  A command that raises
     leaves nothing at `path`.  mkstemp creates the file as 0600; it gets
     0666 less the umask, the mode of an ordinary new file, before the
-    rename.  An OSError of the file becomes OutputError, and a `path`
+    rename.  An OSError of the file becomes CliUsageError, and a `path`
     that is empty or is not a regular file (a directory, a pipe, a
     device, which a rename would replace) is refused at once, not after
     the work (an empty path would put the temporary file in the parent
     of the working directory).  An OSError of stdout, which is flushed
-    when the command returns, becomes OutputError too."""
+    when the command returns, becomes CliUsageError too."""
     if path is None:
         def write_stdout(text: str) -> None:
             try:
@@ -473,7 +471,7 @@ def _output(path):
             raise _stdout_failed(exc) from exc
         return
     if not path:
-        raise OutputError(f"cannot write {path!r}: {os.strerror(errno.ENOENT)}")
+        raise CliUsageError(f"cannot write {path!r}: {os.strerror(errno.ENOENT)}")
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
@@ -483,7 +481,7 @@ def _output(path):
         raise _cannot_write(path, exc) from exc
     if not stat.S_ISREG(mode):
         reason = os.strerror(errno.EISDIR) if stat.S_ISDIR(mode) else "not a regular file"
-        raise OutputError(f"cannot write {path}: {reason}")
+        raise CliUsageError(f"cannot write {path}: {reason}")
     directory = os.path.dirname(target)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twoquadrics-", suffix=".tmp")
@@ -521,7 +519,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with _output(args.output) as write:
             return args.run(args, write)
-    except (CliUsageError, ValueError, OutputError) as exc:
+    except (CliUsageError, ValueError) as exc:
         _error_line(f"{parser.prog}: error: {exc}")
         return 2
     except ConsistencyError as exc:

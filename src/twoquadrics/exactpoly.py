@@ -360,9 +360,9 @@ def _gauss_entry(n: int, m: int, c: int, width: int) -> int:
     [n, m]_q = [n-1, m-1]_q + q^m [n-1, m]_q, one shift and one add per
     entry.  The table is filled diagonal by diagonal (d = n-m), each up
     to m, so the first term is on the diagonal being filled and the
-    second on the one below; no recursion deepens with n.  A fill reaches
-    every diagonal below its own, so it starts above the highest one
-    that already reaches m.
+    second on the one below; no recursion deepens with n.  A fill starts
+    at diagonal 0 and reaches every diagonal up to its own; a diagonal
+    that already reaches m is passed over.
     """
     if c <= 1:  # m < 0 or n < m gives 0; [n, 0] = [n, n] = 1
         return c
@@ -371,12 +371,8 @@ def _gauss_entry(n: int, m: int, c: int, width: int) -> int:
     table = _pascal_table(width)
     diagonal = table.get(n - m, {})
     if m not in diagonal:
-        start = n - m
-        while start and m not in table.get(start - 1, ()):
-            start -= 1
-        # [i-1, i] = 0 below the diagonal d = 0
-        below = table[start - 1] if start else {}
-        for d in range(start, n - m + 1):
+        below = {}  # [i-1, i] = 0 below the diagonal d = 0
+        for d in range(n - m + 1):
             diagonal = table.setdefault(d, {0: 1})
             for i in range(len(diagonal), m + 1):
                 diagonal.setdefault(i, diagonal[i - 1] + (below.get(i, 0) << (i * width)))

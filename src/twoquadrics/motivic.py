@@ -177,6 +177,8 @@ class VerificationReport(Record):
 
 
 def _status(equal: bool, effectivity=()) -> str:
+    """The one verdict rule of every report: verified when the sides are
+    equal and every multiplicity is effective."""
     return VERIFIED if equal and all(ok for _, ok in effectivity) else FAILED
 
 

@@ -25,7 +25,7 @@ import operator
 
 from .exactpoly import check_param
 from .fano_even import EvenFanoParams, euler_closed_form, fano_even_betti_numbers
-from .motivic import FAILED, VERIFIED, VerificationReport
+from .motivic import VerificationReport, _status
 
 
 def fonarev_rank(g: int, k: int) -> int:
@@ -121,7 +121,7 @@ def stacky_counts_report(g: int, k: int) -> VerificationReport:
     return VerificationReport(
         identity="stacky-counts",
         params={"g": g, "k": k},
-        status=VERIFIED if ok else FAILED,
+        status=_status(ok),
         lhs=diamond_euler,
         rhs=closed,
         observations={"collection_length": str(count)},
@@ -135,7 +135,7 @@ def _suite_report(identity: str, params: dict, failures: list,
     return VerificationReport(
         identity=identity,
         params=params,
-        status=VERIFIED if not failures else FAILED,
+        status=_status(not failures),
         lhs=None,
         rhs=None,
         observations={"failures": failures, "instances": instances},
@@ -177,7 +177,8 @@ def chu_vandermonde_suite_report(max_n: int) -> VerificationReport:
     C(n, j) at t = 0, read from _pascal_rows: one C-level add per row,
     by additions alone.  Each row is compared at once with the right
     sides C(n+1, j+1..n+1), a row of math.comb, and only a row that
-    differs is searched for its failing k."""
+    differs is searched for its failing k, to the end of the longer of
+    the two, so a right side with no left side fails too."""
     check_suite_bounds(max_n=max_n)
     failures = []
     rows: list[list[int]] = []  # row j of P_{n-1}
@@ -189,7 +190,7 @@ def chu_vandermonde_suite_report(max_n: int) -> VerificationReport:
             (j + t, j)
             for j, row in enumerate(rows)
             if row != rhs[j + 1 :]
-            for t, (lhs, value) in enumerate(zip(row, rhs[j + 1 :]))
+            for t, (lhs, value) in enumerate(itertools.zip_longest(row, rhs[j + 1 :]))
             if lhs != value
         )
         failures += ([n, j, k] for k, j in wrong)

@@ -942,6 +942,17 @@ class TestInternalErrors:
         assert captured.out == ""
         assert captured.err == "twoquadrics: internal error: TypeError: planted fault\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_side_no_writer_knows_is_internal_in_both_formats(self, capsys, monkeypatch, fmt):
+        # a failed report whose side is a float: the text writer refuses it
+        # as the JSON writer does, with the same message
+        monkeypatch.setattr(stacky, "euler_closed_form", lambda g, k: 47.5)
+        argv = ["verify", "even", "--g", "3", "--k", "1", "--format", fmt]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "twoquadrics: internal error: TypeError: cannot serialize float\n"
+
     def test_killed_sweep_worker_is_internal(self, capsys, monkeypatch):
         # a worker that dies breaks the pool; the sweep stops with exit 3
         def killed(g, k):
@@ -1088,6 +1099,12 @@ class TestWidthFailures:
 
 
 class TestOutputFile:
+    def test_an_unwritable_output_is_a_usage_error(self, tmp_path):
+        # the one exit-2 type carries the output's errors too
+        with pytest.raises(cli.CliUsageError, match=r"^cannot write .*: Is a directory$"):
+            with cli._output(str(tmp_path)):
+                pytest.fail("a directory was accepted as the output")
+
     def test_atomic_output(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code = cli.main(

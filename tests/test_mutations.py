@@ -14,6 +14,16 @@ check rests on, and pins where the checks first see each one.
   sides of verify_decomposition are measured by block_e_polynomial, so
   a fault in the measure reaches only verify_k0_identity, whose right
   side is built from dense diamonds.
+- The stacky three-way agreement: one-field changes of the first and the
+  last Betti group of fano_even.fano_even_betti_numbers, and one-site
+  changes of euler_closed_form and stacky_collection_length, with the
+  first (g, k) at which stacky_counts_report sees each, over g <= 20.
+- multiplicity_at_one: one-site changes, with the first (g, k) at which
+  verify_hochschild sees each.
+- The identity suites: one-site changes of either side of
+  gessel_identity_check and of the P_n step and the right-side row of
+  chu_vandermonde_suite_report, with the first instance each suite sees
+  within its default bounds.
 """
 
 import inspect
@@ -21,7 +31,7 @@ import textwrap
 
 import pytest
 
-from twoquadrics import curves, fano_odd, motivic
+from twoquadrics import curves, fano_even, fano_odd, motivic, stacky
 from twoquadrics.exactpoly import ConsistencyError, gauss_sum
 
 # the number of shifts of each group of the bracket, in order
@@ -241,3 +251,210 @@ def test_measure_mutant_first_fails_at_its_g(monkeypatch, cold_caches, name):
             assert kind(verifier, args(g)) == "verified", (check, g)
         if smallest <= MEASURE_MAX_G:
             assert kind(verifier, args(smallest)) == how, check
+
+
+def first_seen(verifier, instances):
+    """The first instance at which verifier(*instance) does not verify,
+    and how (see kind), or None when it verifies on all of them."""
+    for args in instances:
+        how = kind(verifier, [args])
+        if how != "verified":
+            return args, how
+    return None
+
+
+STACKY_MAX_G = 20
+STACKY_PLANES = [plane for g in range(2, STACKY_MAX_G + 1) for plane in planes(g)]
+
+
+def betti_mutants():
+    """(name, group, field, change) for each one-field mutant of the first
+    and of the last Betti group, j = 0 and j = k+1; a group index -1
+    stands for the last."""
+    for group, label in ((0, "[0]"), (-1, "[k+1]")):
+        for name, _, field, change in mutants((1,)):
+            yield name.replace("[0]", label), group, field, change
+
+
+# mutant of the Betti groups -> the first (g, k) at which
+# stacky_counts_report does not verify, and how
+BETTI_GROUPS = {
+    "[0] w*2": ((2, 0), "failed"), "[0] n-1": ((2, 0), "inconsistent"),
+    "[0] n+1": ((2, 0), "inconsistent"), "[0] m-1": ((2, 0), "inconsistent"),
+    "[0] m+1": ((3, 0), "inconsistent"), "[0] s0-1": ((2, 0), "raised"),
+    "[0] s0+1": ((2, 0), "inconsistent"),
+    "[k+1] w*2": ((2, 0), "failed"), "[k+1] m-1": ((2, 0), "failed"),
+    "[k+1] m+1": ((2, 0), "inconsistent"), "[k+1] s0-1": ((2, 0), "inconsistent"),
+    "[k+1] s0+1": ((2, 0), "inconsistent"),
+}
+
+# mutants proved equivalent -> why
+EQUIVALENT = {
+    "[k+1] n-1": "the last group is [2g-2k-2, 0]_q, and [n, 0]_q = 1 for every n >= 0",
+    "[k+1] n+1": "the last group is [2g-2k-2, 0]_q, and [n, 0]_q = 1 for every n >= 0",
+}
+
+
+def test_the_betti_table_names_every_mutant():
+    names = [name for name, *_ in betti_mutants()]
+    assert len(names) == len(set(names)) == 14
+    assert set(names) == set(BETTI_GROUPS) | set(EQUIVALENT)
+    assert not set(BETTI_GROUPS) & set(EQUIVALENT)
+
+
+@pytest.mark.parametrize(
+    "name,group,field,change", [pytest.param(*mutant, id=mutant[0]) for mutant in betti_mutants()]
+)
+def test_betti_mutant_is_first_seen_at_its_plane(monkeypatch, name, group, field, change):
+    def planted(groups):
+        groups = tuple(groups)
+        if len(groups) == 1:  # one block summed alone, to name it: as it is
+            return gauss_sum(groups)
+        return gauss_sum(mutated(groups, group % len(groups), field, change))
+
+    monkeypatch.setattr(fano_even, "gauss_sum", planted)
+    expected = None if name in EQUIVALENT else BETTI_GROUPS[name]
+    assert first_seen(stacky.stacky_counts_report, STACKY_PLANES) == expected
+
+
+# mutant -> (the function, its source text, the replacement, and the
+# first (g, k) at which stacky_counts_report does not verify, and how)
+STACKY_SOURCE_MUTANTS = {
+    "closed form C(g, k+1) 4^k": (
+        fano_even.euler_closed_form, "4 ** (k + 1)", "4 ** k", ((2, 0), "failed"),
+    ),
+    "closed form C(g, k) 4^(k+1)": (
+        fano_even.euler_closed_form, "math.comb(g, k + 1)", "math.comb(g, k)", ((2, 0), "failed"),
+    ),
+    "closed form C(g+1, k+1) 4^(k+1)": (
+        fano_even.euler_closed_form, "math.comb(g, k + 1)", "math.comb(g + 1, k + 1)",
+        ((2, 0), "failed"),
+    ),
+    "count n-1": (
+        stacky.stacky_collection_length, "2 * g - 3 - k - i", "2 * g - 4 - k - i",
+        ((2, 0), "raised"),
+    ),
+    "count n+1": (
+        stacky.stacky_collection_length, "2 * g - 3 - k - i", "2 * g - 2 - k - i",
+        ((2, 0), "failed"),
+    ),
+    "count m-1": (stacky.stacky_collection_length, "k + 1 - i)", "k - i)", ((2, 0), "raised")),
+    "count m+1": (stacky.stacky_collection_length, "k + 1 - i)", "k + 2 - i)", ((2, 0), "failed")),
+    "count drops the last i": (
+        stacky.stacky_collection_length, "range(k + 2)", "range(k + 1)", ((2, 0), "failed"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKY_SOURCE_MUTANTS))
+def test_stacky_source_mutant_is_first_seen_at_its_plane(monkeypatch, name):
+    function, old, new, expected = STACKY_SOURCE_MUTANTS[name]
+    monkeypatch.setattr(stacky, function.__name__, mutant_of(function, old, new))
+    assert first_seen(stacky.stacky_counts_report, STACKY_PLANES) == expected
+
+
+HOCHSCHILD_PLANES = [plane for g in range(2, 13) for plane in planes(g)]
+
+# mutant of multiplicity_at_one, C(n, k+1-i) + 2 C(n, k-i) with
+# n = 2g-4-k-i -> (its source text, the replacement, and the first
+# (g, k) at which verify_hochschild does not verify, and how); the two
+# that raise give binomial an n < 0 with an m >= 1
+AT_ONE_MUTANTS = {
+    "n-1": ("n = 2 * g - 4 - k - i", "n = 2 * g - 5 - k - i", ((2, 0), "raised")),
+    "n+1": ("n = 2 * g - 4 - k - i", "n = 2 * g - 3 - k - i", ((2, 0), "failed")),
+    "first m-1": ("binomial(n, k + 1 - i)", "binomial(n, k - i)", ((2, 0), "failed")),
+    "first m+1": ("binomial(n, k + 1 - i)", "binomial(n, k + 2 - i)", ((2, 0), "raised")),
+    "second m-1": ("binomial(n, k - i)", "binomial(n, k - 1 - i)", ((2, 0), "failed")),
+    "second m+1": ("binomial(n, k - i)", "binomial(n, k + 1 - i)", ((2, 0), "failed")),
+    "weight 1": ("2 * binomial", "1 * binomial", ((2, 0), "failed")),
+    "weight 3": ("2 * binomial", "3 * binomial", ((2, 0), "failed")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_ONE_MUTANTS))
+def test_at_one_mutant_is_first_seen_at_its_plane(monkeypatch, name):
+    old, new, expected = AT_ONE_MUTANTS[name]
+    mutant = mutant_of(motivic.multiplicity_at_one, old, new)
+    monkeypatch.setattr(motivic, "multiplicity_at_one", mutant)
+    assert first_seen(motivic.verify_hochschild, HOCHSCHILD_PLANES) == expected
+
+
+# the default suite bounds of the CLI
+MAX_M, MAX_A, MAX_N = 30, 60, 40
+# Gessel's bounds in the suite's order, m then a: the first bounds at
+# which the suite does not verify name the first instance it reaches
+# that does not verify
+GESSEL_BOUNDS = [(m, a) for m in range(MAX_M + 1) for a in range(0, MAX_A + 1, 2)]
+
+# mutant of gessel_identity_check, 4^m C(m+a/2, m) = sum_{i<=m}
+# C(m+a-i, a) C(2m+a+1, i) -> (its source text, the replacement, and the
+# first bounds (m, a) at which gessel_suite_report does not verify, and
+# how)
+GESSEL_MUTANTS = {
+    "left weight 2 4^m": ("4**m", "2 * 4**m", ((0, 0), "failed")),
+    "left n-1": ("math.comb(m + a // 2, m)", "math.comb(m + a // 2 - 1, m)", ((0, 0), "raised")),
+    "left n+1": ("math.comb(m + a // 2, m)", "math.comb(m + a // 2 + 1, m)", ((1, 0), "failed")),
+    "left m-1": ("math.comb(m + a // 2, m)", "math.comb(m + a // 2, m - 1)", ((0, 0), "raised")),
+    "left m+1": ("math.comb(m + a // 2, m)", "math.comb(m + a // 2, m + 1)", ((0, 0), "failed")),
+    "right C(m+a-i, a) n-1": (
+        "math.comb(m + a - i, a)", "math.comb(m + a - i - 1, a)", ((0, 0), "raised"),
+    ),
+    "right C(m+a-i, a) n+1": (
+        "math.comb(m + a - i, a)", "math.comb(m + a - i + 1, a)", ((0, 2), "failed"),
+    ),
+    "right C(m+a-i, a) m-1": (
+        "math.comb(m + a - i, a)", "math.comb(m + a - i, a - 1)", ((0, 0), "raised"),
+    ),
+    "right C(m+a-i, a) m+1": (
+        "math.comb(m + a - i, a)", "math.comb(m + a - i, a + 1)", ((0, 0), "failed"),
+    ),
+    "right C(2m+a+1, i) n-1": (
+        "math.comb(2 * m + a + 1, i)", "math.comb(2 * m + a, i)", ((1, 0), "failed"),
+    ),
+    "right C(2m+a+1, i) n+1": (
+        "math.comb(2 * m + a + 1, i)", "math.comb(2 * m + a + 2, i)", ((1, 0), "failed"),
+    ),
+    "right C(2m+a+1, i) m-1": (
+        "math.comb(2 * m + a + 1, i)", "math.comb(2 * m + a + 1, i - 1)", ((0, 0), "raised"),
+    ),
+    "right C(2m+a+1, i) m+1": (
+        "math.comb(2 * m + a + 1, i)", "math.comb(2 * m + a + 1, i + 1)", ((0, 2), "failed"),
+    ),
+    "right drops the first i": ("range(m + 1)", "range(1, m + 1)", ((0, 0), "failed")),
+    "right drops the last i": ("range(m + 1)", "range(m)", ((0, 0), "failed")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GESSEL_MUTANTS))
+def test_gessel_mutant_is_first_seen_at_its_bounds(monkeypatch, name):
+    old, new, expected = GESSEL_MUTANTS[name]
+    monkeypatch.setattr(
+        stacky, "gessel_identity_check", mutant_of(stacky.gessel_identity_check, old, new)
+    )
+    assert first_seen(stacky.gessel_suite_report, GESSEL_BOUNDS) == expected
+
+
+# mutant of chu_vandermonde_suite_report -> (its source text, the
+# replacement, and the smallest max_n at which the suite does not
+# verify, and how): the P_n step, P_n = (1+z) P_{n-1} + (1+x)^n, and the
+# right-side row C(n+1, s), s = 0..n+1
+CHU_VANDERMONDE_MUTANTS = {
+    "P_n drops (1+x)^n": ("[c, *row]", "[0, *row]", (0, "failed")),
+    "P_n doubles (1+x)^n": ("[c, *row]", "[2 * c, *row]", (0, "failed")),
+    "P_n reads (1+x)^n one j up": ("zip(rows, power)", "zip(rows, power[1:] + [0])", (0, "failed")),
+    "P_n with 1 for (1+z)": ("[c, *row]", "[c] + [0] * len(row)", (1, "failed")),
+    "P_n with z for (1+z)": ("row + [0]", "[0] * (len(row) + 1)", (1, "failed")),
+    "right C(n, s)": ("math.comb(n + 1, s)", "math.comb(n, s)", (0, "failed")),
+    "right C(n+2, s)": ("math.comb(n + 1, s)", "math.comb(n + 2, s)", (0, "failed")),
+    "right C(n+1, s+1)": ("math.comb(n + 1, s)", "math.comb(n + 1, s + 1)", (0, "failed")),
+    "right C(n+1, s-1)": ("math.comb(n + 1, s)", "math.comb(n + 1, s - 1)", (0, "raised")),
+    "right drops the first s": ("range(n + 2)", "range(1, n + 2)", (0, "failed")),
+    "right drops the last s": ("range(n + 2)", "range(n + 1)", (0, "failed")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHU_VANDERMONDE_MUTANTS))
+def test_chu_vandermonde_mutant_is_first_seen_at_its_bound(name):
+    old, new, (n, how) = CHU_VANDERMONDE_MUTANTS[name]
+    suite = mutant_of(stacky.chu_vandermonde_suite_report, old, new)
+    assert first_seen(suite, [(bound,) for bound in range(MAX_N + 1)]) == ((n,), how)
