@@ -12,6 +12,7 @@ from .exactpoly import (
     ConsistencyError,
     InexactDivisionError,
     LaurentPoly,
+    UsageError,
     binomial,
     exact_divide,
     gauss_coefficients,
@@ -59,6 +60,7 @@ __all__ = [
     "LaurentPoly",
     "MotivicExpression",
     "OddFanoParams",
+    "UsageError",
     "VerificationReport",
     "bgmn_multiplicity",
     "binomial",

@@ -1,19 +1,20 @@
 """Command-line front end: compute diamonds, verify identities, sweep
 parameter ranges, and emit deterministic text or JSON reports with
 CI-friendly exit codes (0 verified, 1 any failure, 2 usage error, 3
-internal error: an inconsistency the library caught in itself, or any
-error the CLI does not classify, such as a MemoryError).  One table,
-CHECKS, drives `verify`, `identity` and the sweep, and DIAMONDS drives
-`diamond`; each target has its own sub-parser, whose flags are those of
-its row, read from FLAGS.  The runner returns each check's wall time
-beside its report, and the writers take both.  argparse checks which
-flags were given, and the library functions check their values
-(exactpoly.check_param and stacky.check_suite_bounds).  A usage error is
-a CliUsageError (a grammar error, or an --output or a stdout that cannot
-be written) or a ValueError of those checks, printed as one line.  A
-sweep writes each report as it completes; a task that hits an
-inconsistency becomes a report with status "error", the other reports
-are still emitted and the sweep exits 3."""
+internal error).  One table, CHECKS, drives `verify`, `identity` and the
+sweep, and DIAMONDS drives `diamond`; each target has its own
+sub-parser, whose flags are those of its row, read from FLAGS.  The
+runner returns each check's wall time beside its report, and the
+writers take both.  argparse checks which flags were given, and the
+library functions check their values (exactpoly.check_param and
+stacky.check_suite_bounds).  The type of an exception alone decides
+its exit code: exactpoly.UsageError, the one type of bad input (a value
+out of range, a grammar error, or an --output or a stdout that cannot
+be written), is exit 2, and any other exception is an internal error,
+exit 3, one line written by _internal_message.  A sweep checks every
+range before its first task runs and writes each report as it
+completes; any exception inside a task becomes a report with status
+"error", the other reports are still emitted and the sweep exits 3."""
 
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import time
 from typing import Callable, NamedTuple
 
 from .curves import jacobian_diamond, sym_curve_diamond
-from .exactpoly import BiPoly, ConsistencyError, LaurentPoly, check_param
+from .exactpoly import BiPoly, ConsistencyError, LaurentPoly, UsageError, check_param
 from .fano_even import EvenFanoParams, fano_even_diamond
 from .fano_odd import OddFanoParams, fano_odd_diamond
 from .motivic import (
@@ -48,11 +49,6 @@ from .stacky import (
     gessel_suite_report,
     stacky_counts_report,
 )
-
-
-class CliUsageError(Exception):
-    """Bad input: a grammar error, or an --output or a stdout that
-    cannot be written."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +210,26 @@ def run_check(name: str, args: tuple) -> tuple[VerificationReport, int]:
     return report, _ms_since(t0)
 
 
+def _internal_message(exc: Exception) -> str:
+    """The text of an internal error: a ConsistencyError's message as it
+    is, any other exception's as "<Type>: <message>"."""
+    if isinstance(exc, ConsistencyError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_sweep_task(task: tuple) -> tuple[VerificationReport, int]:
     """Run one sweep task, a (CHECKS target, parameters) pair, by
-    run_check.  A ConsistencyError becomes a report with status "error"
-    and the message as its one observation, "error", timed to the error,
-    so one inconsistent task does not discard the others."""
+    run_check.  Any exception becomes a report with status "error" and
+    its _internal_message as the one observation, "error", timed to the
+    error, so one broken task does not discard the others.  sweep_tasks
+    checks every range before the first task runs, so nothing a task
+    raises is bad input."""
     name, args = task
     t0 = time.perf_counter()
     try:
         return run_check(name, args)
-    except ConsistencyError as exc:
+    except Exception as exc:
         check = CHECKS[name]
         report = VerificationReport(
             identity=check.identity,
@@ -231,7 +237,7 @@ def run_sweep_task(task: tuple) -> tuple[VerificationReport, int]:
             status=ERROR,
             lhs=None,
             rhs=None,
-            observations={"error": str(exc)},
+            observations={"error": _internal_message(exc)},
         )
         return report, _ms_since(t0)
 
@@ -310,7 +316,7 @@ FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose grammar errors raise CliUsageError, so main prints
+    """A parser whose grammar errors raise UsageError, so main prints
     each as one line, and which takes each flag only as written in full;
     every sub-parser add_parser builds is one too."""
 
@@ -318,7 +324,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
-        raise CliUsageError(message)
+        raise UsageError(message)
 
 
 def _add_arguments(p: argparse.ArgumentParser, flags, run) -> None:
@@ -415,8 +421,8 @@ def _cmd_sweep(args, write) -> int:
     return 3 if errors else 1 if failed else 0
 
 
-def _cannot_write(path: str, exc: OSError) -> CliUsageError:
-    return CliUsageError(f"cannot write {path}: {exc.strerror or exc}")
+def _cannot_write(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _to_devnull(stream) -> None:
@@ -428,8 +434,8 @@ def _to_devnull(stream) -> None:
         os.close(devnull)
 
 
-def _stdout_failed(exc: OSError) -> CliUsageError:
-    """The CliUsageError of a failed write to stdout (a closed pipe)."""
+def _stdout_failed(exc: OSError) -> UsageError:
+    """The UsageError of a failed write to stdout (a closed pipe)."""
     _to_devnull(sys.stdout)
     return _cannot_write("stdout", exc)
 
@@ -451,12 +457,12 @@ def _output(path):
     so a link survives) when the command returns.  A command that raises
     leaves nothing at `path`.  mkstemp creates the file as 0600; it gets
     0666 less the umask, the mode of an ordinary new file, before the
-    rename.  An OSError of the file becomes CliUsageError, and a `path`
+    rename.  An OSError of the file becomes UsageError, and a `path`
     that is empty or is not a regular file (a directory, a pipe, a
     device, which a rename would replace) is refused at once, not after
     the work (an empty path would put the temporary file in the parent
     of the working directory).  An OSError of stdout, which is flushed
-    when the command returns, becomes CliUsageError too."""
+    when the command returns, becomes UsageError too."""
     if path is None:
         def write_stdout(text: str) -> None:
             try:
@@ -471,7 +477,7 @@ def _output(path):
             raise _stdout_failed(exc) from exc
         return
     if not path:
-        raise CliUsageError(f"cannot write {path!r}: {os.strerror(errno.ENOENT)}")
+        raise UsageError(f"cannot write {path!r}: {os.strerror(errno.ENOENT)}")
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
@@ -481,7 +487,7 @@ def _output(path):
         raise _cannot_write(path, exc) from exc
     if not stat.S_ISREG(mode):
         reason = os.strerror(errno.EISDIR) if stat.S_ISDIR(mode) else "not a regular file"
-        raise CliUsageError(f"cannot write {path}: {reason}")
+        raise UsageError(f"cannot write {path}: {reason}")
     directory = os.path.dirname(target)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".twoquadrics-", suffix=".tmp")
@@ -519,14 +525,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with _output(args.output) as write:
             return args.run(args, write)
-    except (CliUsageError, ValueError) as exc:
+    except UsageError as exc:
         _error_line(f"{parser.prog}: error: {exc}")
         return 2
-    except ConsistencyError as exc:
-        _error_line(f"{parser.prog}: internal error: {exc}")
-        return 3
     except Exception as exc:
-        _error_line(f"{parser.prog}: internal error: {type(exc).__name__}: {exc}")
+        _error_line(f"{parser.prog}: internal error: {_internal_message(exc)}")
         return 3
 
 

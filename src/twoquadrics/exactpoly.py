@@ -7,11 +7,11 @@ printing.  Coefficients are arbitrary-precision Python ints, so every
 operation is exact and downstream identity checks are literal
 polynomial equalities; the constructors take plain int exponents and
 int coefficients only and raise TypeError on anything else, and
-check_param, the one rule for an integer parameter, and
-ConsistencyError, the error of an impossible internal value, live here,
-below every module that uses them.  Dense polynomials on the hot paths
-are packed into single ints, and this module is the only one that knows
-the packed form: every caller sums shifted Gaussian binomials through
+check_param, the one rule for an integer parameter, UsageError, the
+error of bad input, and ConsistencyError, the error of an impossible
+internal value, live here, below every module that uses them.  Dense
+polynomials on the hot paths are packed into single ints, and this
+module is the only one that knows the packed form: every caller sums shifted Gaussian binomials through
 gauss_sum and reads back plain coefficient lists (see below).
 
 All values are immutable after construction and all operations are pure;
@@ -37,6 +37,13 @@ class ConsistencyError(RuntimeError):
     """Internal bookkeeping produced an impossible value: a Hodge number
     that breaks a symmetry, or a Gaussian binomial that does not fit the
     digit width gauss_sum proved for it."""
+
+
+class UsageError(ValueError):
+    """Bad input: a value outside the range of its input rule
+    (check_param, stacky.check_suite_bounds), or a command line that
+    cannot be run.  The one type the command line exits 2 on; every
+    other exception is an internal error."""
 
 
 def _power(var: str, e: int) -> str:
@@ -235,16 +242,16 @@ def check_param(name: str, value, low: int | None = None, high: int | None = Non
     """The one rule for an integer parameter: a plain int (a bool is
     refused), low <= value unless low is None, and value <= high when
     high is given.  A value of another type is a TypeError ("g must be an
-    int, got 2.5"); one out of range a ValueError naming the bound,
-    "g = 1: need g >= 2" or, with high_text the bound's formula,
-    "k = 3: need 0 <= k <= g-2 = 2"."""
+    int, got 2.5"); one out of range a UsageError, the one type of bad
+    input, naming the bound, "g = 1: need g >= 2" or, with high_text
+    the bound's formula, "k = 3: need 0 <= k <= g-2 = 2"."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {value!r}")
     if high is not None:
         if not low <= value <= high:
-            raise ValueError(f"{name} = {value}: need {low} <= {name} <= {high_text} = {high}")
+            raise UsageError(f"{name} = {value}: need {low} <= {name} <= {high_text} = {high}")
     elif low is not None and value < low:
-        raise ValueError(f"{name} = {value}: need {name} >= {low}")
+        raise UsageError(f"{name} = {value}: need {name} >= {low}")
 
 
 def binomial(n: int, m: int) -> int:

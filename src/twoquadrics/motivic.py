@@ -137,8 +137,13 @@ class MotivicExpression(Record):
 
 
 def _frozen(value):
-    """value with every list in it, at any depth, made a tuple."""
-    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+    """value with every list in it, at any depth, made a tuple; a tuple
+    that holds no list or tuple is returned as it is."""
+    if not isinstance(value, (list, tuple)):
+        return value
+    if type(value) is tuple and not any(isinstance(v, (list, tuple)) for v in value):
+        return value
+    return tuple(map(_frozen, value))
 
 
 class VerificationReport(Record):
@@ -208,7 +213,7 @@ def verify_decomposition(g: int, k: int) -> VerificationReport:
     sums = macdonald_vectors(g, terms)
     rhs = lhs if sums == fano else block_e_polynomial(g, sums)
     effectivity = tuple((i, min(coeffs) >= 0) for i, _, coeffs in terms)
-    spans = [[i, base, base + len(coeffs) - 1] for i, base, coeffs in terms]
+    spans = tuple((i, base, base + len(coeffs) - 1) for i, base, coeffs in terms)
     return VerificationReport(
         identity="hyperelliptic-decomposition",
         params={"g": g, "k": k},

@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 
-from .exactpoly import check_param
+from .exactpoly import UsageError, check_param
 from .fano_even import EvenFanoParams, euler_closed_form, fano_even_betti_numbers
 from .motivic import VerificationReport, _status
 
@@ -58,7 +58,7 @@ def gessel_identity_check(m: int, a: int) -> bool:
     check_param("m", m, 0)
     check_param("a", a, 0)
     if a % 2:
-        raise ValueError(f"a = {a}: need a even")
+        raise UsageError(f"a = {a}: need a even")
     lhs = 4**m * math.comb(m + a // 2, m)
     rhs = sum(math.comb(m + a - i, a) * math.comb(2 * m + a + 1, i) for i in range(m + 1))
     return lhs == rhs
@@ -104,7 +104,7 @@ def check_suite_bounds(max_m: int = 0, max_a: int = 0, max_n: int = 0) -> None:
     check_param("max_a", max_a, 0)
     check_param("max_n", max_n, 0)
     if max_a % 2:
-        raise ValueError(f"max_a = {max_a}: need max_a even")
+        raise UsageError(f"max_a = {max_a}: need max_a even")
 
 
 # ---------------------------------------------------------------------------

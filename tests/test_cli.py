@@ -13,9 +13,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 from list_routes import payload, report_to_json_obj
+from test_mutations import STACKY_SOURCE_MUTANTS, mutant_of
 
 from twoquadrics import cli, exactpoly, fano_even, fano_odd, motivic, stacky
-from twoquadrics.exactpoly import BiPoly, ConsistencyError, InexactDivisionError, LaurentPoly
+from twoquadrics.exactpoly import (
+    BiPoly,
+    ConsistencyError,
+    InexactDivisionError,
+    LaurentPoly,
+    UsageError,
+)
 from twoquadrics.fano_even import EvenFanoParams, euler_closed_form, fano_even_diamond
 from twoquadrics.motivic import (
     VERIFIED,
@@ -832,6 +839,49 @@ class TestInternalErrors:
             or r["identity"] != "hyperelliptic-decomposition"
         ]
 
+    @staticmethod
+    def plant_count_m_minus_1(monkeypatch):
+        # the mutation table's "count m-1" of stacky_collection_length:
+        # at i = k+1 it asks math.comb for C(n, -1), a ValueError of a
+        # value the library computed, at every (g, k)
+        function, old, new, _ = STACKY_SOURCE_MUTANTS["count m-1"]
+        monkeypatch.setattr(stacky, function.__name__, mutant_of(function, old, new))
+
+    def test_a_library_value_error_is_internal_not_bad_input(self, capsys, monkeypatch):
+        self.plant_count_m_minus_1(monkeypatch)
+        assert cli.main(["verify", "even", "--g", "2", "--k", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "twoquadrics: internal error: ValueError: k must be a non-negative integer\n"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_library_value_error_in_a_sweep_is_an_error_report(self, capsys, monkeypatch, jobs):
+        argv = ["sweep", "--max-g", "2", "--max-g-even", "3", "--max-m", "0", "--max-a", "0",
+                "--max-n", "0", "--format", "json", "--jobs", jobs]
+        _, clean = run(capsys, argv)
+        self.plant_count_m_minus_1(monkeypatch)
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        message = "ValueError: k must be a non-negative integer"
+        broken = [{"g": 2, "k": 0}, {"g": 3, "k": 0}, {"g": 3, "k": 1}]
+        assert captured.err == "".join(
+            f"twoquadrics: internal error: stacky-counts g={p['g']} k={p['k']}: {message}\n"
+            for p in broken
+        )
+        doc, want = json.loads(captured.out), json.loads(clean)
+        assert doc["summary"] == {"failed": 3, "total": 9, "verified": 6}
+        errored = [r for r in doc["reports"] if r["status"] != "verified"]
+        assert [(r["identity"], r["params"], r["status"], r["observations"]) for r in errored] == [
+            ("stacky-counts", p, "error", {"error": message}) for p in broken
+        ]
+        for report in (*doc["reports"], *want["reports"]):
+            del report["elapsed_ms"]
+        assert [r for r in doc["reports"] if r not in errored] == [
+            r for r in want["reports"] if r["identity"] != "stacky-counts"
+        ]
+
     def test_sweep_error_report_keeps_the_time_to_the_error(self, monkeypatch):
         def broken(g, k):
             time.sleep(0.05)
@@ -1101,7 +1151,7 @@ class TestWidthFailures:
 class TestOutputFile:
     def test_an_unwritable_output_is_a_usage_error(self, tmp_path):
         # the one exit-2 type carries the output's errors too
-        with pytest.raises(cli.CliUsageError, match=r"^cannot write .*: Is a directory$"):
+        with pytest.raises(UsageError, match=r"^cannot write .*: Is a directory$"):
             with cli._output(str(tmp_path)):
                 pytest.fail("a directory was accepted as the output")
 
@@ -1223,12 +1273,15 @@ class TestOutputFile:
         assert [p.name for p in real.parent.iterdir()] == ["report.json"]
 
     def test_error_mid_sweep_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        # an exception inside a task is an error report; one outside the
+        # tasks stops the sweep, here a report whose side no writer knows
         verify_hochschild = cli.verify_hochschild
 
         def broken(g, k):
+            report = verify_hochschild(g, k)
             if (g, k) == (4, 1):
-                raise RuntimeError("planted failure")
-            return verify_hochschild(g, k)
+                return VerificationReport(report.identity, dict(report.params), "failed", 47.5, 0)
+            return report
 
         monkeypatch.setattr(cli, "verify_hochschild", broken)
         target = tmp_path / "sweep.json"
@@ -1237,7 +1290,7 @@ class TestOutputFile:
         assert list(tmp_path.iterdir()) == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "twoquadrics: internal error: RuntimeError: planted failure\n"
+        assert captured.err == "twoquadrics: internal error: TypeError: cannot serialize float\n"
 
 
 class TestClosedStdout:

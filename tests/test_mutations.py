@@ -24,6 +24,9 @@ check rests on, and pins where the checks first see each one.
   gessel_identity_check and of the P_n step and the right-side row of
   chu_vandermonde_suite_report, with the first instance each suite sees
   within its default bounds.
+- Every mutant above that raises is an error report of the sweep task
+  that runs its check, named by the exception's type, not an exception
+  that escapes the task.
 """
 
 import inspect
@@ -31,7 +34,7 @@ import textwrap
 
 import pytest
 
-from twoquadrics import curves, fano_even, fano_odd, motivic, stacky
+from twoquadrics import cli, curves, fano_even, fano_odd, motivic, stacky
 from twoquadrics.exactpoly import ConsistencyError, gauss_sum
 
 # the number of shifts of each group of the bracket, in order
@@ -458,3 +461,88 @@ def test_chu_vandermonde_mutant_is_first_seen_at_its_bound(name):
     old, new, (n, how) = CHU_VANDERMONDE_MUTANTS[name]
     suite = mutant_of(stacky.chu_vandermonde_suite_report, old, new)
     assert first_seen(suite, [(bound,) for bound in range(MAX_N + 1)]) == ((n,), how)
+
+
+def planted_groups(shift_counts, name):
+    """gauss_sum with the mutant `name` of groups with these numbers of
+    shifts planted, as the bracket and kernel tests plant it."""
+    group, field, change = next(m[1:] for m in mutants(shift_counts) if m[0] == name)
+    return lambda groups: gauss_sum(mutated(tuple(groups), group, field, change))
+
+
+def planted_betti(name):
+    """gauss_sum with the Betti mutant `name` planted, as
+    test_betti_mutant_is_first_seen_at_its_plane plants it."""
+    group, field, change = next(m[1:] for m in betti_mutants() if m[0] == name)
+
+    def planted(groups):
+        groups = tuple(groups)
+        if len(groups) == 1:
+            return gauss_sum(groups)
+        return gauss_sum(mutated(groups, group % len(groups), field, change))
+
+    return planted
+
+
+def raising_mutants():
+    """(id, CHECKS target, the check's instances at the mutant's pinned g
+    or bounds, in order, and the (module, attribute, value) plants) of
+    every mutant the tables record as raising."""
+    for name in sorted(RAISING):
+        yield (f"bracket {name}", "odd", planes(SMALLEST_FAILING_G[name]),
+               [(motivic, "gauss_sum", planted_groups(SHIFT_COUNTS, name))])
+    for name, (g, how) in sorted(KERNEL_SPLIT.items()):
+        if how == "raised":
+            yield (f"kernel {name}", "odd", planes(g),
+                   [(fano_odd, "gauss_sum", planted_groups(KERNEL_SHIFT_COUNTS, name))])
+    for name, (plane, how) in sorted(BETTI_GROUPS.items()):
+        if how == "raised":
+            yield f"betti {name}", "even", [plane], [(fano_even, "gauss_sum", planted_betti(name))]
+    for name, (function, old, new, (plane, how)) in sorted(STACKY_SOURCE_MUTANTS.items()):
+        if how == "raised":
+            yield name, "even", [plane], [(stacky, function.__name__, mutant_of(function, old, new))]
+    for name, (old, new, (plane, how)) in sorted(AT_ONE_MUTANTS.items()):
+        if how == "raised":
+            mutant = mutant_of(motivic.multiplicity_at_one, old, new)
+            yield f"at one {name}", "hochschild", [plane], [(motivic, "multiplicity_at_one", mutant)]
+    for name, (old, new, (bounds, how)) in sorted(GESSEL_MUTANTS.items()):
+        if how == "raised":
+            mutant = mutant_of(stacky.gessel_identity_check, old, new)
+            yield f"gessel {name}", "gessel", [bounds], [(stacky, "gessel_identity_check", mutant)]
+    for name, (old, new, (n, how)) in sorted(CHU_VANDERMONDE_MUTANTS.items()):
+        if how == "raised":
+            mutant = mutant_of(stacky.chu_vandermonde_suite_report, old, new)
+            yield f"chu-vandermonde {name}", "chu-vandermonde", [(n,)], [
+                (cli, "chu_vandermonde_suite_report", mutant)
+            ]
+
+
+RAISING_MUTANTS = list(raising_mutants())
+
+
+def test_every_raising_mutant_is_taken():
+    # two of the bracket, one of the kernel and of the Betti groups, two
+    # of the count, of multiplicity_at_one, five of Gessel, one of
+    # Chu-Vandermonde
+    assert len(RAISING_MUTANTS) == 14
+
+
+@pytest.mark.parametrize(
+    "target,instances,plants", [pytest.param(*m[1:], id=m[0]) for m in RAISING_MUTANTS]
+)
+def test_raising_mutant_is_an_error_report_of_its_sweep_task(
+    monkeypatch, cold_caches, target, instances, plants
+):
+    for module, attr, value in plants:
+        monkeypatch.setattr(module, attr, value)
+    # the first instance that does not verify, run as a sweep task
+    for args in instances:
+        report, _ = cli.run_sweep_task((target, args))
+        if not report.verified:
+            break
+    assert report.status == "error"
+    with pytest.raises(ValueError) as raised:
+        cli.run_check(target, args)
+    assert report.observations == (
+        ("error", f"{type(raised.value).__name__}: {raised.value}"),
+    )
